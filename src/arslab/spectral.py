@@ -14,11 +14,10 @@ a family of half-line operators
 
     -d2/dx2 + k**2 x**(2 alpha) + c / x**2,
 
-whose low eigenvalues this module computes on a staggered grid with the
-in-house tridiagonal kernel, and whose self-adjointness is classified
-from the indicial exponents at the singular endpoint, with an optional
-numerical cross-check that counts square-integrable deficiency
-solutions.
+whose low eigenvalues this module computes on a staggered grid, and
+whose self-adjointness is classified from the indicial exponents at the
+singular endpoint, with an optional numerical cross-check that counts
+square-integrable deficiency solutions.
 """
 
 from __future__ import annotations
@@ -28,11 +27,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import BadGrid, FitIllConditioned, OutOfRange, UnsupportedFrame
 from .frames import VARIANT_ALPHA, VARIANT_F2
-from .tridiag import EigenResult, lowest_eigenpairs
+from .tridiag import lowest_eigenpairs
 
 __all__ = [
     "GaugePotential",
@@ -221,6 +219,9 @@ def deficiency_index_numeric(c, eps=1e-3, x_far=10.0, *, n_fit=48, rtol=1e-11):
     Raises FitIllConditioned when the exponents are too close to
     separate.
     """
+    # scipy.integrate costs a fifth of a second to import; only this probe needs it
+    from scipy.integrate import solve_ivp
+
     c = float(c)
     report = classify_self_adjoint(c)
     s_plus, s_minus = report.indicial_plus, report.indicial_minus

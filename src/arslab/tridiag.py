@@ -1,13 +1,21 @@
-"""Self-contained symmetric tridiagonal eigensolver.
+"""Certified symmetric tridiagonal eigensolver.
 
-Lowest eigenvalues by Sturm-sequence bisection, eigenvectors by inverse
-iteration on a partially pivoted tridiagonal LU factorization, eigenvalues
-finished with a Rayleigh quotient.  Every returned pair carries a residual
-norm ||A v - lambda v||_2 certified against an infinity-norm bound of the
-matrix, so callers can reject silently inaccurate results.
+The lowest eigenpairs come from LAPACK (stebz bisection and stein inverse
+iteration, through scipy.linalg.eigh_tridiagonal).  Every solve is
+certified before it is returned:
 
-The implementation is deterministic: inverse iteration always starts from
-the same seeded random vector.
+- each eigenvalue is the Rayleigh quotient of its unit eigenvector;
+- each residual ||A v - lambda v||_2 is at most residual_tol * ||A||_inf;
+- one Sturm-sequence sweep (count_below), independent of LAPACK, finds no
+  eigenvalue below the first returned value and at least m up to the
+  last, so none below lambda_m was skipped.
+
+A failed check raises ConvergenceFailure.  LAPACK's bisection and inverse
+iteration are deterministic, so reruns give identical bits.
+
+LAPACK and the Sturm sweep both see A / ||A||_inf: they square the
+off-diagonals, which on a matrix of tiny norm would underflow and
+decouple rows that are not decoupled.
 """
 
 from __future__ import annotations
@@ -15,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import ConvergenceFailure
 
 __all__ = ["EigenResult", "count_below", "lowest_eigenvalues", "lowest_eigenpairs"]
 
 _TINY = 1e-300
-_START_SEED = 201712
 
 
 @dataclass
@@ -32,181 +40,104 @@ class EigenResult:
     operator_norm: float    # infinity-norm bound used for certification
 
 
+def _inf_norm(diag, off):
+    """||A||_inf, at least _TINY so that it can divide."""
+    radius = np.zeros_like(diag)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    return max(float(np.max(np.abs(diag) + radius)), _TINY)
+
+
 def count_below(diag, off, shifts):
     """Number of eigenvalues strictly below each shift (Sturm sequence).
 
-    Vectorized over shifts; the inner recurrence runs over the matrix
-    dimension.  Pivots are clamped away from zero, which cannot change
-    the sign count by more than the usual one-ulp ambiguity exactly at
-    an eigenvalue.
+    One scalar recurrence over the matrix dimension per shift; callers
+    pass a few shifts, for which plain floats beat per-row array calls.
+    Pivots are clamped away from zero, which cannot change the sign count
+    by more than the usual one-ulp ambiguity exactly at an eigenvalue.
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
-    off2 = off * off
-    # clamp immediately after each update so an exactly-zero pivot is
-    # counted as negative; clamping later would miss it and break the
-    # monotonicity of the count in the shift
-    q = diag[0] - shifts
-    q = np.where(np.abs(q) < _TINY, -_TINY, q)
-    counts = (q < 0.0).astype(np.int64)
-    for i in range(1, diag.size):
-        q = diag[i] - shifts - off2[i - 1] / q
-        q = np.where(np.abs(q) < _TINY, -_TINY, q)
-        counts += q < 0.0
+    norm = _inf_norm(diag, off)
+    d = (diag / norm).tolist()
+    off2 = ((off / norm) ** 2).tolist()
+    counts = np.empty(shifts.shape, dtype=np.int64)
+    for j, s in enumerate((shifts / norm).ravel().tolist()):
+        # clamp immediately after each update so an exactly-zero pivot is
+        # counted as negative; clamping later would miss it and break the
+        # monotonicity of the count in the shift
+        q = d[0] - s
+        if abs(q) < _TINY:
+            q = -_TINY
+        count = int(q < 0.0)
+        for d_i, off2_i in zip(d[1:], off2):
+            q = d_i - s - off2_i / q
+            if abs(q) < _TINY:
+                q = -_TINY
+            if q < 0.0:
+                count += 1
+        counts.flat[j] = count
     return counts
 
 
-def _gershgorin(diag, off):
-    radius = np.zeros_like(diag)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    return float(np.min(diag - radius)), float(np.max(diag + radius)), float(
-        np.max(np.abs(diag) + radius))
-
-
-def lowest_eigenvalues(diag, off, m, *, max_iter=200):
-    """The m smallest eigenvalues by simultaneous bisection."""
+def _checked(diag, off, m, name):
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
-    n = diag.size
-    if not (1 <= m <= n):
-        raise ValueError("lowest_eigenvalues: need 1 <= m <= n")
-    if off.size != n - 1:
-        raise ValueError("lowest_eigenvalues: off-diagonal must have length n-1")
-    lo_bound, hi_bound, scale = _gershgorin(diag, off)
-    lo = np.full(m, lo_bound)
-    hi = np.full(m, hi_bound)
-    targets = np.arange(1, m + 1)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        tol = 1e-14 * scale + 1e-14 * np.abs(mid)
-        if np.all(hi - lo <= tol):
-            break
-        counts = count_below(diag, off, mid)
-        take_hi = counts >= targets
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
-    return 0.5 * (lo + hi)
-
-
-def _lu_factor(diag_shifted, off):
-    """Partially pivoted LU of a symmetric tridiagonal matrix.
-
-    Returns the three U bands (main, first and second superdiagonal),
-    elimination multipliers and row-swap flags.
-    """
-    n = diag_shifted.size
-    beta = diag_shifted.astype(float).copy()
-    gamma = np.zeros(n)
-    gamma[: n - 1] = off
-    delta = np.zeros(n)
-    lmult = np.zeros(max(n - 1, 0))
-    swap = np.zeros(max(n - 1, 0), dtype=bool)
-    for i in range(n - 1):
-        if abs(beta[i]) >= abs(off[i]):
-            if beta[i] == 0.0:
-                beta[i] = _TINY
-            l = off[i] / beta[i]
-            beta[i + 1] -= l * gamma[i]
-            lmult[i] = l
-        else:
-            # swap rows i and i+1; the pivot row picks up a second
-            # superdiagonal entry
-            l = beta[i] / off[i]
-            new_gamma = beta[i + 1]
-            new_delta = gamma[i + 1]
-            beta[i + 1] = gamma[i] - l * new_gamma
-            gamma[i + 1] = -l * new_delta
-            beta[i] = off[i]
-            gamma[i] = new_gamma
-            delta[i] = new_delta
-            lmult[i] = l
-            swap[i] = True
-    if beta[n - 1] == 0.0:
-        beta[n - 1] = _TINY
-    return beta, gamma, delta, lmult, swap
-
-
-def _lu_solve(factors, rhs):
-    beta, gamma, delta, lmult, swap = factors
-    n = beta.size
-    b = rhs.astype(float).copy()
-    for i in range(n - 1):
-        if swap[i]:
-            b[i], b[i + 1] = b[i + 1], b[i]
-        b[i + 1] -= lmult[i] * b[i]
-    x = np.empty(n)
-    x[n - 1] = b[n - 1] / beta[n - 1]
-    if n >= 2:
-        x[n - 2] = (b[n - 2] - gamma[n - 2] * x[n - 1]) / beta[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (b[i] - gamma[i] * x[i + 1] - delta[i] * x[i + 2]) / beta[i]
-    return x
+    if not (1 <= m <= diag.size):
+        raise ValueError(f"{name}: need 1 <= m <= n")
+    if off.size != diag.size - 1:
+        raise ValueError(f"{name}: off-diagonal must have length n-1")
+    return diag, off, _inf_norm(diag, off)
 
 
 def _matvec(diag, off, v):
-    out = diag * v
-    out[:-1] += off * v[1:]
-    out[1:] += off * v[:-1]
+    """A @ v for each column of v."""
+    out = diag[:, None] * v
+    out[:-1] += off[:, None] * v[1:]
+    out[1:] += off[:, None] * v[:-1]
     return out
 
 
-def lowest_eigenpairs(diag, off, m, *, residual_tol=1e-8, iters=3, max_extra=3,
-                      cluster_tol=1e-10):
+def lowest_eigenvalues(diag, off, m):
+    """The m smallest eigenvalues, ascending (LAPACK stebz)."""
+    diag, off, norm = _checked(diag, off, m, "lowest_eigenvalues")
+    return norm * eigvalsh_tridiagonal(diag / norm, off / norm, select="i",
+                                       select_range=(0, m - 1))
+
+
+def lowest_eigenpairs(diag, off, m, *, residual_tol=1e-8):
     """The m smallest eigenpairs with certified residuals.
 
-    Eigenvalues are located by bisection, eigenvectors by a few inverse
-    iteration steps at the bisection value, and the reported eigenvalue
-    is the final Rayleigh quotient.  If a residual exceeds
-    residual_tol * ||A||_inf after a bounded number of reshifted retries,
-    ConvergenceFailure is raised.  Iterates for nearly-degenerate
-    eigenvalues are orthogonalized against the vectors already accepted.
+    The vectors come from LAPACK; each reported eigenvalue is the Rayleigh
+    quotient of its normalized vector.  ConvergenceFailure is raised when
+    a residual exceeds residual_tol * ||A||_inf, or when the Sturm count
+    shows an eigenvalue below the first value or fewer than m up to the
+    last one.  The count is taken at the values widened by the summed
+    residuals (which bound how far the Ritz values of orthonormal vectors
+    can sit from the spectrum) plus a rounding allowance.
     """
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    n = diag.size
-    approx = lowest_eigenvalues(diag, off, m)
-    _, _, scale = _gershgorin(diag, off)
-    norm_bound = max(scale, _TINY)
+    diag, off, norm_bound = _checked(diag, off, m, "lowest_eigenpairs")
+    try:
+        _, vectors = eigh_tridiagonal(diag / norm_bound, off / norm_bound, select="i",
+                                      select_range=(0, m - 1))
+    except LinAlgError as exc:
+        raise ConvergenceFailure(f"lowest_eigenpairs: LAPACK failed: {exc}") from exc
+    vectors = vectors / np.linalg.norm(vectors, axis=0)
+    av = _matvec(diag, off, vectors)
+    values = np.sum(vectors * av, axis=0)
+    residuals = np.linalg.norm(av - vectors * values, axis=0)
+    worst = int(np.argmax(residuals))
+    if not residuals[worst] <= residual_tol * norm_bound:
+        raise ConvergenceFailure(
+            f"lowest_eigenpairs: pair {worst} residual {residuals[worst]:.3e} above "
+            f"{residual_tol:.1e} * ||A|| = {residual_tol * norm_bound:.3e}")
 
-    rng = np.random.default_rng(_START_SEED)
-    start = rng.standard_normal(n)
-
-    values = np.empty(m)
-    vectors = np.empty((n, m))
-    residuals = np.empty(m)
-    for j in range(m):
-        shift = approx[j]
-        cluster = [k for k in range(j) if abs(values[k] - shift) < cluster_tol * norm_bound]
-        lam, vec, res = _one_pair(diag, off, shift, start, iters, vectors, cluster)
-        extra = 0
-        while res > residual_tol * norm_bound and extra < max_extra:
-            lam, vec, res = _one_pair(diag, off, lam, start, iters, vectors, cluster)
-            extra += 1
-        if res > residual_tol * norm_bound:
-            raise ConvergenceFailure(
-                f"lowest_eigenpairs: pair {j} residual {res:.3e} above "
-                f"{residual_tol:.1e} * ||A|| = {residual_tol * norm_bound:.3e}")
-        values[j] = lam
-        vectors[:, j] = vec
-        residuals[j] = res
+    slack = float(np.sum(residuals)) + diag.size * np.finfo(float).eps * norm_bound
+    below, up_to = count_below(diag, off, [values[0] - slack, values[-1] + slack])
+    if below != 0 or up_to < m:
+        raise ConvergenceFailure(
+            f"lowest_eigenpairs: Sturm count {below} below {values[0]:.12g} and "
+            f"{up_to} up to {values[-1]:.12g} (slack {slack:.1e}); expected 0 and >= {m}")
     return EigenResult(values=values, vectors=vectors, residuals=residuals,
                        operator_norm=norm_bound)
-
-
-def _one_pair(diag, off, shift, start, iters, vectors, cluster):
-    factors = _lu_factor(diag - shift, off)
-    v = start.copy()
-    for _ in range(iters):
-        for k in cluster:
-            v -= np.dot(vectors[:, k], v) * vectors[:, k]
-        v = _lu_solve(factors, v)
-        v /= np.linalg.norm(v)
-    for k in cluster:
-        v -= np.dot(vectors[:, k], v) * vectors[:, k]
-    v /= np.linalg.norm(v)
-    av = _matvec(diag, off, v)
-    lam = float(np.dot(v, av))
-    res = float(np.linalg.norm(av - lam * v))
-    return lam, v, res
