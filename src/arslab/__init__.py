@@ -71,9 +71,12 @@ from .evolution import (
     assemble_generator,
     gaussian_bump_state,
     run_heat,
+    run_schrodinger,
     step_heat,
     step_schrodinger,
     transmission_study,
+    transmission_verdict,
+    transmitted_fraction,
 )
 from .martinet import (
     MartinetCoeffs,

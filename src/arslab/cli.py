@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from .errors import (ArslabError, BadGrid, Inconclusive, OutOfRange, UnsupportedFrame)
-from .evolution import assemble_generator, gaussian_bump_state, run_heat, step_schrodinger
+from .evolution import (assemble_generator, gaussian_bump_state, run_heat, run_schrodinger,
+                        transmission_verdict, transmitted_fraction)
 from .frames import frame_from_config, frame_vectors, laplace_beltrami_coeffs, metric_at
 from .geodesics import crossing_report, front, geodesic_flow
 from .martinet import martinet_mode_solve
@@ -208,17 +209,6 @@ def _cmd_classify(cfg, out_dir):
     return outputs, payload
 
 
-def _transmission_verdict(fractions):
-    decreasing = all(b < a for a, b in zip(fractions, fractions[1:]))
-    ratios_close = all(a != 0.0 and abs(b / a - 1.0) <= 0.1
-                       for a, b in zip(fractions, fractions[1:]))
-    if decreasing and fractions[-1] < 1e-3:
-        return "barrier-consistent"
-    if ratios_close and fractions[-1] > 1e-2:
-        return "crossing-consistent"
-    return "inconclusive"
-
-
 def _cmd_evolve(cfg, out_dir):
     eps_list = [float(e) for e in cfg["eps"]]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -228,7 +218,7 @@ def _cmd_evolve(cfg, out_dir):
         raise ConfigError(f"evolve: unknown equation {equation!r}")
     t_final = float(cfg["t_final"])
     dt = float(cfg["dt"])
-    record_every = int(cfg["record_every"])
+    record_every = max(1, int(cfg["record_every"]))
     outputs = {}
     fractions = []
     for eps in eps_list:
@@ -237,35 +227,19 @@ def _cmd_evolve(cfg, out_dir):
                                  period=float(cfg["period"]))
         state = gaussian_bump_state(gen, (float(cfg["bump_x"]), float(cfg["bump_y"])),
                                     float(cfg["bump_sigma"]))
-        x_cells = gen.grid.x_of_cells()
-        left, right = x_cells < 0.0, x_cells > 0.0
         if equation == "heat":
             state, series = run_heat(gen, state, t_final, dt, tol=float(cfg["tol"]),
-                                     record_every=max(1, record_every))
-            total = float(np.dot(gen.m, state.u))
-            fractions.append(float(np.dot(gen.m[right], state.u[right])) / total)
+                                     record_every=record_every)
+            fractions.append(transmitted_fraction(gen, state.u))
         else:
-            state = type(state)(u=state.u.astype(complex), t=state.t)
-            n_steps = max(1, int(round(t_final / dt)))
-            dt_eff = t_final / n_steps
-            series = []
-
-            def record(st):
-                dens = np.abs(st.u) ** 2
-                series.append((st.t, float(np.dot(gen.m[left], dens[left])),
-                               float(np.dot(gen.m[right], dens[right])), gen.m_norm(st.u)))
-
-            record(state)
-            for step in range(n_steps):
-                state = step_schrodinger(gen, state, dt_eff)
-                if (step + 1) % max(1, record_every) == 0 or step == n_steps - 1:
-                    record(state)
+            state, series = run_schrodinger(gen, state, t_final, dt,
+                                            record_every=record_every)
         name = f"evolve_eps_{eps!r}.csv"
         outputs[name] = _write_csv(out_dir / name,
                                    ["t", "mass_left", "mass_right", "norm"], series)
     summary = {"equation": equation, "eps_list": eps_list}
     if equation == "heat" and len(eps_list) >= 2:
-        verdict = _transmission_verdict(fractions)
+        verdict = transmission_verdict(fractions)
         payload = {"alpha": float(cfg["alpha"]), "eps_list": eps_list,
                    "time_horizon": t_final, "fractions": fractions, "verdict": verdict}
         outputs["transmission.json"] = _write_json(out_dir / "transmission.json", payload)

@@ -15,22 +15,40 @@ conductances integrate f**2 w_eps exactly, all with closed-form
 antiderivatives.  The generator A = M^{-1} C is symmetric in the mass
 inner product, annihilates constants, and is nonpositive.
 
-Time stepping is Crank-Nicolson: conjugate gradients in the mass inner
-product for the heat flow, a cached sparse Cayley factorization for the
-Schrodinger flow.  transmission_study runs the eps sweep and reports
-whether the mass fraction crossing the singular line dies out
-(barrier-consistent) or stabilizes (crossing-consistent).
+The operator commutes with translation in y, and the generator has the
+tensor form
+
+    C = kron(C_x, I) + kron(diag(y_coef), R),   M = kron(diag(m_x), I),
+
+with C_x the tridiagonal x-graph Laplacian and R the periodic second
+difference in y.  A DFT in y diagonalizes R, with eigenvalues
+mu_q = 2 cos(2 pi q / n_y) - 2, so one Crank-Nicolson step
+
+    (M - c C) u+ = (M + c C) u,   c = dt/2 (heat) or i dt/2 (Schrodinger),
+
+is one tridiagonal solve in x per Fourier mode q.  All modes are stacked
+into one block-tridiagonal system, factored once per (generator, c) by
+LAPACK (dpttrf for the real heat step, zgttrf for the complex Cayley
+step) and cached on the generator; a step is then two FFTs in y and one
+LAPACK ?pttrs / ?gttrs call.  Every step checks its own relative residual
+in the mass norm, in mode space, and raises SolverDiverged when the check
+or the factorization fails.  The Schrodinger (Cayley) step is unitary in the
+mass inner product, and the heat step conserves mass, both to roundoff.
+
+run_heat and run_schrodinger share one time loop.  transmission_study
+runs the eps sweep, and transmission_verdict says whether the mass
+fraction crossing the singular line dies out (barrier-consistent) or
+stabilizes (crossing-consistent).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg import lapack
 
 from .errors import BadGrid, Inconclusive, SolverDiverged
 
@@ -44,10 +62,15 @@ __all__ = [
     "step_heat",
     "step_schrodinger",
     "run_heat",
+    "run_schrodinger",
+    "transmitted_fraction",
+    "transmission_verdict",
     "transmission_study",
 ]
 
 _TWO_PI = 2.0 * math.pi
+# relative mass-norm residual every Crank-Nicolson solve must meet
+_SOLVE_TOL = 1e-10
 
 
 def _int_weight(t, eps, alpha):
@@ -139,13 +162,23 @@ def _build_grid(alpha, eps, n_x, x_half, n_y, period):
 
 @dataclass
 class Generator:
-    """A = M^{-1} C, symmetric in the mass inner product, A 1 = 0."""
+    """A = M^{-1} C, symmetric in the mass inner product, A 1 = 0.
+
+    C = kron(C_x, I) + kron(diag(y_coef), R) and M = kron(diag(m_x), I),
+    where C_x is tridiagonal with diagonal x_diag and off-diagonal x_off
+    and R is the periodic second difference in y.  The 1-D pieces are
+    what the time steps solve with; C is the same operator assembled.
+    """
 
     grid: WeightedGrid
     C: sparse.csr_matrix
     m: np.ndarray
     degree: np.ndarray
-    _cayley: dict = field(default_factory=dict, repr=False)
+    m_x: np.ndarray     # mass_x * h_y
+    x_diag: np.ndarray  # -(x-edge conductances at each node)
+    x_off: np.ndarray   # cond_x * h_y
+    y_coef: np.ndarray  # ycoef_x / h_y
+    _modes: dict = field(default_factory=dict, repr=False)
 
     def apply(self, u):
         return self.C.dot(u) / self.m
@@ -163,40 +196,20 @@ class Generator:
 def assemble_generator(alpha, eps, *, n_x=400, x_half=3.0, n_y=64, period=_TWO_PI):
     """Finite-volume generator of the regularized flow on the cylinder."""
     grid = _build_grid(alpha, eps, n_x, x_half, n_y, period)
-    nx1 = grid.x.size
     n_y = grid.n_y
-    n = nx1 * n_y
-
-    def idx(i, j):
-        return i * n_y + j
-
-    rows, cols, vals = [], [], []
-    j_all = np.arange(n_y)
-    # x edges: conductance per unit y times the cell height
-    for i in range(nx1 - 1):
-        c = grid.cond_x[i] * grid.h_y
-        a = idx(i, j_all)
-        b = idx(i + 1, j_all)
-        rows.extend([a, b])
-        cols.extend([b, a])
-        vals.extend([np.full(n_y, c), np.full(n_y, c)])
-    # y edges: periodic ring in each x cell
-    jp = (j_all + 1) % n_y
-    for i in range(nx1):
-        c = grid.ycoef_x[i] / grid.h_y
-        a = idx(i, j_all)
-        b = idx(i, jp)
-        rows.extend([a, b])
-        cols.extend([b, a])
-        vals.extend([np.full(n_y, c), np.full(n_y, c)])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    C = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    degree = np.asarray(C.sum(axis=1)).ravel()
-    C = C - sparse.diags(degree)
-    m = grid.masses()
-    return Generator(grid=grid, C=C.tocsr(), m=m, degree=degree)
+    x_off = grid.cond_x * grid.h_y
+    x_diag = np.zeros(grid.x.size)
+    x_diag[:-1] -= x_off
+    x_diag[1:] -= x_off
+    y_coef = grid.ycoef_x / grid.h_y
+    C_x = sparse.diags([x_off, x_diag, x_off], [-1, 0, 1])
+    ring = sparse.diags([1.0, 1.0, -2.0, 1.0, 1.0], [1 - n_y, -1, 0, 1, n_y - 1],
+                        shape=(n_y, n_y))
+    C = sparse.kron(C_x, sparse.identity(n_y)) + sparse.kron(sparse.diags(y_coef), ring)
+    m_x = grid.mass_x * grid.h_y
+    return Generator(grid=grid, C=C.tocsr(), m=grid.masses(),
+                     degree=np.repeat(2.0 * y_coef - x_diag, n_y), m_x=m_x,
+                     x_diag=x_diag, x_off=x_off, y_coef=y_coef)
 
 
 @dataclass
@@ -226,77 +239,133 @@ def gaussian_bump_state(gen, center, sigma, *, floor=1e-12, strict_left=True):
     return EvolutionState(u=u, t=0.0)
 
 
-def step_heat(gen, state, dt, *, tol=1e-10, max_iter=5000):
-    """One Crank-Nicolson heat step by CG in the mass inner product.
+def _tridiagonal_dot(diag, off, v):
+    """Apply the tridiagonal blocks (diag, off) along the last axis of v."""
+    out = diag * v
+    out[..., 1:] += off * v[..., :-1]
+    out[..., :-1] += off * v[..., 1:]
+    return out
 
-    Solves (I - dt/2 A) u+ = (I + dt/2 A) u with Jacobi preconditioning;
-    the operator is self-adjoint and positive definite in that inner
-    product.  Raises SolverDiverged if the relative residual fails to
-    reach tol within max_iter iterations.
+
+@dataclass
+class _ModeSystem:
+    """L = M_x - c (C_x + mu_q diag(y_coef)) for every y-mode q, stacked.
+
+    Rows are (mode, x-node); the blocks share one off-diagonal and have
+    no coupling between them.  For real c the unknowns are the cosine
+    and sine coefficients (rfft real and imaginary parts) of a real
+    field, a leading axis of 2, and L is symmetric positive definite:
+    LAPACK dpttrf.  For complex c they are the fft coefficients of a
+    complex field and L is complex symmetric: zgttrf.
+    """
+
+    real: bool
+    diag: np.ndarray      # (n_modes, n_x + 1), of L
+    off: np.ndarray       # (n_x,), of L
+    rhs_diag: np.ndarray  # of M_x + c K_q = 2 M_x - L
+    rhs_off: np.ndarray
+    weight: np.ndarray    # (n_modes, n_x + 1): Parseval weight / m_x, the M^{-1} norm
+    lu: tuple             # factorization, as ?trs takes it
+    trs: object
+
+    def to_modes(self, u):
+        """(n_x + 1, n_y) field -> contiguous mode coefficients."""
+        if self.real:
+            f = np.fft.rfft(u, axis=1)
+            return np.stack((f.real.T, f.imag.T))
+        return np.ascontiguousarray(np.fft.fft(u, axis=1).T)
+
+    def from_modes(self, w, n_y):
+        if self.real:
+            return np.fft.irfft((w[0] + 1j * w[1]).T, n=n_y, axis=1)
+        return np.fft.ifft(w.T, axis=1)
+
+    def solve(self, rhs):
+        b = rhs.reshape(-1, self.diag.size).T
+        x, info = self.trs(*self.lu, b)
+        if info != 0:
+            raise SolverDiverged(f"LAPACK ?trs failed with info={info}")
+        return x.T.reshape(rhs.shape)
+
+    def norm(self, v):
+        return math.sqrt(np.vdot(v, self.weight * v).real)
+
+
+def _mode_system(gen, c):
+    """The factored mode system of (M - c C), cached on gen per c."""
+    system = gen._modes.get(c)
+    if system is not None:
+        return system
+    n_y = gen.grid.n_y
+    real = isinstance(c, float)
+    q = np.arange(n_y // 2 + 1 if real else n_y)
+    mu = 2.0 * np.cos(_TWO_PI * q / n_y) - 2.0
+    diag = gen.m_x - c * (gen.x_diag + mu[:, None] * gen.y_coef)
+    off = -c * gen.x_off
+    coupling = np.tile(np.append(off, 0.0), q.size)[:-1]
+    kind = "dpt" if real else "zgt"
+    if real:
+        *lu, info = lapack.dpttrf(diag.reshape(-1), coupling)
+    else:
+        *lu, info = lapack.zgttrf(coupling, diag.reshape(-1), coupling)
+    if info != 0:
+        raise SolverDiverged(f"LAPACK {kind}trf failed with info={info} at c={c}")
+    parseval = np.ones(q.size)
+    if real:  # modes 0 < q < n_y / 2 stand for q and n_y - q
+        parseval[1:(n_y + 1) // 2] = 2.0
+    system = _ModeSystem(real=real, diag=diag, off=off, rhs_diag=2.0 * gen.m_x - diag,
+                         rhs_off=-off, weight=parseval[:, None] / gen.m_x, lu=tuple(lu),
+                         trs=lapack.dpttrs if real else lapack.zgttrs)
+    gen._modes[c] = system
+    if len(gen._modes) > 8:
+        gen._modes.pop(next(iter(gen._modes)))
+    return system
+
+
+def _crank_nicolson(gen, u, c, tol, who):
+    """Solve (M - c C) u+ = (M + c C) u mode by mode; check the residual."""
+    system = _mode_system(gen, c)
+    grid = gen.grid
+    v = system.to_modes(u.reshape(grid.x.size, grid.n_y))
+    rhs = _tridiagonal_dot(system.rhs_diag, system.rhs_off, v)
+    w = system.solve(rhs)
+    residual = system.norm(_tridiagonal_dot(system.diag, system.off, w) - rhs)
+    b_norm = system.norm(rhs)
+    if not residual <= tol * b_norm:
+        raise SolverDiverged(f"{who}: relative residual {residual / max(b_norm, 1e-300):.3g} "
+                             f"exceeds tol={tol}")
+    return system.from_modes(w, grid.n_y).reshape(-1)
+
+
+def step_heat(gen, state, dt, *, tol=_SOLVE_TOL):
+    """One Crank-Nicolson step of du/dt = A u.
+
+    Solves (I - dt/2 A) u+ = (I + dt/2 A) u as one symmetric positive
+    definite tridiagonal system per y-mode (the rfft of the real field),
+    with the factorization cached on gen per dt.  Raises SolverDiverged
+    unless the relative residual in the mass norm is at most tol.
     """
     u = np.asarray(state.u, dtype=float)
-    half = 0.5 * dt
-    m = gen.m
-
-    def lhs(v):
-        return v - half * gen.apply(v)
-
-    b = u + half * gen.apply(u)
-    precond = 1.0 + half * gen.degree / m
-    x = u.copy()
-    r = b - lhs(x)
-    z = r / precond
-    rz = float(np.dot(m * r, z))
-    p = z.copy()
-    b_norm = math.sqrt(float(np.dot(m * b, b)))
-    target = tol * max(b_norm, 1e-300)
-    for _ in range(max_iter):
-        if math.sqrt(float(np.dot(m * r, r))) <= target:
-            return EvolutionState(u=x, t=state.t + dt)
-        q = lhs(p)
-        pq = float(np.dot(m * p, q))
-        if pq <= 0.0:
-            raise SolverDiverged("step_heat: CG lost positive definiteness")
-        a = rz / pq
-        x += a * p
-        r -= a * q
-        z = r / precond
-        rz_new = float(np.dot(m * r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise SolverDiverged(f"step_heat: CG did not reach tol={tol} in {max_iter} iterations")
+    return EvolutionState(u=_crank_nicolson(gen, u, 0.5 * float(dt), tol, "step_heat"),
+                          t=state.t + dt)
 
 
 def step_schrodinger(gen, state, dt):
     """One Cayley (Crank-Nicolson) unitary step of i du/dt = -A u.
 
-    Solves (M - i dt/2 C) u+ = (M + i dt/2 C) u with a cached sparse LU
-    factorization; the step is exactly unitary in the mass inner product
-    up to the linear-solve roundoff.
+    Solves (M - i dt/2 C) u+ = (M + i dt/2 C) u as one complex
+    tridiagonal system per y-mode, with the factorization cached on gen
+    per dt.  The step is unitary in the mass inner product up to
+    roundoff; it raises SolverDiverged unless the relative residual is
+    at most 1e-10.
     """
-    key = float(dt)
-    if key not in gen._cayley:
-        M = sparse.diags(gen.m)
-        lhs = (M - 0.5j * dt * gen.C).tocsc()
-        rhs = (M + 0.5j * dt * gen.C).tocsr()
-        try:
-            gen._cayley[key] = (splu(lhs), rhs)
-        except RuntimeError as exc:  # singular factorization
-            raise SolverDiverged(f"step_schrodinger: factorization failed: {exc}")
-        if len(gen._cayley) > 8:
-            gen._cayley.pop(next(iter(gen._cayley)))
-    lu, rhs = gen._cayley[key]
-    u = lu.solve(rhs.dot(np.asarray(state.u, dtype=complex)))
-    return EvolutionState(u=u, t=state.t + dt)
+    u = np.asarray(state.u, dtype=complex)
+    return EvolutionState(u=_crank_nicolson(gen, u, 0.5j * float(dt), _SOLVE_TOL,
+                                            "step_schrodinger"),
+                          t=state.t + dt)
 
 
-def run_heat(gen, state, T, dt, *, tol=1e-10, record_every=0):
-    """Evolve the heat flow to time T; optionally record a time series.
-
-    The series rows are (t, mass_left, mass_right, norm) with mass_left
-    and mass_right the weighted content strictly left/right of the
-    singular line and norm the mass-inner-product norm.
-    """
+def _run(gen, state, T, dt, step, density, record_every):
     n = max(1, int(round(T / dt)))
     dt_eff = T / n
     x_cells = gen.grid.x_of_cells()
@@ -305,18 +374,69 @@ def run_heat(gen, state, T, dt, *, tol=1e-10, record_every=0):
     series = []
 
     def record(st):
+        d = density(st.u)
         series.append((st.t,
-                       float(np.dot(gen.m[left], st.u[left])),
-                       float(np.dot(gen.m[right], st.u[right])),
+                       float(np.dot(gen.m[left], d[left])),
+                       float(np.dot(gen.m[right], d[right])),
                        gen.m_norm(st.u)))
 
     if record_every:
         record(state)
-    for step in range(n):
-        state = step_heat(gen, state, dt_eff, tol=tol)
-        if record_every and ((step + 1) % record_every == 0 or step == n - 1):
+    for k in range(n):
+        state = step(state, dt_eff)
+        if record_every and ((k + 1) % record_every == 0 or k == n - 1):
             record(state)
     return state, series
+
+
+def run_heat(gen, state, T, dt, *, tol=_SOLVE_TOL, record_every=0):
+    """Evolve the heat flow to time T; optionally record a time series.
+
+    The series rows are (t, mass_left, mass_right, norm) with mass_left
+    and mass_right the weighted content strictly left/right of the
+    singular line and norm the mass-inner-product norm.
+    """
+    return _run(gen, state, T, dt, lambda st, h: step_heat(gen, st, h, tol=tol),
+                lambda u: u, record_every)
+
+
+def run_schrodinger(gen, state, T, dt, *, record_every=0):
+    """Evolve the Schrodinger flow to time T; optionally record a series.
+
+    As run_heat, with the weighted content of the density |u|**2 in
+    place of u; the state is made complex first.
+    """
+    state = EvolutionState(u=np.asarray(state.u, dtype=complex), t=state.t)
+    return _run(gen, state, T, dt, lambda st, h: step_schrodinger(gen, st, h),
+                lambda u: np.abs(u) ** 2, record_every)
+
+
+def transmitted_fraction(gen, u):
+    """sum_{x > 0} m u  /  sum m u."""
+    right = gen.grid.x_of_cells() > 0.0
+    return float(np.dot(gen.m[right], u[right])) / float(np.dot(gen.m, u))
+
+
+def transmission_verdict(fractions):
+    """Verdict on transmitted fractions over a decreasing eps sweep.
+
+    * "barrier-consistent": fractions strictly decreasing and the final
+      one below 1e-3;
+    * "crossing-consistent": successive fractions within 10% of each
+      other and the final one above 1e-2;
+    * "inconclusive" otherwise.
+
+    The two thresholds are reporting conventions for this experiment,
+    not intrinsic constants.
+    """
+    decreasing = all(b < a for a, b in zip(fractions, fractions[1:]))
+    ratios_close = all(
+        a != 0.0 and abs(b / a - 1.0) <= 0.1 for a, b in zip(fractions, fractions[1:]))
+    if decreasing and fractions[-1] < 1e-3:
+        return "barrier-consistent"
+    if ratios_close and fractions[-1] > 1e-2:
+        return "crossing-consistent"
+    return "inconclusive"
 
 
 @dataclass
@@ -347,16 +467,9 @@ def transmission_study(alpha, eps_list, T=0.5, *, dt=1e-3, n_x=400, x_half=3.0,
 
         sum_{x > 0} m u  /  sum m u
 
-    is recorded.  Verdicts over the sweep:
-
-    * "barrier-consistent": fractions strictly decreasing and the final
-      one below 1e-3;
-    * "crossing-consistent": successive fractions within 10% of each
-      other and the final one above 1e-2;
-    * otherwise Inconclusive is raised, carrying the raw fractions.
-
-    The two thresholds are reporting conventions for this experiment,
-    not intrinsic constants.
+    is recorded.  The verdict over the sweep is transmission_verdict's;
+    when it is "inconclusive", Inconclusive is raised, carrying a report
+    with the raw fractions.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 2 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -367,24 +480,11 @@ def transmission_study(alpha, eps_list, T=0.5, *, dt=1e-3, n_x=400, x_half=3.0,
                                  period=period)
         state = gaussian_bump_state(gen, bump_center, bump_sigma)
         state, _ = run_heat(gen, state, T, dt, tol=tol)
-        x_cells = gen.grid.x_of_cells()
-        right = float(np.dot(gen.m[x_cells > 0.0], state.u[x_cells > 0.0]))
-        total = float(np.dot(gen.m, state.u))
-        fractions.append(right / total)
-
-    decreasing = all(b < a for a, b in zip(fractions, fractions[1:]))
-    ratios_close = all(
-        a != 0.0 and abs(b / a - 1.0) <= 0.1 for a, b in zip(fractions, fractions[1:]))
-    if decreasing and fractions[-1] < 1e-3:
-        verdict = "barrier-consistent"
-    elif ratios_close and fractions[-1] > 1e-2:
-        verdict = "crossing-consistent"
-    else:
-        report = TransmissionReport(alpha=float(alpha), eps_list=eps_list,
-                                    time_horizon=float(T), fractions=fractions,
-                                    verdict="inconclusive")
+        fractions.append(transmitted_fraction(gen, state.u))
+    report = TransmissionReport(alpha=float(alpha), eps_list=eps_list,
+                                time_horizon=float(T), fractions=fractions,
+                                verdict=transmission_verdict(fractions))
+    if report.verdict == "inconclusive":
         raise Inconclusive(
             f"transmission_study: fractions {fractions} match no verdict", report)
-    return TransmissionReport(alpha=float(alpha), eps_list=eps_list,
-                              time_horizon=float(T), fractions=fractions,
-                              verdict=verdict)
+    return report

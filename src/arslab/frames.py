@@ -215,16 +215,13 @@ class FrameSpec:
     """Everything needed to evaluate a frame and its derivatives.
 
     For the polynomial and bump fields the derivative evaluators are
-    analytic; flat_beyond records an |x| threshold past which the scale
-    field is (numerically) constant, which front construction uses to
-    decide if a frame is an exact Grushin plane far from the origin.
+    analytic.
     """
 
     variant: str
     log_scale: Optional[ScalarField] = None
     alpha: Optional[float] = None
     domain: Domain = field(default_factory=Domain)
-    flat_beyond: Optional[float] = None
 
     def __post_init__(self):
         if self.variant not in (VARIANT_F1, VARIANT_F2, VARIANT_ALPHA, VARIANT_MARTINET):
@@ -243,14 +240,12 @@ class FrameSpec:
         return FrameSpec(VARIANT_F2, log_scale=scalar_zero(), domain=domain or Domain())
 
     @staticmethod
-    def f1(log_scale, domain=None, flat_beyond=None):
-        return FrameSpec(VARIANT_F1, log_scale=log_scale, domain=domain or Domain(),
-                         flat_beyond=flat_beyond)
+    def f1(log_scale, domain=None):
+        return FrameSpec(VARIANT_F1, log_scale=log_scale, domain=domain or Domain())
 
     @staticmethod
-    def f2(log_scale, domain=None, flat_beyond=None):
-        return FrameSpec(VARIANT_F2, log_scale=log_scale, domain=domain or Domain(),
-                         flat_beyond=flat_beyond)
+    def f2(log_scale, domain=None):
+        return FrameSpec(VARIANT_F2, log_scale=log_scale, domain=domain or Domain())
 
     @staticmethod
     def alpha_grushin(alpha, domain=None):
@@ -630,18 +625,15 @@ def frame_from_config(cfg):
     """Build a FrameSpec from a plain dict (e.g. parsed JSON).
 
     Keys: variant (required; "grushin" is shorthand for f2 with zero
-    scale), alpha, log_scale, domain, flat_beyond.  Unknown keys are
-    rejected.
+    scale), alpha, log_scale, domain.  Unknown keys are rejected.
     """
     if not isinstance(cfg, dict):
         raise ValueError("frame config must be a dict")
-    extra = set(cfg) - {"variant", "alpha", "log_scale", "domain", "flat_beyond"}
+    extra = set(cfg) - {"variant", "alpha", "log_scale", "domain"}
     if extra:
         raise ValueError(f"unknown frame config keys {sorted(extra)}")
     variant = cfg.get("variant", "grushin")
     domain = _domain_from_config(cfg.get("domain"))
-    flat = cfg.get("flat_beyond")
-    flat = None if flat is None else float(flat)
     if variant == "grushin":
         if "alpha" in cfg or "log_scale" in cfg:
             raise ValueError("variant 'grushin' takes no alpha or log_scale")
@@ -652,7 +644,7 @@ def frame_from_config(cfg):
         return FrameSpec.alpha_grushin(float(cfg["alpha"]), domain=domain)
     if variant in (VARIANT_F1, VARIANT_F2):
         scale = _scale_from_config(cfg.get("log_scale"))
-        return FrameSpec(variant, log_scale=scale, domain=domain, flat_beyond=flat)
+        return FrameSpec(variant, log_scale=scale, domain=domain)
     if variant == VARIANT_MARTINET:
         return FrameSpec.martinet()
     raise ValueError(f"unknown frame variant {variant!r}")

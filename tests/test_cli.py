@@ -90,6 +90,16 @@ def test_unknown_config_key_is_a_usage_error(tmp_path):
     assert "bogus" in proc.stderr
 
 
+def test_removed_flat_beyond_key_is_a_usage_error(tmp_path, capsys):
+    from arslab.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "geodesic",
+                               "frame": {"variant": "grushin", "flat_beyond": 2.0}}))
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "flat_beyond" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # the singular line is a numerical domain error, not a usage error
     proc = run_cli(["metric", "--x", "0.0", "--out-dir", str(tmp_path)], cwd=tmp_path)

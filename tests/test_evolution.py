@@ -1,13 +1,18 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from scipy import sparse
 from scipy.integrate import quad
+from scipy.sparse.linalg import spsolve
 
 from arslab import (
     BadGrid,
     EvolutionState,
     Inconclusive,
+    SolverDiverged,
     assemble_generator,
     gaussian_bump_state,
     run_heat,
@@ -15,6 +20,7 @@ from arslab import (
     step_schrodinger,
     transmission_study,
 )
+from arslab import evolution
 from arslab.evolution import _int_inverse_weight, _int_weight, _int_ycoupling
 
 
@@ -219,3 +225,78 @@ def test_validation_errors():
     gen = _small_gen()
     with pytest.raises(ValueError):
         gaussian_bump_state(gen, (0.5, math.pi), 0.3)  # right of the line
+
+
+def _loop_assembled(grid):
+    """Reference assembly of C, edge by edge, with the degree on the diagonal."""
+    nx1, n_y = grid.x.size, grid.n_y
+    rows, cols, vals = [], [], []
+    j_all = np.arange(n_y)
+    for i in range(nx1 - 1):  # x edges: conductance per unit y times the cell height
+        a, b = i * n_y + j_all, (i + 1) * n_y + j_all
+        rows += [a, b]
+        cols += [b, a]
+        vals += [np.full(n_y, grid.cond_x[i] * grid.h_y)] * 2
+    for i in range(nx1):  # y edges: periodic ring in each x cell
+        a, b = i * n_y + j_all, i * n_y + (j_all + 1) % n_y
+        rows += [a, b]
+        cols += [b, a]
+        vals += [np.full(n_y, grid.ycoef_x[i] / grid.h_y)] * 2
+    n = nx1 * n_y
+    off = sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(n, n)).tocsr()
+    degree = np.asarray(off.sum(axis=1)).ravel()
+    return (off - sparse.diags(degree)).toarray(), degree
+
+
+def test_kron_assembly_matches_loop_assembly():
+    rng = np.random.default_rng(5)
+    for n_x, n_y in ((4, 4), (10, 5), (16, 7), (30, 12), (24, 9)):
+        alpha = float(rng.uniform(0.3, 2.0))
+        eps = float(rng.uniform(1e-3, 0.5))
+        period = float(rng.uniform(1.0, 8.0))
+        gen = assemble_generator(alpha, eps, n_x=n_x, n_y=n_y, period=period)
+        want, degree = _loop_assembled(gen.grid)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(gen.C.toarray() - want)) <= 1e-13 * scale
+        assert np.max(np.abs(gen.degree - degree)) <= 1e-13 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(0.3, 2.0), eps=st.floats(1e-3, 0.5), half_n_x=st.integers(2, 30),
+       n_y=st.integers(4, 12), dt=st.floats(1e-4, 0.1), seed=st.integers(0, 2**32 - 1))
+def test_steps_match_sparse_direct_solve(alpha, eps, half_n_x, n_y, dt, seed):
+    gen = assemble_generator(alpha, eps, n_x=2 * half_n_x, n_y=n_y)
+    rng = np.random.default_rng(seed)
+    n = gen.grid.n_cells
+    M = sparse.diags(gen.m)
+    u = rng.standard_normal(n)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for step, c, v in ((step_heat, 0.5 * dt, u), (step_schrodinger, 0.5j * dt, z)):
+        want = spsolve((M - c * gen.C).tocsc(), (M + c * gen.C) @ v)
+        got = step(gen, EvolutionState(u=v, t=0.0), dt).u
+        assert gen.m_norm(got - want) <= 1e-10 * gen.m_norm(want)
+
+
+def _corrupt_factor(name, index, fail):
+    factor = getattr(evolution.lapack, name)
+
+    def corrupted(*args):
+        *lu, info = factor(*args)
+        if fail:
+            return (*lu, 1)
+        lu[index] = lu[index] * (1.0 + 1e-6)
+        return (*lu, info)
+
+    return corrupted
+
+
+@pytest.mark.parametrize("step, factor, index", [
+    (step_heat, "dpttrf", 0), (step_schrodinger, "zgttrf", 1)])
+@pytest.mark.parametrize("fail", [False, True])
+def test_corrupted_factor_raises(monkeypatch, step, factor, index, fail):
+    gen = _small_gen()
+    state = gaussian_bump_state(gen, (-1.0, math.pi), 0.3)
+    monkeypatch.setattr(evolution.lapack, factor, _corrupt_factor(factor, index, fail))
+    with pytest.raises(SolverDiverged, match="info=1" if fail else "relative residual"):
+        step(gen, state, 1e-3)
