@@ -22,7 +22,6 @@ from .errors import (
     UnsupportedFrame,
 )
 from .frames import (
-    Domain,
     FrameSpec,
     MetricData,
     Point,

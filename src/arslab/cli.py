@@ -24,12 +24,13 @@ import numpy as np
 
 from . import __version__
 from .errors import (ArslabError, BadGrid, Inconclusive, OutOfRange, UnsupportedFrame)
-from .evolution import (assemble_generator, gaussian_bump_state, run_heat, run_schrodinger,
-                        transmission_verdict, transmitted_fraction)
+from .evolution import (TransmissionReport, assemble_generator, gaussian_bump_state, run_heat,
+                        run_schrodinger, transmission_verdict, transmitted_fraction)
 from .frames import frame_from_config, frame_vectors, laplace_beltrami_coeffs, metric_at
 from .geodesics import crossing_report, front, geodesic_flow
 from .martinet import martinet_mode_solve
-from .spectral import classify_self_adjoint, deficiency_index_numeric, spectrum_2d
+from .spectral import (classify_self_adjoint, deficiency_index_numeric,
+                       inverse_square_coefficient, spectrum_2d)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -191,7 +192,7 @@ def _cmd_classify(cfg, out_dir):
         alpha = None
     else:
         alpha = 1.0 if cfg["alpha"] is None else float(cfg["alpha"])
-        c = (alpha / 2.0) * (alpha / 2.0 + 1.0)
+        c = inverse_square_coefficient(alpha)
     report = classify_self_adjoint(c)
     payload = {
         "alpha": alpha,
@@ -239,12 +240,12 @@ def _cmd_evolve(cfg, out_dir):
                                    ["t", "mass_left", "mass_right", "norm"], series)
     summary = {"equation": equation, "eps_list": eps_list}
     if equation == "heat" and len(eps_list) >= 2:
-        verdict = transmission_verdict(fractions)
-        payload = {"alpha": float(cfg["alpha"]), "eps_list": eps_list,
-                   "time_horizon": t_final, "fractions": fractions, "verdict": verdict}
+        payload = TransmissionReport(alpha=float(cfg["alpha"]), eps_list=eps_list,
+                                     time_horizon=t_final, fractions=fractions,
+                                     verdict=transmission_verdict(fractions)).to_dict()
         outputs["transmission.json"] = _write_json(out_dir / "transmission.json", payload)
         summary.update(payload)
-        if verdict == "inconclusive":
+        if payload["verdict"] == "inconclusive":
             raise Inconclusive(
                 f"transmission_study: fractions {fractions} match no verdict", payload)
     return outputs, summary
@@ -287,10 +288,6 @@ def _add_frame_flags(sp):
                     help="exponent for the alpha-grushin variant")
     sp.add_argument("--log-scale", default=argparse.SUPPRESS,
                     help="scale field preset: zero or gaussian-bump(a,sigma)")
-    sp.add_argument("--domain", default=argparse.SUPPRESS,
-                    help="plane or cylinder")
-    sp.add_argument("--domain-period", type=float, default=argparse.SUPPRESS,
-                    help="cylinder period")
 
 
 def _num_list(text):
@@ -366,7 +363,7 @@ def _build_parser():
     return ap
 
 
-_FRAME_KEYS = {"variant", "frame_alpha", "log_scale", "domain", "domain_period"}
+_FRAME_KEYS = {"variant", "frame_alpha", "log_scale"}
 
 
 def _flags_to_config(sub, flags):
@@ -382,15 +379,6 @@ def _flags_to_config(sub, flags):
                 frame_cfg["alpha"] = val
             elif key == "log_scale":
                 frame_cfg["log_scale"] = val
-            elif key == "domain":
-                frame_cfg.setdefault("domain", {})
-                frame_cfg["domain"] = {"kind": val, **(
-                    frame_cfg["domain"] if isinstance(frame_cfg["domain"], dict) else {})}
-                frame_cfg["domain"]["kind"] = val
-            elif key == "domain_period":
-                if not isinstance(frame_cfg.get("domain"), dict):
-                    frame_cfg["domain"] = {"kind": frame_cfg.get("domain", "cylinder")}
-                frame_cfg["domain"]["period"] = val
         else:
             if key not in cfg:
                 raise ConfigError(f"{sub}: unknown option {key!r}")

@@ -21,7 +21,8 @@ tensor form
     C = kron(C_x, I) + kron(diag(y_coef), R),   M = kron(diag(m_x), I),
 
 with C_x the tridiagonal x-graph Laplacian and R the periodic second
-difference in y.  A DFT in y diagonalizes R, with eigenvalues
+difference in y.  Only these 1-D pieces are stored; C is never
+assembled.  A DFT in y diagonalizes R, with eigenvalues
 mu_q = 2 cos(2 pi q / n_y) - 2, so one Crank-Nicolson step
 
     (M - c C) u+ = (M + c C) u,   c = dt/2 (heat) or i dt/2 (Schrodinger),
@@ -47,7 +48,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import lapack
 
 from .errors import BadGrid, Inconclusive, SolverDiverged
@@ -166,14 +166,12 @@ class Generator:
 
     C = kron(C_x, I) + kron(diag(y_coef), R) and M = kron(diag(m_x), I),
     where C_x is tridiagonal with diagonal x_diag and off-diagonal x_off
-    and R is the periodic second difference in y.  The 1-D pieces are
-    what the time steps solve with; C is the same operator assembled.
+    and R is the periodic second difference in y.  Cells are ordered
+    x-major, so a field reshapes to (n_x + 1, n_y).
     """
 
     grid: WeightedGrid
-    C: sparse.csr_matrix
     m: np.ndarray
-    degree: np.ndarray
     m_x: np.ndarray     # mass_x * h_y
     x_diag: np.ndarray  # -(x-edge conductances at each node)
     x_off: np.ndarray   # cond_x * h_y
@@ -181,7 +179,11 @@ class Generator:
     _modes: dict = field(default_factory=dict, repr=False)
 
     def apply(self, u):
-        return self.C.dot(u) / self.m
+        """A u = M^{-1} C u, matrix-free from the 1-D pieces."""
+        v = np.reshape(u, (self.grid.x.size, self.grid.n_y))
+        ring = np.roll(v, 1, axis=1) + np.roll(v, -1, axis=1) - 2.0 * v
+        cu = _tridiagonal_dot(self.x_diag, self.x_off, v.T).T + self.y_coef[:, None] * ring
+        return cu.reshape(-1) / self.m
 
     def inner(self, u, v):
         return float(np.real(np.dot(self.m * np.conj(u), v)))
@@ -196,20 +198,12 @@ class Generator:
 def assemble_generator(alpha, eps, *, n_x=400, x_half=3.0, n_y=64, period=_TWO_PI):
     """Finite-volume generator of the regularized flow on the cylinder."""
     grid = _build_grid(alpha, eps, n_x, x_half, n_y, period)
-    n_y = grid.n_y
     x_off = grid.cond_x * grid.h_y
     x_diag = np.zeros(grid.x.size)
     x_diag[:-1] -= x_off
     x_diag[1:] -= x_off
-    y_coef = grid.ycoef_x / grid.h_y
-    C_x = sparse.diags([x_off, x_diag, x_off], [-1, 0, 1])
-    ring = sparse.diags([1.0, 1.0, -2.0, 1.0, 1.0], [1 - n_y, -1, 0, 1, n_y - 1],
-                        shape=(n_y, n_y))
-    C = sparse.kron(C_x, sparse.identity(n_y)) + sparse.kron(sparse.diags(y_coef), ring)
-    m_x = grid.mass_x * grid.h_y
-    return Generator(grid=grid, C=C.tocsr(), m=grid.masses(),
-                     degree=np.repeat(2.0 * y_coef - x_diag, n_y), m_x=m_x,
-                     x_diag=x_diag, x_off=x_off, y_coef=y_coef)
+    return Generator(grid=grid, m=grid.masses(), m_x=grid.mass_x * grid.h_y,
+                     x_diag=x_diag, x_off=x_off, y_coef=grid.ycoef_x / grid.h_y)
 
 
 @dataclass

@@ -12,9 +12,8 @@ where the frame function f depends on the variant:
 
 with s = s(x, y) a smooth scalar field supplied together with analytic
 first and second derivatives.  The plain Grushin plane is "f2" with
-s identically zero.  The three-dimensional "martinet" variant is a tag
-only; its operations live in a separate module and every two-dimensional
-operation here rejects it.
+s identically zero.  The three-dimensional Martinet case is not a frame
+here; arslab.martinet treats its mode decomposition directly.
 
 All pointwise quantities (frame vectors, metric, area density, Gaussian
 curvature, gradient, divergence, Laplace-Beltrami coefficients) are
@@ -27,20 +26,19 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import NotAdmissible, SingularPoint, UnsupportedFrame
+from .errors import NotAdmissible, SingularPoint
 
 __all__ = [
     "ScalarField",
     "scalar_zero",
     "gaussian_bump",
     "polynomial_field",
-    "Domain",
     "Point",
     "FrameSpec",
     "MetricData",
@@ -56,9 +54,6 @@ __all__ = [
 VARIANT_F1 = "f1"
 VARIANT_F2 = "f2"
 VARIANT_ALPHA = "alpha-grushin"
-VARIANT_MARTINET = "martinet"
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -186,25 +181,6 @@ def polynomial_field(coeffs):
     )
 
 
-@dataclass(frozen=True)
-class Domain:
-    """Plane or flat cylinder; on the cylinder y lives modulo the period."""
-
-    kind: str = "plane"
-    period: float = _TWO_PI
-
-    def __post_init__(self):
-        if self.kind not in ("plane", "cylinder"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.period <= 0:
-            raise ValueError("domain period must be positive")
-
-    def wrap_y(self, y):
-        if self.kind == "cylinder":
-            return np.mod(y, self.period)
-        return y
-
-
 class Point(NamedTuple):
     x: float
     y: float
@@ -221,10 +197,9 @@ class FrameSpec:
     variant: str
     log_scale: Optional[ScalarField] = None
     alpha: Optional[float] = None
-    domain: Domain = field(default_factory=Domain)
 
     def __post_init__(self):
-        if self.variant not in (VARIANT_F1, VARIANT_F2, VARIANT_ALPHA, VARIANT_MARTINET):
+        if self.variant not in (VARIANT_F1, VARIANT_F2, VARIANT_ALPHA):
             raise ValueError(f"unknown frame variant {self.variant!r}")
         if self.variant in (VARIANT_F1, VARIANT_F2) and self.log_scale is None:
             raise ValueError(f"variant {self.variant!r} needs a log_scale field")
@@ -235,31 +210,23 @@ class FrameSpec:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def grushin(domain=None):
+    def grushin():
         """The Grushin plane: f = x."""
-        return FrameSpec(VARIANT_F2, log_scale=scalar_zero(), domain=domain or Domain())
+        return FrameSpec(VARIANT_F2, log_scale=scalar_zero())
 
     @staticmethod
-    def f1(log_scale, domain=None):
-        return FrameSpec(VARIANT_F1, log_scale=log_scale, domain=domain or Domain())
+    def f1(log_scale):
+        return FrameSpec(VARIANT_F1, log_scale=log_scale)
 
     @staticmethod
-    def f2(log_scale, domain=None):
-        return FrameSpec(VARIANT_F2, log_scale=log_scale, domain=domain or Domain())
+    def f2(log_scale):
+        return FrameSpec(VARIANT_F2, log_scale=log_scale)
 
     @staticmethod
-    def alpha_grushin(alpha, domain=None):
-        return FrameSpec(VARIANT_ALPHA, alpha=float(alpha), domain=domain or Domain())
-
-    @staticmethod
-    def martinet():
-        return FrameSpec(VARIANT_MARTINET)
+    def alpha_grushin(alpha):
+        return FrameSpec(VARIANT_ALPHA, alpha=float(alpha))
 
     # -- frame function and derivatives ---------------------------------
-
-    def _reject_martinet(self, op):
-        if self.variant == VARIANT_MARTINET:
-            raise UnsupportedFrame(f"{op}: martinet frame is not two-dimensional")
 
     @property
     def is_exact_grushin(self):
@@ -268,11 +235,9 @@ class FrameSpec:
     @property
     def is_singular_variant(self):
         """True when the frame degenerates on the line x = 0."""
-        self._reject_martinet("is_singular_variant")
         return self.variant in (VARIANT_F2, VARIANT_ALPHA)
 
     def f(self, x, y):
-        self._reject_martinet("f")
         x = np.asarray(x, dtype=float)
         if self.variant == VARIANT_F1:
             return np.exp(self.log_scale.value(x, y))
@@ -281,7 +246,6 @@ class FrameSpec:
         return np.abs(x) ** self.alpha
 
     def f_dx(self, x, y):
-        self._reject_martinet("f_dx")
         x = np.asarray(x, dtype=float)
         if self.variant == VARIANT_F1:
             return self.log_scale.dx(x, y) * np.exp(self.log_scale.value(x, y))
@@ -293,14 +257,12 @@ class FrameSpec:
         return out
 
     def f_dy(self, x, y):
-        self._reject_martinet("f_dy")
         x = np.asarray(x, dtype=float)
         if self.variant == VARIANT_ALPHA:
             return np.zeros_like(x)
         return self.f(x, y) * self.log_scale.dy(x, y)
 
     def f_dxx(self, x, y):
-        self._reject_martinet("f_dxx")
         x = np.asarray(x, dtype=float)
         if self.variant == VARIANT_F1:
             s = self.log_scale
@@ -315,7 +277,6 @@ class FrameSpec:
         return out
 
     def f_squared(self, x, y):
-        self._reject_martinet("f_squared")
         x = np.asarray(x, dtype=float)
         if self.variant == VARIANT_ALPHA:
             return np.abs(x) ** (2.0 * self.alpha)
@@ -323,7 +284,6 @@ class FrameSpec:
 
     def f_times_fx(self, x, y):
         """f * df/dx, which stays finite down to x = 0 for alpha >= 1/2."""
-        self._reject_martinet("f_times_fx")
         x = np.asarray(x, dtype=float)
         if self.variant == VARIANT_ALPHA:
             a = self.alpha
@@ -333,20 +293,15 @@ class FrameSpec:
         return self.f(x, y) * self.f_dx(x, y)
 
     def f_times_fy(self, x, y):
-        self._reject_martinet("f_times_fy")
         x = np.asarray(x, dtype=float)
         if self.variant == VARIANT_ALPHA:
             return np.zeros_like(x)
         return self.f_squared(x, y) * self.log_scale.dy(x, y)
 
     def is_singular(self, p):
-        self._reject_martinet("is_singular")
         if self.variant == VARIANT_F1:
             return False
         return p[0] == 0.0
-
-    def normalize(self, p):
-        return Point(p[0], float(self.domain.wrap_y(p[1])))
 
 
 @dataclass(frozen=True)
@@ -363,7 +318,6 @@ class MetricData:
 
 def frame_vectors(frame, p):
     """The orthonormal frame at p; defined everywhere, including x = 0."""
-    frame._reject_martinet("frame_vectors")
     fv = float(frame.f(p[0], p[1]))
     return ((1.0, 0.0), (0.0, fv))
 
@@ -376,7 +330,6 @@ def metric_at(frame, p):
 
         K = (f * f_xx - 2 * f_x**2) / f**2.
     """
-    frame._reject_martinet("metric_at")
     x, y = p[0], p[1]
     fv = float(frame.f(x, y))
     if fv == 0.0:
@@ -400,7 +353,6 @@ def gradient(frame, p, dvalue):
     Equals (d/dx, f**2 * d/dy); well defined on the singular line, where
     it degenerates to a multiple of (1, 0).
     """
-    frame._reject_martinet("gradient")
     fsq = float(frame.f_squared(p[0], p[1]))
     return (float(dvalue[0]), fsq * float(dvalue[1]))
 
@@ -411,7 +363,6 @@ def divergence(frame, p, vec, dvec):
     vec = (Y1, Y2) at p, dvec = (dY1/dx, dY2/dy).  The weight 1/|f|
     contributes -(f_x/f) Y1 - (f_y/f) Y2; blows up on the singular line.
     """
-    frame._reject_martinet("divergence")
     x, y = p[0], p[1]
     fv = float(frame.f(x, y))
     if fv == 0.0:
@@ -428,7 +379,6 @@ def laplace_beltrami_coeffs(frame, p):
     with a_xx = 1, a_yy = f**2, b_x = -f_x/f, b_y = f*f_y.  The first
     order x coefficient blows up on the singular line.
     """
-    frame._reject_martinet("laplace_beltrami_coeffs")
     x, y = p[0], p[1]
     fv = float(frame.f(x, y))
     if fv == 0.0:
@@ -481,7 +431,6 @@ def curve_length(frame, t, x, y, *, tol=1e-10, divergence_increment=1.0,
     exponents very close to the borderline it deliberately errs on the
     infinite side.
     """
-    frame._reject_martinet("curve_length")
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -607,44 +556,27 @@ def _scale_from_config(spec):
     raise ValueError(f"cannot parse log_scale from {spec!r}")
 
 
-def _domain_from_config(spec):
-    if spec is None:
-        return Domain()
-    if isinstance(spec, str):
-        return Domain(kind=spec)
-    if isinstance(spec, dict):
-        extra = set(spec) - {"kind", "period"}
-        if extra:
-            raise ValueError(f"unknown domain keys {sorted(extra)}")
-        return Domain(kind=spec.get("kind", "plane"),
-                      period=float(spec.get("period", _TWO_PI)))
-    raise ValueError(f"cannot parse domain from {spec!r}")
-
-
 def frame_from_config(cfg):
     """Build a FrameSpec from a plain dict (e.g. parsed JSON).
 
     Keys: variant (required; "grushin" is shorthand for f2 with zero
-    scale), alpha, log_scale, domain.  Unknown keys are rejected.
+    scale), alpha, log_scale.  Unknown keys are rejected.
     """
     if not isinstance(cfg, dict):
         raise ValueError("frame config must be a dict")
-    extra = set(cfg) - {"variant", "alpha", "log_scale", "domain"}
+    extra = set(cfg) - {"variant", "alpha", "log_scale"}
     if extra:
         raise ValueError(f"unknown frame config keys {sorted(extra)}")
     variant = cfg.get("variant", "grushin")
-    domain = _domain_from_config(cfg.get("domain"))
     if variant == "grushin":
         if "alpha" in cfg or "log_scale" in cfg:
             raise ValueError("variant 'grushin' takes no alpha or log_scale")
-        return FrameSpec.grushin(domain=domain)
+        return FrameSpec.grushin()
     if variant == VARIANT_ALPHA:
         if "alpha" not in cfg:
             raise ValueError("alpha-grushin needs key 'alpha'")
-        return FrameSpec.alpha_grushin(float(cfg["alpha"]), domain=domain)
+        return FrameSpec.alpha_grushin(float(cfg["alpha"]))
     if variant in (VARIANT_F1, VARIANT_F2):
         scale = _scale_from_config(cfg.get("log_scale"))
-        return FrameSpec(variant, log_scale=scale, domain=domain)
-    if variant == VARIANT_MARTINET:
-        return FrameSpec.martinet()
+        return FrameSpec(variant, log_scale=scale)
     raise ValueError(f"unknown frame variant {variant!r}")

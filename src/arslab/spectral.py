@@ -65,11 +65,14 @@ class GaugePotential:
     inverse_square_coeff: float
     remainder: Callable
     remainder_is_zero: bool
-    valid_off_singular: bool = True
 
     def potential(self, x, y):
         x = np.asarray(x, dtype=float)
         return self.inverse_square_coeff / x**2 + self.remainder(x, y)
+
+
+def _zero_remainder(x, y):
+    return np.zeros_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
 
 
 def inverse_square_coefficient(alpha):
@@ -88,9 +91,7 @@ def gauge_transform(frame):
     if frame.variant == VARIANT_F2:
         s = frame.log_scale
         if s.is_zero:
-            def remainder(x, y):
-                return np.zeros_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
-            return GaugePotential(0.75, remainder, remainder_is_zero=True)
+            return GaugePotential(0.75, _zero_remainder, remainder_is_zero=True)
 
         def remainder(x, y):
             x = np.asarray(x, dtype=float)
@@ -102,9 +103,7 @@ def gauge_transform(frame):
 
         return GaugePotential(0.75, remainder, remainder_is_zero=False)
     if frame.variant == VARIANT_ALPHA:
-        def remainder(x, y):
-            return np.zeros_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
-        return GaugePotential(inverse_square_coefficient(frame.alpha), remainder,
+        return GaugePotential(inverse_square_coefficient(frame.alpha), _zero_remainder,
                               remainder_is_zero=True)
     raise UnsupportedFrame(
         f"gauge_transform: no inverse-square normal form for variant {frame.variant!r}")

@@ -4,16 +4,25 @@ import sys
 
 import pytest
 
+from arslab.cli import main
+
 BASE = [sys.executable, "-m", "arslab.cli"]
 
 
 def run_cli(args, cwd):
+    """Run the CLI in a fresh interpreter, as `python -m arslab.cli`."""
     return subprocess.run(BASE + args, cwd=cwd, capture_output=True, text=True)
 
 
-def test_default_run_is_metric(tmp_path):
-    proc = run_cli(["--out-dir", str(tmp_path)], cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
+def cli(args, capsys):
+    """Run arslab.cli.main in this process; return (exit code, stderr)."""
+    code = main(args)
+    return code, capsys.readouterr().err
+
+
+def test_default_run_is_metric(tmp_path, capsys):
+    code, err = cli(["--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["tool"] == "arslab"
     assert manifest["subcommand"] == "metric"
@@ -33,15 +42,14 @@ def test_reruns_are_byte_identical(tmp_path):
     assert (a / "spectrum.csv").read_bytes() == (b / "spectrum.csv").read_bytes()
 
 
-def test_manifest_config_reproduces_output(tmp_path):
+def test_manifest_config_reproduces_output(tmp_path, capsys):
     """The manifest's resolved config, replayed as a config file, must
     regenerate byte-identical data files."""
     first = tmp_path / "first"
     first.mkdir()
-    proc = run_cli(["geodesic", "--x0", "-1.0", "--py0", "0.8", "--px0", "0.6",
-                    "--t-final", "0.5", "--dt", "1e-3", "--out-dir", str(first)],
-                   cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
+    code, err = cli(["geodesic", "--x0", "-1.0", "--py0", "0.8", "--px0", "0.6",
+                     "--t-final", "0.5", "--dt", "1e-3", "--out-dir", str(first)], capsys)
+    assert code == 0, err
     manifest = json.loads((first / "manifest.json").read_text())
 
     replay = tmp_path / "replay"
@@ -50,16 +58,16 @@ def test_manifest_config_reproduces_output(tmp_path):
     cfg["subcommand"] = manifest["subcommand"]
     cfg_file = tmp_path / "replay.json"
     cfg_file.write_text(json.dumps(cfg))
-    proc = run_cli(["--config", str(cfg_file), "--out-dir", str(replay)], cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
+    code, err = cli(["--config", str(cfg_file), "--out-dir", str(replay)], capsys)
+    assert code == 0, err
     assert (first / "geodesic.csv").read_bytes() == (replay / "geodesic.csv").read_bytes()
 
     # the manifest file itself is also accepted as a config
     direct = tmp_path / "direct"
     direct.mkdir()
-    proc = run_cli(["--config", str(first / "manifest.json"), "--out-dir", str(direct)],
-                   cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
+    code, err = cli(["--config", str(first / "manifest.json"), "--out-dir", str(direct)],
+                    capsys)
+    assert code == 0, err
     assert (first / "geodesic.csv").read_bytes() == (direct / "geodesic.csv").read_bytes()
 
     # manifest names every output with its columns and row count
@@ -69,30 +77,27 @@ def test_manifest_config_reproduces_output(tmp_path):
     assert meta["rows"] == len(rows) - 1
 
 
-def test_config_file_overrides_flags(tmp_path):
+def test_config_file_overrides_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"x": 2.0}))
-    proc = run_cli(["metric", "--x", "9.0", "--config", str(cfg),
-                    "--out-dir", str(tmp_path)], cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
+    code, err = cli(["metric", "--x", "9.0", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"]["x"] == 2.0
     first_row = (tmp_path / "metric.csv").read_text().splitlines()[1]
     assert first_row.startswith("2,")
 
 
-def test_unknown_config_key_is_a_usage_error(tmp_path):
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
-    proc = run_cli(["metric", "--config", str(cfg), "--out-dir", str(tmp_path)],
-                   cwd=tmp_path)
-    assert proc.returncode == 2
-    assert "bogus" in proc.stderr
+    code, err = cli(["metric", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "bogus" in err
 
 
 def test_removed_flat_beyond_key_is_a_usage_error(tmp_path, capsys):
-    from arslab.cli import main
-
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"subcommand": "geodesic",
                                "frame": {"variant": "grushin", "flat_beyond": 2.0}}))
@@ -100,36 +105,57 @@ def test_removed_flat_beyond_key_is_a_usage_error(tmp_path, capsys):
     assert "flat_beyond" in capsys.readouterr().err
 
 
-def test_numerical_failure_exit_code(tmp_path):
+@pytest.mark.parametrize("frame, named", [
+    ({"variant": "grushin", "domain": {"kind": "cylinder", "period": 4.0}}, "'domain'"),
+    ({"variant": "f2", "domain": "plane"}, "'domain'"),
+    ({"variant": "martinet"}, "'martinet'"),
+], ids=["domain-dict", "domain-str", "variant-martinet"])
+def test_removed_frame_config_is_a_usage_error(tmp_path, capsys, frame, named):
+    # a config or replayed manifest that sets a removed frame option exits 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "geodesic", "frame": frame}))
+    code, err = cli(["--config", str(cfg), "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert named in err
+
+
+def test_removed_domain_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["geodesic", "--domain", "cylinder", "--out-dir", str(tmp_path)])
+    assert info.value.code == 2
+    assert "--domain" in capsys.readouterr().err
+
+
+def test_numerical_failure_exit_code(tmp_path, capsys):
     # the singular line is a numerical domain error, not a usage error
-    proc = run_cli(["metric", "--x", "0.0", "--out-dir", str(tmp_path)], cwd=tmp_path)
-    assert proc.returncode == 3
-    assert "metric_at" in proc.stderr
+    code, err = cli(["metric", "--x", "0.0", "--out-dir", str(tmp_path)], capsys)
+    assert code == 3
+    assert "metric_at" in err
 
 
-def test_classify_subcommand(tmp_path):
-    proc = run_cli(["classify", "--alpha", "0.9", "--numeric-check",
-                    "--out-dir", str(tmp_path)], cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
+def test_classify_subcommand(tmp_path, capsys):
+    code, err = cli(["classify", "--alpha", "0.9", "--numeric-check",
+                     "--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
     payload = json.loads((tmp_path / "classify.json").read_text())
     assert payload["verdict"] == "needs-boundary-condition"
     assert payload["numeric_deficiency_count"] == 1
 
     # ill-conditioned indicial fit is a numerical failure
-    proc = run_cli(["classify", "--c", "-0.2499999999", "--numeric-check",
-                    "--out-dir", str(tmp_path)], cwd=tmp_path)
-    assert proc.returncode == 3
+    code, _ = cli(["classify", "--c", "-0.2499999999", "--numeric-check",
+                   "--out-dir", str(tmp_path)], capsys)
+    assert code == 3
 
-    proc = run_cli(["classify", "--alpha", "1.0", "--c", "0.5",
-                    "--out-dir", str(tmp_path)], cwd=tmp_path)
-    assert proc.returncode == 2  # alpha and c are mutually exclusive
+    code, _ = cli(["classify", "--alpha", "1.0", "--c", "0.5",
+                   "--out-dir", str(tmp_path)], capsys)
+    assert code == 2  # alpha and c are mutually exclusive
 
 
-def test_front_csv_has_family_column(tmp_path):
-    proc = run_cli(["front", "--x0", "0.0", "--y0", "0.0", "--n", "8",
-                    "--t-final", "0.5", "--param-max", "2.0",
-                    "--out-dir", str(tmp_path)], cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
+def test_front_csv_has_family_column(tmp_path, capsys):
+    code, err = cli(["front", "--x0", "0.0", "--y0", "0.0", "--n", "8",
+                     "--t-final", "0.5", "--param-max", "2.0",
+                     "--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
     rows = (tmp_path / "front.csv").read_text().splitlines()
     assert rows[0].split(",") == ["family", "param", "x", "y"]
     assert len(rows) - 1 == 16  # both families from a singular start
@@ -138,32 +164,32 @@ def test_front_csv_has_family_column(tmp_path):
     assert manifest["summary"]["provenance"] == "closed-form"
 
 
-def test_evolve_schrodinger_norm_column_is_constant(tmp_path):
-    proc = run_cli(["evolve", "--equation", "schrodinger", "--eps", "0.1",
-                    "--t-final", "0.02", "--dt", "1e-3", "--n-x", "60",
-                    "--n-y", "4", "--out-dir", str(tmp_path)], cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
+def test_evolve_schrodinger_norm_column_is_constant(tmp_path, capsys):
+    code, err = cli(["evolve", "--equation", "schrodinger", "--eps", "0.1",
+                     "--t-final", "0.02", "--dt", "1e-3", "--n-x", "60",
+                     "--n-y", "4", "--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
     rows = (tmp_path / "evolve_eps_0.1.csv").read_text().splitlines()
     assert rows[0].split(",") == ["t", "mass_left", "mass_right", "norm"]
     norms = [float(r.split(",")[3]) for r in rows[1:]]
     assert max(norms) - min(norms) <= 1e-10 * norms[0]
 
 
-def test_evolve_sweep_writes_transmission_verdict(tmp_path):
-    proc = run_cli(["evolve", "--alpha", "0.5", "--eps", "0.1,0.05",
-                    "--t-final", "0.1", "--dt", "1e-3", "--n-x", "100",
-                    "--n-y", "4", "--out-dir", str(tmp_path)], cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
+def test_evolve_sweep_writes_transmission_verdict(tmp_path, capsys):
+    code, err = cli(["evolve", "--alpha", "0.5", "--eps", "0.1,0.05",
+                     "--t-final", "0.1", "--dt", "1e-3", "--n-x", "100",
+                     "--n-y", "4", "--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
     payload = json.loads((tmp_path / "transmission.json").read_text())
     assert payload["verdict"] == "crossing-consistent"
     assert len(payload["fractions"]) == 2
     assert (tmp_path / "evolve_eps_0.05.csv").exists()
 
 
-def test_martinet_subcommand(tmp_path):
-    proc = run_cli(["martinet", "--k", "0", "--l", "2", "--n", "200", "--m", "2",
-                    "--out-dir", str(tmp_path)], cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
+def test_martinet_subcommand(tmp_path, capsys):
+    code, err = cli(["martinet", "--k", "0", "--l", "2", "--n", "200", "--m", "2",
+                     "--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
     rows = (tmp_path / "martinet.csv").read_text().splitlines()
     assert rows[0].split(",") == ["k", "l", "n", "lambda", "residual", "multiplicity"]
     assert len(rows) - 1 == 2

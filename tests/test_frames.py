@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from arslab import (
-    Domain,
     FrameSpec,
     NotAdmissible,
     Point,
     SingularPoint,
-    UnsupportedFrame,
     curve_length,
     divergence,
     frame_from_config,
@@ -97,21 +95,6 @@ def test_singular_point_rejected():
     # the frame itself stays defined there
     v1, v2 = frame_vectors(GRUSHIN, p)
     assert v2 == (0.0, 0.0)
-
-
-def test_martinet_rejected_by_planar_operations():
-    fr = FrameSpec.martinet()
-    p = Point(1.0, 1.0)
-    for call in (
-        lambda: metric_at(fr, p),
-        lambda: frame_vectors(fr, p),
-        lambda: gradient(fr, p, (1.0, 0.0)),
-        lambda: divergence(fr, p, (1.0, 0.0), (0.0, 0.0)),
-        lambda: laplace_beltrami_coeffs(fr, p),
-        lambda: curve_length(fr, [0.0, 1.0], [1.0, 2.0], [0.0, 0.0]),
-    ):
-        with pytest.raises(UnsupportedFrame):
-            call()
 
 
 def test_gradient_degenerates_along_x():
@@ -307,16 +290,3 @@ def test_frame_from_config_rejects_bad_input():
     with pytest.raises(ValueError):
         frame_from_config({"variant": "no-such-frame"})
 
-
-def test_domain_wrap():
-    dom = Domain(kind="cylinder", period=2.0 * math.pi)
-    assert dom.wrap_y(7.0) == pytest.approx(7.0 - 2.0 * math.pi, rel=1e-15)
-    assert Domain().wrap_y(7.0) == 7.0
-    with pytest.raises(ValueError):
-        Domain(kind="torus")
-    with pytest.raises(ValueError):
-        Domain(kind="cylinder", period=0.0)
-
-    fr = frame_from_config({"variant": "grushin",
-                            "domain": {"kind": "cylinder", "period": 4.0}})
-    assert fr.normalize(Point(1.0, 5.0)).y == pytest.approx(1.0)

@@ -54,8 +54,6 @@ def test_alpha_gauge_coefficient():
 def test_gauge_rejects_unsupported_variants():
     with pytest.raises(UnsupportedFrame):
         gauge_transform(FrameSpec.f1(scalar_zero()))
-    with pytest.raises(UnsupportedFrame):
-        gauge_transform(FrameSpec.martinet())
 
 
 def test_linear_scale_remainder_closed_form():
