@@ -1,5 +1,9 @@
 """Command line driver.
 
+DEFAULTS is the one option table: each entry is a subcommand, and each
+config key `key_name` in it is also the flag `--key-name`, with the flag
+type taken from the default.  A `frame` key adds the frame flags.
+
 Every subcommand resolves one fully-defaulted configuration, runs one
 deterministic computation, writes CSV/JSON artifacts into --out-dir and
 a manifest.json recording the resolved configuration, so any output
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import sys
@@ -23,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (ArslabError, BadGrid, Inconclusive, OutOfRange, UnsupportedFrame)
+from .errors import ArslabError, BadGrid, Inconclusive, OutOfRange
 from .evolution import (TransmissionReport, assemble_generator, gaussian_bump_state, run_heat,
                         run_schrodinger, transmission_verdict, transmitted_fraction)
 from .frames import frame_from_config, frame_vectors, laplace_beltrami_coeffs, metric_at
@@ -34,7 +39,7 @@ from .spectral import (classify_self_adjoint, deficiency_index_numeric,
 
 _TWO_PI = 2.0 * math.pi
 
-_VALIDATION_ERRORS = (ValueError, BadGrid, OutOfRange, UnsupportedFrame)
+_VALIDATION_ERRORS = (ValueError, BadGrid, OutOfRange)
 
 
 class ConfigError(ValueError):
@@ -133,6 +138,7 @@ def _write_json(path, payload):
 
 
 def _cmd_metric(cfg, out_dir):
+    """pointwise metric data"""
     fr = frame_from_config(cfg["frame"])
     p = (float(cfg["x"]), float(cfg["y"]))
     md = metric_at(fr, p)
@@ -149,6 +155,7 @@ def _cmd_metric(cfg, out_dir):
 
 
 def _cmd_geodesic(cfg, out_dir):
+    """integrate one geodesic"""
     fr = frame_from_config(cfg["frame"])
     state0 = (float(cfg["x0"]), float(cfg["y0"]), float(cfg["px0"]), float(cfg["py0"]))
     traj = geodesic_flow(fr, state0, float(cfg["t_final"]), dt=float(cfg["dt"]),
@@ -163,6 +170,7 @@ def _cmd_geodesic(cfg, out_dir):
 
 
 def _cmd_front(cfg, out_dir):
+    """geodesic front endpoints"""
     fr = frame_from_config(cfg["frame"])
     ft = front(fr, (float(cfg["x0"]), float(cfg["y0"])), float(cfg["t_final"]),
                int(cfg["n"]), param_max=float(cfg["param_max"]), dt=float(cfg["dt"]))
@@ -175,6 +183,7 @@ def _cmd_front(cfg, out_dir):
 
 
 def _cmd_spectrum(cfg, out_dir):
+    """mode spectrum of the flattened operator"""
     lines = spectrum_2d(float(cfg["alpha"]), int(cfg["k_max"]), int(cfg["m_per_mode"]),
                         n=int(cfg["n"]), x_max=float(cfg["x_max"]))
     rows = [(rec.k, rec.index, rec.value, rec.residual) for rec in lines]
@@ -185,6 +194,7 @@ def _cmd_spectrum(cfg, out_dir):
 
 
 def _cmd_classify(cfg, out_dir):
+    """self-adjointness at the singular line"""
     if cfg["alpha"] is not None and cfg["c"] is not None:
         raise ConfigError("classify: give either alpha or c, not both")
     if cfg["c"] is not None:
@@ -194,15 +204,7 @@ def _cmd_classify(cfg, out_dir):
         alpha = 1.0 if cfg["alpha"] is None else float(cfg["alpha"])
         c = inverse_square_coefficient(alpha)
     report = classify_self_adjoint(c)
-    payload = {
-        "alpha": alpha,
-        "inverse_square_coeff": report.inverse_square_coeff,
-        "indicial_plus": report.indicial_plus,
-        "indicial_minus": report.indicial_minus,
-        "essentially_self_adjoint": report.essentially_self_adjoint,
-        "deficiency_count": report.deficiency_count,
-        "verdict": report.verdict,
-    }
+    payload = {"alpha": alpha, **dataclasses.asdict(report), "verdict": report.verdict}
     if cfg["numeric_check"]:
         payload["numeric_deficiency_count"] = deficiency_index_numeric(
             c, eps=float(cfg["eps"]), x_far=float(cfg["x_far"]))
@@ -211,6 +213,7 @@ def _cmd_classify(cfg, out_dir):
 
 
 def _cmd_evolve(cfg, out_dir):
+    """regularized heat/Schrodinger evolution"""
     eps_list = [float(e) for e in cfg["eps"]]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("evolve: eps values must be strictly decreasing")
@@ -240,18 +243,19 @@ def _cmd_evolve(cfg, out_dir):
                                    ["t", "mass_left", "mass_right", "norm"], series)
     summary = {"equation": equation, "eps_list": eps_list}
     if equation == "heat" and len(eps_list) >= 2:
-        payload = TransmissionReport(alpha=float(cfg["alpha"]), eps_list=eps_list,
-                                     time_horizon=t_final, fractions=fractions,
-                                     verdict=transmission_verdict(fractions)).to_dict()
+        payload = dataclasses.asdict(TransmissionReport(
+            alpha=float(cfg["alpha"]), eps_list=eps_list, time_horizon=t_final,
+            fractions=fractions, verdict=transmission_verdict(fractions)))
         outputs["transmission.json"] = _write_json(out_dir / "transmission.json", payload)
         summary.update(payload)
         if payload["verdict"] == "inconclusive":
             raise Inconclusive(
-                f"transmission_study: fractions {fractions} match no verdict", payload)
+                f"evolve: fractions {fractions} match no verdict", payload)
     return outputs, summary
 
 
 def _cmd_martinet(cfg, out_dir):
+    """Martinet mode eigenvalues"""
     rows = []
     for k in cfg["k"]:
         for l in cfg["l"]:
@@ -281,13 +285,12 @@ _HANDLERS = {
 # -- configuration plumbing ----------------------------------------------
 
 
-def _add_frame_flags(sp):
-    sp.add_argument("--variant", default=argparse.SUPPRESS,
-                    help="frame variant: grushin, f1, f2, alpha-grushin")
-    sp.add_argument("--frame-alpha", type=float, default=argparse.SUPPRESS,
-                    help="exponent for the alpha-grushin variant")
-    sp.add_argument("--log-scale", default=argparse.SUPPRESS,
-                    help="scale field preset: zero or gaussian-bump(a,sigma)")
+# frame flag -> (frame config key, flag type, help)
+_FRAME_FLAGS = {
+    "variant": ("variant", str, "frame variant: grushin, f1, f2, alpha-grushin"),
+    "frame_alpha": ("alpha", float, "exponent for the alpha-grushin variant"),
+    "log_scale": ("log_scale", str, "scale field preset: zero or gaussian-bump(a,sigma)"),
+}
 
 
 def _num_list(text):
@@ -296,6 +299,16 @@ def _num_list(text):
 
 def _int_list(text):
     return [int(tok) for tok in str(text).split(",") if tok != ""]
+
+
+def _flag_kwargs(default):
+    """argparse keywords for the flag of a DEFAULTS key with this default."""
+    if isinstance(default, bool):
+        return {"action": "store_true"}
+    if isinstance(default, list):
+        parse = _int_list if all(isinstance(v, int) for v in default) else _num_list
+        return {"type": parse, "help": "comma-separated list"}
+    return {"type": float if default is None else type(default)}
 
 
 def _build_parser():
@@ -309,85 +322,21 @@ def _build_parser():
         description="Almost-Riemannian structures: metric calculus, geodesic fronts, "
                     "singular spectra, degenerate evolution.")
     sub = ap.add_subparsers(dest="subcommand")
-
-    sp = sub.add_parser("metric", help="pointwise metric data", parents=[common])
-    _add_frame_flags(sp)
-    sp.add_argument("--x", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--y", type=float, default=argparse.SUPPRESS)
-
-    sp = sub.add_parser("geodesic", help="integrate one geodesic", parents=[common])
-    _add_frame_flags(sp)
-    for name in ("x0", "y0", "px0", "py0", "t-final", "dt", "tol-h"):
-        sp.add_argument(f"--{name}", type=float, default=argparse.SUPPRESS)
-
-    sp = sub.add_parser("front", help="geodesic front endpoints", parents=[common])
-    _add_frame_flags(sp)
-    for name in ("x0", "y0", "t-final", "param-max", "dt"):
-        sp.add_argument(f"--{name}", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--n", type=int, default=argparse.SUPPRESS)
-
-    sp = sub.add_parser("spectrum", help="mode spectrum of the flattened operator", parents=[common])
-    sp.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--k-max", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--m-per-mode", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--n", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--x-max", type=float, default=argparse.SUPPRESS)
-
-    sp = sub.add_parser("classify", help="self-adjointness at the singular line", parents=[common])
-    sp.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--c", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--numeric-check", action="store_true", default=argparse.SUPPRESS)
-    sp.add_argument("--eps", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--x-far", type=float, default=argparse.SUPPRESS)
-
-    sp = sub.add_parser("evolve", help="regularized heat/Schrodinger evolution", parents=[common])
-    sp.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--eps", type=_num_list, default=argparse.SUPPRESS,
-                    help="comma-separated decreasing list")
-    sp.add_argument("--equation", choices=("heat", "schrodinger"),
-                    default=argparse.SUPPRESS)
-    for name in ("t-final", "dt", "x-half", "period", "bump-x", "bump-y",
-                 "bump-sigma", "tol"):
-        sp.add_argument(f"--{name}", type=float, default=argparse.SUPPRESS)
-    for name in ("n-x", "n-y", "record-every"):
-        sp.add_argument(f"--{name}", type=int, default=argparse.SUPPRESS)
-
-    sp = sub.add_parser("martinet", help="Martinet mode eigenvalues", parents=[common])
-    sp.add_argument("--k", type=_int_list, default=argparse.SUPPRESS,
-                    help="comma-separated list")
-    sp.add_argument("--l", type=_int_list, default=argparse.SUPPRESS,
-                    help="comma-separated list")
-    sp.add_argument("--n", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--y-max", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--m", type=int, default=argparse.SUPPRESS)
+    for name, defaults in DEFAULTS.items():
+        sp = sub.add_parser(name, help=_HANDLERS[name].__doc__, parents=[common])
+        for key, default in defaults.items():
+            if key == "frame":
+                for flag, (_, type_, help_) in _FRAME_FLAGS.items():
+                    sp.add_argument("--" + flag.replace("_", "-"), type=type_, help=help_,
+                                    default=argparse.SUPPRESS)
+            else:
+                sp.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS,
+                                **_flag_kwargs(default))
     return ap
 
 
-_FRAME_KEYS = {"variant", "frame_alpha", "log_scale"}
-
-
-def _flags_to_config(sub, flags):
-    cfg = copy.deepcopy(DEFAULTS[sub])
-    frame_cfg = cfg.get("frame")
-    for key, val in flags.items():
-        if key in _FRAME_KEYS:
-            if frame_cfg is None:
-                raise ConfigError(f"{sub}: takes no frame options")
-            if key == "variant":
-                frame_cfg["variant"] = val
-            elif key == "frame_alpha":
-                frame_cfg["alpha"] = val
-            elif key == "log_scale":
-                frame_cfg["log_scale"] = val
-        else:
-            if key not in cfg:
-                raise ConfigError(f"{sub}: unknown option {key!r}")
-            cfg[key] = val
-    return cfg
-
-
-def _apply_file_config(sub, cfg, file_cfg):
-    for key, val in file_cfg.items():
+def _apply_file_config(sub, cfg, overrides):
+    for key, val in overrides.items():
         if key == "subcommand":
             continue
         if key == "frame":
@@ -400,7 +349,6 @@ def _apply_file_config(sub, cfg, file_cfg):
             cfg[key] = val
         else:
             raise ConfigError(f"{sub}: unknown config key {key!r}")
-    return cfg
 
 
 def run(argv=None):
@@ -425,8 +373,13 @@ def run(argv=None):
     if sub not in _HANDLERS:
         raise ConfigError(f"unknown subcommand {sub!r}")
 
-    cfg = _flags_to_config(sub, args)
-    cfg = _apply_file_config(sub, cfg, file_cfg)
+    frame = {_FRAME_FLAGS[flag][0]: args.pop(flag)
+             for flag in list(args) if flag in _FRAME_FLAGS}
+    if frame:
+        args["frame"] = frame
+    cfg = copy.deepcopy(DEFAULTS[sub])
+    for overrides in (args, file_cfg):
+        _apply_file_config(sub, cfg, overrides)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()

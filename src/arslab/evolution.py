@@ -441,15 +441,6 @@ class TransmissionReport:
     fractions: list
     verdict: str
 
-    def to_dict(self):
-        return {
-            "alpha": self.alpha,
-            "eps_list": list(self.eps_list),
-            "time_horizon": self.time_horizon,
-            "fractions": list(self.fractions),
-            "verdict": self.verdict,
-        }
-
 
 def transmission_study(alpha, eps_list, T=0.5, *, dt=1e-3, n_x=400, x_half=3.0,
                        n_y=64, period=_TWO_PI, bump_center=(-1.0, math.pi),

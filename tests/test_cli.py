@@ -1,10 +1,11 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from arslab.cli import main
+from arslab.cli import _HANDLERS, DEFAULTS, _build_parser, main
 
 BASE = [sys.executable, "-m", "arslab.cli"]
 
@@ -126,6 +127,68 @@ def test_removed_domain_flag_is_a_usage_error(tmp_path, capsys):
     assert "--domain" in capsys.readouterr().err
 
 
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+@pytest.mark.parametrize("sub", list(DEFAULTS))
+def test_option_table_defines_the_flags(tmp_path, capsys, monkeypatch, sub):
+    defaults = DEFAULTS[sub]
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for action in subparsers.choices[sub]._actions
+             for opt in action.option_strings}
+    expected = {_flag(key) for key in defaults if key != "frame"}
+    if "frame" in defaults:
+        expected |= {"--variant", "--frame-alpha", "--log-scale"}
+    assert flags - {"-h", "--help", "--config", "--out-dir"} == expected
+
+    # every default passed back as its flag resolves to the same value and type;
+    # the frame flags fill in the frame dict
+    argv, expected_config = [sub], dict(defaults)
+    for key, default in defaults.items():
+        if key == "frame":
+            argv += ["--variant", "grushin", "--frame-alpha", "2.0", "--log-scale", "zero"]
+            expected_config["frame"] = {"variant": "grushin", "alpha": 2.0, "log_scale": "zero"}
+        elif isinstance(default, list):
+            argv += [_flag(key), ",".join(map(str, default))]
+        elif default is not None and not isinstance(default, bool):
+            argv += [_flag(key), str(default)]
+    monkeypatch.setitem(_HANDLERS, sub, lambda cfg, out_dir: ({}, {}))
+    code, err = cli(argv + ["--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert config == expected_config
+    for key, default in expected_config.items():
+        assert type(config[key]) is type(default), key
+        if isinstance(default, list):
+            assert [type(v) for v in config[key]] == [type(v) for v in default], key
+
+    with pytest.raises(SystemExit) as info:
+        main([sub, "--help"])
+    assert info.value.code == 0
+
+
+def test_unknown_equation_is_a_usage_error(tmp_path, capsys):
+    code, err = cli(["evolve", "--equation", "bogus", "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "'bogus'" in err
+
+
+@pytest.mark.parametrize("cfg, argv, named", [
+    ({"subcommand": "geodesic"}, ["metric", "--x", "9.0"], "'x'"),
+    ({"subcommand": "spectrum"}, ["metric", "--variant", "f2"], "frame"),
+], ids=["key", "frame"])
+def test_flag_of_another_subcommand_is_a_usage_error(tmp_path, capsys, cfg, argv, named):
+    # a config file that switches the subcommand rejects the other one's flags
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg))
+    code, err = cli(argv + ["--config", str(cfg_file), "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert named in err
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # the singular line is a numerical domain error, not a usage error
     code, err = cli(["metric", "--x", "0.0", "--out-dir", str(tmp_path)], capsys)
@@ -184,6 +247,15 @@ def test_evolve_sweep_writes_transmission_verdict(tmp_path, capsys):
     assert payload["verdict"] == "crossing-consistent"
     assert len(payload["fractions"]) == 2
     assert (tmp_path / "evolve_eps_0.05.csv").exists()
+
+
+def test_inconclusive_evolve_names_evolve(tmp_path, capsys):
+    code, err = cli(["evolve", "--alpha", "1.5", "--eps", "0.1,0.025", "--t-final", "0.25",
+                     "--n-x", "100", "--n-y", "4", "--out-dir", str(tmp_path)], capsys)
+    assert code == 3
+    assert "evolve" in err and "transmission_study" not in err
+    payload = json.loads((tmp_path / "transmission.json").read_text())
+    assert payload["verdict"] == "inconclusive"
 
 
 def test_martinet_subcommand(tmp_path, capsys):

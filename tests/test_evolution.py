@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import hypothesis.strategies as st
@@ -198,7 +199,7 @@ def test_transmission_study_crossing_verdict():
     rep = transmission_study(0.5, [0.1, 0.05], T=0.25, n_x=200, n_y=8)
     assert rep.verdict == "crossing-consistent"
     assert len(rep.fractions) == 2
-    assert rep.to_dict()["alpha"] == 0.5
+    assert dataclasses.asdict(rep)["alpha"] == 0.5
 
 
 def test_transmission_study_inconclusive_carries_data():
