@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -111,19 +112,24 @@ DEFAULTS = {
 }
 
 
-def _fmt(v):
-    if isinstance(v, (bool, np.bool_)):
+def _cell_format(types):
+    """%-format of a CSV column whose cells have these types."""
+    if any(issubclass(t, (bool, np.bool_)) for t in types):
         raise TypeError("no boolean CSV cells")
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+    if all(issubclass(t, (int, np.integer)) for t in types):
+        return "%d"
+    # "%.17g" % v is format(float(v), ".17g"), nan, inf and -0.0 included;
+    # an int in a mixed column prints as str(int) does while |int| < 2**53
+    return "%.17g"
 
 
 def _write_csv(path, columns, rows):
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        if rows:
+            line = ",".join(_cell_format({type(row[j]) for row in rows})
+                            for j in range(len(rows[0]))) + "\n"
+            fh.writelines(line % tuple(row) for row in rows)
     return {"columns": list(columns), "rows": len(rows)}
 
 
@@ -160,7 +166,7 @@ def _cmd_geodesic(cfg, out_dir):
     state0 = (float(cfg["x0"]), float(cfg["y0"]), float(cfg["px0"]), float(cfg["py0"]))
     traj = geodesic_flow(fr, state0, float(cfg["t_final"]), dt=float(cfg["dt"]),
                          tol_H=float(cfg["tol_h"]))
-    rows = [(traj.t[i], *traj.states[i]) for i in range(traj.t.size)]
+    rows = list(zip(traj.t.tolist(), *traj.states.T.tolist()))
     outputs = {"geodesic.csv": _write_csv(out_dir / "geodesic.csv",
                                           ["t", "x", "y", "px", "py"], rows)}
     crossings = [{"t": t, "xdot": xd, "ydot": yd} for t, xd, yd in crossing_report(traj, fr)]
@@ -174,8 +180,7 @@ def _cmd_front(cfg, out_dir):
     fr = frame_from_config(cfg["frame"])
     ft = front(fr, (float(cfg["x0"]), float(cfg["y0"])), float(cfg["t_final"]),
                int(cfg["n"]), param_max=float(cfg["param_max"]), dt=float(cfg["dt"]))
-    rows = [(int(ft.families[i]), ft.params[i], ft.endpoints[i, 0], ft.endpoints[i, 1])
-            for i in range(ft.params.size)]
+    rows = list(zip(ft.families.tolist(), ft.params.tolist(), *ft.endpoints.T.tolist()))
     outputs = {"front.csv": _write_csv(out_dir / "front.csv",
                                        ["family", "param", "x", "y"], rows)}
     summary = {"kind": ft.kind, "provenance": ft.provenance, "n_points": ft.params.size}
@@ -311,6 +316,7 @@ def _flag_kwargs(default):
     return {"type": float if default is None else type(default)}
 
 
+@functools.cache
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None,

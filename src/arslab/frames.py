@@ -60,8 +60,11 @@ VARIANT_ALPHA = "alpha-grushin"
 class ScalarField:
     """A smooth scalar field bundled with analytic derivative evaluators.
 
-    All evaluators accept floats or numpy arrays and broadcast.  is_zero
-    marks the identically-zero field so callers can take exact shortcuts.
+    value, dx, dy, dxx and dyy accept floats or numpy arrays and
+    broadcast.  jet(x, y) -> (s, s_x, s_y) is the plain-float evaluator
+    for one point, built from the math module; pointwise loops (geodesic
+    RK4, curve_length) call it.  is_zero marks the identically-zero field
+    so callers can take exact shortcuts.
     """
 
     value: Callable
@@ -69,6 +72,7 @@ class ScalarField:
     dy: Callable
     dxx: Callable
     dyy: Callable
+    jet: Callable
     is_zero: bool = False
     label: str = "custom"
 
@@ -101,7 +105,8 @@ class ScalarField:
 def scalar_zero():
     """The identically-zero scalar field."""
     z = lambda x, y: np.zeros_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
-    return ScalarField(value=z, dx=z, dy=z, dxx=z, dyy=z, is_zero=True, label="zero")
+    return ScalarField(value=z, dx=z, dy=z, dxx=z, dyy=z, jet=lambda x, y: (0.0, 0.0, 0.0),
+                       is_zero=True, label="zero")
 
 
 def gaussian_bump(amplitude, sigma):
@@ -145,8 +150,12 @@ def gaussian_bump(amplitude, sigma):
         fac = np.sin(y - math.pi) ** 2 / s2**2 - np.cos(y - math.pi) / s2
         return fac * value(x, y)
 
+    def jet(x, y):
+        v = a * math.exp(-(x * x) / (2 * s2)) * math.exp((math.cos(y - math.pi) - 1.0) / s2)
+        return v, -(x / s2) * v, -(math.sin(y - math.pi) / s2) * v
+
     return ScalarField(
-        value=value, dx=dx, dy=dy, dxx=dxx, dyy=dyy, is_zero=(a == 0.0),
+        value=value, dx=dx, dy=dy, dxx=dxx, dyy=dyy, jet=jet, is_zero=(a == 0.0),
         label=f"gaussian-bump({amplitude},{sigma})",
     )
 
@@ -159,6 +168,17 @@ def _polyder2d(c, axis):
     if axis == 0:
         return c[1:, :] * k[:, None]
     return c[:, 1:] * k[None, :]
+
+
+def _horner2d(cols, x, y):
+    """sum_ij cols[j][i] x**i y**j in polyval2d's order: Horner in x, then in y."""
+    out = 0.0
+    for col in reversed(cols):
+        acc = 0.0
+        for cij in reversed(col):
+            acc = acc * x + cij
+        out = out * y + acc
+    return out
 
 
 def polynomial_field(coeffs):
@@ -175,8 +195,13 @@ def polynomial_field(coeffs):
             return npoly.polyval2d(np.asarray(x, dtype=float), np.asarray(y, dtype=float), cc)
         return ev
 
+    c_cols, cx_cols, cy_cols = (cc.T.tolist() for cc in (c, cx, cy))
+
+    def jet(x, y):
+        return _horner2d(c_cols, x, y), _horner2d(cx_cols, x, y), _horner2d(cy_cols, x, y)
+
     return ScalarField(
-        value=make(c), dx=make(cx), dy=make(cy), dxx=make(cxx), dyy=make(cyy),
+        value=make(c), dx=make(cx), dy=make(cy), dxx=make(cxx), dyy=make(cyy), jet=jet,
         is_zero=is_zero, label="polynomial",
     )
 
@@ -297,6 +322,29 @@ class FrameSpec:
         if self.variant == VARIANT_ALPHA:
             return np.zeros_like(x)
         return self.f_squared(x, y) * self.log_scale.dy(x, y)
+
+    def fsq_jet(self, x, y):
+        """(f**2, f * f_x, f * f_y) at one point, in plain floats.
+
+        These are f**2 and the gradient of f**2 / 2, all the Hamiltonian
+        flow needs.  For alpha-grushin at x = 0, f * f_x is 0 when
+        alpha >= 1/2 and inf below, as in f_times_fx.
+        """
+        if self.variant == VARIANT_ALPHA:
+            a = self.alpha
+            two_a = 2.0 * a
+            ax = abs(x)
+            if ax == 0.0:
+                return 0.0, (0.0 if two_a - 1.0 >= 0.0 else math.inf), 0.0
+            return ax**two_a, math.copysign(a * ax ** (two_a - 1.0), x), 0.0
+        s, s_x, s_y = self.log_scale.jet(x, y)
+        e = math.exp(s)
+        if self.variant == VARIANT_F1:
+            f, f_x = e, s_x * e
+        else:
+            f, f_x = x * e, (1.0 + x * s_x) * e
+        fsq = f * f
+        return fsq, f * f_x, fsq * s_y
 
     def is_singular(self, p):
         if self.variant == VARIANT_F1:
@@ -445,8 +493,10 @@ def curve_length(frame, t, x, y, *, tol=1e-10, divergence_increment=1.0,
         return math.inf
 
     singular = frame.is_singular_variant
+    fsq_jet = frame.fsq_jet
+    t, x, y = t.tolist(), x.tolist(), y.tolist()
     total = 0.0
-    for i in range(t.size - 1):
+    for i in range(len(t) - 1):
         dt = t[i + 1] - t[i]
         if dt == 0.0:
             continue
@@ -455,9 +505,9 @@ def curve_length(frame, t, x, y, *, tol=1e-10, divergence_increment=1.0,
         vy = (y[i + 1] - y[i]) / dt
 
         def speed(tau):
-            # tau measured from t[i]
-            fv = frame.f(x0 + vx * tau, y0 + vy * tau)
-            return math.sqrt(vx * vx + (vy / fv) ** 2)
+            # tau measured from t[i]; the speed is infinite where f vanishes
+            fsq = fsq_jet(x0 + vx * tau, y0 + vy * tau)[0]
+            return math.sqrt(vx * vx + vy * vy / fsq) if fsq != 0.0 else math.inf
 
         if vy == 0.0:
             total += abs(vx) * dt

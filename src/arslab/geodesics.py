@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import StepSizeTooLarge
-from .frames import Point, VARIANT_ALPHA, VARIANT_F1
+from .frames import Point
 
 __all__ = [
     "CotangentState",
@@ -82,37 +82,14 @@ class Front:
 
 def hamiltonian(frame, state):
     x, y, px, py = state
-    fsq = float(frame.f_squared(x, y))
+    fsq = frame.fsq_jet(x, y)[0]
     return 0.5 * (px * px + fsq * py * py)
 
 
-def _make_rhs(frame):
-    """Scalar RHS of the Hamiltonian system, specialised per variant."""
-    if frame.is_exact_grushin:
-        def rhs(x, y, px, py):
-            return px, x * x * py, -x * py * py, 0.0
-        return rhs
-    if frame.variant == VARIANT_ALPHA:
-        a = frame.alpha
-        two_a = 2.0 * a
-
-        def rhs(x, y, px, py):
-            ax = abs(x)
-            if ax == 0.0:
-                fsq = 0.0
-                ffx = 0.0 if two_a - 1.0 >= 0.0 else math.inf
-            else:
-                fsq = ax**two_a
-                ffx = math.copysign(a * ax ** (two_a - 1.0), x)
-            return px, fsq * py, -ffx * py * py, 0.0
-        return rhs
-
-    def rhs(x, y, px, py):
-        fsq = float(frame.f_squared(x, y))
-        ffx = float(frame.f_times_fx(x, y))
-        ffy = float(frame.f_times_fy(x, y))
-        return px, fsq * py, -ffx * py * py, -ffy * py * py
-    return rhs
+def _rhs(fsq_jet, x, y, px, py):
+    """Hamilton's equations: (px, f**2 py, -f f_x py**2, -f f_y py**2)."""
+    fsq, ffx, ffy = fsq_jet(x, y)
+    return px, fsq * py, -ffx * py * py, -ffy * py * py
 
 
 def _hermite(tau, v0, v1, d0, d1, dt):
@@ -136,8 +113,8 @@ def _locate_crossing(frame, t0, dt, s_prev, s_new):
     if px_tau != 0.0:
         x_tau = _hermite(tau, x0, x1, px0, px1, dt)
         tau = min(1.0, max(0.0, tau - x_tau / (dt * px_tau)))
-    yd0 = float(frame.f_squared(x0, y0)) * py0
-    yd1 = float(frame.f_squared(x1, y1)) * py1
+    yd0 = frame.fsq_jet(x0, y0)[0] * py0
+    yd1 = frame.fsq_jet(x1, y1)[0] * py1
     xs = _hermite(tau, x0, x1, px0, px1, dt)
     ys = _hermite(tau, y0, y1, yd0, yd1, dt)
     ps = px0 + tau * (px1 - px0)
@@ -161,7 +138,7 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
     x, y, px, py = (float(v) for v in state0)
     n = max(1, int(round(T / dt)))
     dt_eff = T / n
-    rhs = _make_rhs(frame)
+    jet = frame.fsq_jet
 
     states = np.empty((n + 1, 4))
     states[0] = (x, y, px, py)
@@ -169,10 +146,11 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
     half = 0.5 * dt_eff
     sixth = dt_eff / 6.0
     for i in range(n):
-        k1 = rhs(x, y, px, py)
-        k2 = rhs(x + half * k1[0], y + half * k1[1], px + half * k1[2], py + half * k1[3])
-        k3 = rhs(x + half * k2[0], y + half * k2[1], px + half * k2[2], py + half * k2[3])
-        k4 = rhs(x + dt_eff * k3[0], y + dt_eff * k3[1], px + dt_eff * k3[2], py + dt_eff * k3[3])
+        k1 = _rhs(jet, x, y, px, py)
+        k2 = _rhs(jet, x + half * k1[0], y + half * k1[1], px + half * k1[2], py + half * k1[3])
+        k3 = _rhs(jet, x + half * k2[0], y + half * k2[1], px + half * k2[2], py + half * k2[3])
+        k4 = _rhs(jet, x + dt_eff * k3[0], y + dt_eff * k3[1], px + dt_eff * k3[2],
+                  py + dt_eff * k3[3])
         xn = x + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
         yn = y + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
         pxn = px + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
@@ -310,6 +288,6 @@ def crossing_report(traj, frame):
     """
     out = []
     for ev in traj.crossings:
-        ydot = float(frame.f_squared(ev.x, ev.y)) * ev.py
+        ydot = frame.fsq_jet(ev.x, ev.y)[0] * ev.py
         out.append((ev.t, ev.px, ydot))
     return out

@@ -1,11 +1,13 @@
 import argparse
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from arslab.cli import _HANDLERS, DEFAULTS, _build_parser, main
+from arslab.cli import _HANDLERS, DEFAULTS, _build_parser, _write_csv, main
 
 BASE = [sys.executable, "-m", "arslab.cli"]
 
@@ -266,6 +268,47 @@ def test_martinet_subcommand(tmp_path, capsys):
     assert rows[0].split(",") == ["k", "l", "n", "lambda", "residual", "multiplicity"]
     assert len(rows) - 1 == 2
     assert rows[1].split(",")[5] == "2"
+
+
+def _reference_cell(v):
+    """The per-cell CSV formatter that _write_csv must reproduce."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".17g")
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    rows = [(3, 0.1, math.nan, math.inf, -0.0),
+            (np.int64(-7), np.float64(2.0 / 3.0), -math.inf, 1e-300, 5e-324),
+            (0, -1.5e300, 0.0, np.float64(-math.nan), 123456789.0)]
+    meta = _write_csv(tmp_path / "t.csv", ["a", "b", "c", "d", "e"], rows)
+    want = "a,b,c,d,e\n" + "".join(",".join(_reference_cell(v) for v in row) + "\n"
+                                    for row in rows)
+    assert (tmp_path / "t.csv").read_text() == want
+    assert meta == {"columns": ["a", "b", "c", "d", "e"], "rows": 3}
+    _write_csv(tmp_path / "empty.csv", ["a"], [])
+    assert (tmp_path / "empty.csv").read_text() == "a\n"
+    for flag in (True, np.bool_(False)):
+        with pytest.raises(TypeError):
+            _write_csv(tmp_path / "b.csv", ["a", "b"], [(1.0, 2), (0.5, flag)])
+
+
+def test_successive_in_process_runs_match_fresh_runs(tmp_path, capsys):
+    """main() reuses one parser per process; that must not leak between calls."""
+    requests = [["front", "--variant", "f2", "--log-scale", "gaussian-bump(0.3,0.7)",
+                 "--n", "8", "--t-final", "0.05", "--dt", "1e-3"],
+                ["metric", "--x", "0.5", "--y", "2.0"]]
+    for i, args in enumerate(requests):
+        assert main(args + ["--out-dir", str(tmp_path / f"in{i}")]) == 0
+        proc = run_cli(args + ["--out-dir", str(tmp_path / f"fresh{i}")], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    for i, _ in enumerate(requests):
+        a, b = tmp_path / f"in{i}", tmp_path / f"fresh{i}"
+        ma, mb = (json.loads((d / "manifest.json").read_text()) for d in (a, b))
+        del ma["wall_time_s"], mb["wall_time_s"]
+        assert ma == mb
+        for name in ma["outputs"]:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_unknown_subcommand_fails(tmp_path):

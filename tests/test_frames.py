@@ -1,7 +1,9 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from arslab import (
     FrameSpec,
@@ -189,6 +191,49 @@ def test_polynomial_field_exact():
         assert f.dy(x, y) == pytest.approx(3 + x, rel=1e-14)
         assert f.dxx(x, y) == 0.0
         assert f.dyy(x, y) == 0.0
+
+
+def _close(got, want, rel=1e-14):
+    return got == want or abs(got - want) <= rel * abs(want)
+
+
+# away from the subnormal range, where one ulp of exp is no longer 1e-16 relative
+_coord = st.floats(-4.0, 4.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-100)
+_coeffs = st.lists(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_coord, y=_coord, amplitude=_coord, sigma=st.floats(0.3, 2.0),
+       coeffs=_coeffs)
+def test_jet_matches_array_evaluators(x, y, amplitude, sigma, coeffs):
+    for field in (scalar_zero(), gaussian_bump(amplitude, sigma), polynomial_field(coeffs)):
+        jet = field.jet(x, y)
+        assert all(type(v) is float for v in jet)
+        want = (float(field.value(x, y)), float(field.dx(x, y)), float(field.dy(x, y)))
+        assert all(_close(g, w) for g, w in zip(jet, want)), (field.label, jet, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_coord, y=_coord, alpha=st.floats(0.1, 3.0))
+def test_fsq_jet_matches_array_evaluators(x, y, alpha):
+    for fr in (GRUSHIN, _bump_frame("f1"), _bump_frame("f2"),
+               FrameSpec.f2(polynomial_field([[0.1, -0.3], [0.2, 0.05]])),
+               FrameSpec.alpha_grushin(alpha)):
+        got = fr.fsq_jet(x, y)
+        want = (float(fr.f_squared(x, y)), float(fr.f_times_fx(x, y)),
+                float(fr.f_times_fy(x, y)))
+        assert all(_close(g, w) for g, w in zip(got, want)), (fr.variant, got, want)
+
+
+def test_fsq_jet_on_the_singular_line():
+    # f * f_x = alpha |x|**(2 alpha - 1) blows up at x = 0 for alpha < 1/2
+    for alpha, ffx in ((0.3, math.inf), (0.5, 0.0), (1.0, 0.0), (1.5, 0.0)):
+        fr = FrameSpec.alpha_grushin(alpha)
+        for x in (0.0, -0.0):
+            assert fr.fsq_jet(x, 1.0) == (0.0, ffx, 0.0)
+            assert float(fr.f_times_fx(x, 1.0)) == ffx
+    for fr in (GRUSHIN, _bump_frame("f2")):
+        assert fr.fsq_jet(0.0, 0.4) == (0.0, 0.0, 0.0)
 
 
 # -- curve length ----------------------------------------------------------
