@@ -68,6 +68,7 @@ from .evolution import (
     TransmissionReport,
     WeightedGrid,
     assemble_generator,
+    eps_sweep,
     gaussian_bump_state,
     run_heat,
     run_schrodinger,

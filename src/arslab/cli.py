@@ -30,8 +30,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ArslabError, BadGrid, Inconclusive, OutOfRange
-from .evolution import (TransmissionReport, assemble_generator, gaussian_bump_state, run_heat,
-                        run_schrodinger, transmission_verdict, transmitted_fraction)
+from .evolution import eps_sweep
 from .frames import frame_from_config, frame_vectors, laplace_beltrami_coeffs, metric_at
 from .geodesics import crossing_report, front, geodesic_flow
 from .martinet import martinet_mode_solve
@@ -219,43 +218,28 @@ def _cmd_classify(cfg, out_dir):
 
 def _cmd_evolve(cfg, out_dir):
     """regularized heat/Schrodinger evolution"""
-    eps_list = [float(e) for e in cfg["eps"]]
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ConfigError("evolve: eps values must be strictly decreasing")
     equation = cfg["equation"]
-    if equation not in ("heat", "schrodinger"):
-        raise ConfigError(f"evolve: unknown equation {equation!r}")
-    t_final = float(cfg["t_final"])
-    dt = float(cfg["dt"])
-    record_every = max(1, int(cfg["record_every"]))
+    eps_list = [float(e) for e in cfg["eps"]]
+    series, report = eps_sweep(
+        float(cfg["alpha"]), eps_list, float(cfg["t_final"]), equation=equation,
+        dt=float(cfg["dt"]), n_x=int(cfg["n_x"]), x_half=float(cfg["x_half"]),
+        n_y=int(cfg["n_y"]), period=float(cfg["period"]),
+        bump_center=(float(cfg["bump_x"]), float(cfg["bump_y"])),
+        bump_sigma=float(cfg["bump_sigma"]), tol=float(cfg["tol"]),
+        record_every=max(1, int(cfg["record_every"])))
     outputs = {}
-    fractions = []
-    for eps in eps_list:
-        gen = assemble_generator(float(cfg["alpha"]), eps, n_x=int(cfg["n_x"]),
-                                 x_half=float(cfg["x_half"]), n_y=int(cfg["n_y"]),
-                                 period=float(cfg["period"]))
-        state = gaussian_bump_state(gen, (float(cfg["bump_x"]), float(cfg["bump_y"])),
-                                    float(cfg["bump_sigma"]))
-        if equation == "heat":
-            state, series = run_heat(gen, state, t_final, dt, tol=float(cfg["tol"]),
-                                     record_every=record_every)
-            fractions.append(transmitted_fraction(gen, state.u))
-        else:
-            state, series = run_schrodinger(gen, state, t_final, dt,
-                                            record_every=record_every)
+    for eps, rows in zip(eps_list, series):
         name = f"evolve_eps_{eps!r}.csv"
         outputs[name] = _write_csv(out_dir / name,
-                                   ["t", "mass_left", "mass_right", "norm"], series)
+                                   ["t", "mass_left", "mass_right", "norm"], rows)
     summary = {"equation": equation, "eps_list": eps_list}
-    if equation == "heat" and len(eps_list) >= 2:
-        payload = dataclasses.asdict(TransmissionReport(
-            alpha=float(cfg["alpha"]), eps_list=eps_list, time_horizon=t_final,
-            fractions=fractions, verdict=transmission_verdict(fractions)))
+    if report is not None and len(eps_list) >= 2:
+        payload = dataclasses.asdict(report)
         outputs["transmission.json"] = _write_json(out_dir / "transmission.json", payload)
         summary.update(payload)
-        if payload["verdict"] == "inconclusive":
+        if report.verdict == "inconclusive":
             raise Inconclusive(
-                f"evolve: fractions {fractions} match no verdict", payload)
+                f"evolve: fractions {report.fractions} match no verdict", payload)
     return outputs, summary
 
 

@@ -30,15 +30,23 @@ mu_q = 2 cos(2 pi q / n_y) - 2, so one Crank-Nicolson step
 is one tridiagonal solve in x per Fourier mode q.  All modes are stacked
 into one block-tridiagonal system, factored once per (generator, c) by
 LAPACK (dpttrf for the real heat step, zgttrf for the complex Cayley
-step) and cached on the generator; a step is then two FFTs in y and one
-LAPACK ?pttrs / ?gttrs call.  Every step checks its own relative residual
-in the mass norm, in mode space, and raises SolverDiverged when the check
-or the factorization fails.  The Schrodinger (Cayley) step is unitary in the
-mass inner product, and the heat step conserves mass, both to roundoff.
+step) and cached on the generator.
 
-run_heat and run_schrodinger share one time loop.  transmission_study
-runs the eps sweep, and transmission_verdict says whether the mass
-fraction crossing the singular line dies out (barrier-consistent) or
+Because the modes never couple, run_heat and run_schrodinger evolve in
+mode space from start to end: one FFT in y takes the field in, one takes
+it out.  A step is one LAPACK ?pttrs / ?gttrs call and one banded
+product L w with L = M - c C, which certifies the step (the residual
+L w+ - rhs, in the mass norm) and gives the next right-hand side
+2 M w - L w.  A step whose relative residual or factorization fails
+raises SolverDiverged.  Recorded series rows are read off the mode
+coefficients by Parseval.  The Schrodinger (Cayley) step is unitary in
+the mass inner product, and the heat step conserves mass, both to
+roundoff.  step_heat and step_schrodinger are the one-step case of the
+same loop.
+
+eps_sweep runs the same experiment over a shrinking eps sweep for the
+CLI and transmission_study, and transmission_verdict says whether the
+mass fraction crossing the singular line dies out (barrier-consistent) or
 stabilizes (crossing-consistent).
 """
 
@@ -65,6 +73,7 @@ __all__ = [
     "run_schrodinger",
     "transmitted_fraction",
     "transmission_verdict",
+    "eps_sweep",
     "transmission_study",
 ]
 
@@ -245,44 +254,58 @@ def _tridiagonal_dot(diag, off, v):
 class _ModeSystem:
     """L = M_x - c (C_x + mu_q diag(y_coef)) for every y-mode q, stacked.
 
-    Rows are (mode, x-node); the blocks share one off-diagonal and have
-    no coupling between them.  For real c the unknowns are the cosine
-    and sine coefficients (rfft real and imaginary parts) of a real
-    field, a leading axis of 2, and L is symmetric positive definite:
-    LAPACK dpttrf.  For complex c they are the fft coefficients of a
-    complex field and L is complex symmetric: zgttrf.
+    Mode coefficients are one C-contiguous (n_rhs, rows) array with rows
+    ordered (mode q, x-node).  For real c the two right-hand sides are
+    the cosine and sine coefficients (rfft real and imaginary parts) of a
+    real field, and L is symmetric positive definite: LAPACK dpttrf.  For
+    complex c the one right-hand side holds the fft coefficients of a
+    complex field, and L is complex symmetric: zgttrf.  The blocks are
+    applied as one flat tridiagonal whose coupling is zero between them.
     """
 
     real: bool
-    diag: np.ndarray      # (n_modes, n_x + 1), of L
-    off: np.ndarray       # (n_x,), of L
-    rhs_diag: np.ndarray  # of M_x + c K_q = 2 M_x - L
-    rhs_off: np.ndarray
-    weight: np.ndarray    # (n_modes, n_x + 1): Parseval weight / m_x, the M^{-1} norm
+    n_y: int
+    diag: np.ndarray      # (rows,), of L
+    coupling: np.ndarray  # (rows - 1,), of L, zero between mode blocks
+    two_m: np.ndarray     # (rows,): 2 M_x, so M_x + c K_q = 2 M_x - L
+    weight: np.ndarray    # (rows,): Parseval weight / m_x, the M^{-1} norm
+    energy: np.ndarray    # per float of w: Parseval weight * m_x / n_y, the M norm
+    sides: np.ndarray     # (2, floats of w): the weights of mass_left, mass_right
     lu: tuple             # factorization, as ?trs takes it
     trs: object
 
     def to_modes(self, u):
-        """(n_x + 1, n_y) field -> contiguous mode coefficients."""
+        """Field on the cells -> mode coefficients."""
+        v = np.asarray(u, dtype=float if self.real else complex).reshape(-1, self.n_y)
         if self.real:
-            f = np.fft.rfft(u, axis=1)
-            return np.stack((f.real.T, f.imag.T))
-        return np.ascontiguousarray(np.fft.fft(u, axis=1).T)
+            f = np.fft.rfft(v, axis=1).T
+            return np.stack((f.real, f.imag)).reshape(2, -1)
+        return np.fft.fft(v, axis=1).T.reshape(1, -1)
 
-    def from_modes(self, w, n_y):
+    def from_modes(self, w):
         if self.real:
-            return np.fft.irfft((w[0] + 1j * w[1]).T, n=n_y, axis=1)
-        return np.fft.ifft(w.T, axis=1)
+            f = (w[0] + 1j * w[1]).reshape(self.n_y // 2 + 1, -1).T
+            return np.fft.irfft(f, n=self.n_y, axis=1).reshape(-1)
+        return np.fft.ifft(w.reshape(self.n_y, -1).T, axis=1).reshape(-1)
+
+    def apply(self, w):
+        return _tridiagonal_dot(self.diag, self.coupling, w)
 
     def solve(self, rhs):
-        b = rhs.reshape(-1, self.diag.size).T
-        x, info = self.trs(*self.lu, b)
+        x, info = self.trs(*self.lu, rhs.T)
         if info != 0:
             raise SolverDiverged(f"LAPACK ?trs failed with info={info}")
-        return x.T.reshape(rhs.shape)
+        return x.T
 
     def norm(self, v):
         return math.sqrt(np.vdot(v, self.weight * v).real)
+
+    def record(self, t, w):
+        """(t, mass_left, mass_right, norm) of the field, by Parseval."""
+        v = w.reshape(-1).view(float)  # complex: real and imaginary parts interleaved
+        sq = v * v
+        left, right = self.sides @ (v if self.real else sq)
+        return (t, float(left), float(right), math.sqrt(self.energy @ sq))
 
 
 def _mode_system(gen, c):
@@ -294,21 +317,35 @@ def _mode_system(gen, c):
     real = isinstance(c, float)
     q = np.arange(n_y // 2 + 1 if real else n_y)
     mu = 2.0 * np.cos(_TWO_PI * q / n_y) - 2.0
-    diag = gen.m_x - c * (gen.x_diag + mu[:, None] * gen.y_coef)
-    off = -c * gen.x_off
-    coupling = np.tile(np.append(off, 0.0), q.size)[:-1]
+    diag = (gen.m_x - c * (gen.x_diag + mu[:, None] * gen.y_coef)).reshape(-1)
+    coupling = np.tile(np.append(-c * gen.x_off, 0.0), q.size)[:-1]
     kind = "dpt" if real else "zgt"
     if real:
-        *lu, info = lapack.dpttrf(diag.reshape(-1), coupling)
+        *lu, info = lapack.dpttrf(diag, coupling)
     else:
-        *lu, info = lapack.zgttrf(coupling, diag.reshape(-1), coupling)
+        *lu, info = lapack.zgttrf(coupling, diag, coupling)
     if info != 0:
         raise SolverDiverged(f"LAPACK {kind}trf failed with info={info} at c={c}")
     parseval = np.ones(q.size)
     if real:  # modes 0 < q < n_y / 2 stand for q and n_y - q
         parseval[1:(n_y + 1) // 2] = 2.0
-    system = _ModeSystem(real=real, diag=diag, off=off, rhs_diag=2.0 * gen.m_x - diag,
-                         rhs_off=-off, weight=parseval[:, None] / gen.m_x, lu=tuple(lu),
+    energy = (parseval[:, None] / n_y * gen.m_x).reshape(-1)
+    x = gen.grid.x
+    if real:
+        # heat masses are linear in u: m_x times the q = 0 cosine coefficient,
+        # which is the sum of u over y
+        sides = np.zeros((2, 2 * diag.size))
+        sides[:, :x.size] = np.where([x < 0.0, x > 0.0], gen.m_x, 0.0)
+        energy = np.tile(energy, 2)
+    else:
+        # Schrodinger masses weigh |u|**2 like the norm, by side
+        x = np.tile(x, q.size)
+        sides = np.repeat(np.where([x < 0.0, x > 0.0], energy, 0.0), 2, axis=1)
+        energy = np.repeat(energy, 2)
+    system = _ModeSystem(real=real, n_y=n_y, diag=diag, coupling=coupling,
+                         two_m=np.tile(2.0 * gen.m_x, q.size),
+                         weight=(parseval[:, None] / gen.m_x).reshape(-1),
+                         energy=energy, sides=sides, lu=tuple(lu),
                          trs=lapack.dpttrs if real else lapack.zgttrs)
     gen._modes[c] = system
     if len(gen._modes) > 8:
@@ -316,19 +353,40 @@ def _mode_system(gen, c):
     return system
 
 
-def _crank_nicolson(gen, u, c, tol, who):
-    """Solve (M - c C) u+ = (M + c C) u mode by mode; check the residual."""
-    system = _mode_system(gen, c)
-    grid = gen.grid
-    v = system.to_modes(u.reshape(grid.x.size, grid.n_y))
-    rhs = _tridiagonal_dot(system.rhs_diag, system.rhs_off, v)
-    w = system.solve(rhs)
-    residual = system.norm(_tridiagonal_dot(system.diag, system.off, w) - rhs)
-    b_norm = system.norm(rhs)
-    if not residual <= tol * b_norm:
-        raise SolverDiverged(f"{who}: relative residual {residual / max(b_norm, 1e-300):.3g} "
-                             f"exceeds tol={tol}")
-    return system.from_modes(w, grid.n_y).reshape(-1)
+def _evolve(gen, state, T, dt, half, tol, who, record_every=0):
+    """Steps (M - c C) u+ = (M + c C) u to time T, in mode space throughout.
+
+    The n = round(T / dt) steps (at least one) have c = half * T / n, with
+    half = 1/2 for the heat flow and i/2 for the Schrodinger flow.
+    The field is transformed into mode coefficients once and back once.
+    Each step makes one banded product L w with L = M - c C: the residual
+    check r = L w+ - rhs uses it, and the next right-hand side
+    rhs = 2 M w - L w reuses it.  Raises SolverDiverged unless every
+    step's relative residual in the mass norm is at most tol.  With
+    record_every, the (t, mass_left, mass_right, norm) rows of the start,
+    of every record_every-th step and of the last step are returned too.
+    """
+    n = max(1, int(round(T / dt)))
+    dt = T / n
+    system = _mode_system(gen, half * dt)
+    w = system.to_modes(state.u)
+    lw = system.apply(w)
+    t = state.t
+    series = [system.record(t, w)] if record_every else []
+    for k in range(n):
+        rhs = system.two_m * w
+        rhs -= lw
+        w = system.solve(rhs)
+        lw = system.apply(w)
+        residual = system.norm(lw - rhs)
+        b_norm = system.norm(rhs)
+        if not residual <= tol * b_norm:
+            raise SolverDiverged(f"{who}: relative residual {residual / max(b_norm, 1e-300):.3g} "
+                                 f"exceeds tol={tol}")
+        t = t + dt
+        if record_every and ((k + 1) % record_every == 0 or k == n - 1):
+            series.append(system.record(t, w))
+    return EvolutionState(u=system.from_modes(w), t=t), series
 
 
 def step_heat(gen, state, dt, *, tol=_SOLVE_TOL):
@@ -339,9 +397,7 @@ def step_heat(gen, state, dt, *, tol=_SOLVE_TOL):
     with the factorization cached on gen per dt.  Raises SolverDiverged
     unless the relative residual in the mass norm is at most tol.
     """
-    u = np.asarray(state.u, dtype=float)
-    return EvolutionState(u=_crank_nicolson(gen, u, 0.5 * float(dt), tol, "step_heat"),
-                          t=state.t + dt)
+    return _evolve(gen, state, dt, dt, 0.5, tol, "step_heat")[0]
 
 
 def step_schrodinger(gen, state, dt):
@@ -353,34 +409,7 @@ def step_schrodinger(gen, state, dt):
     roundoff; it raises SolverDiverged unless the relative residual is
     at most 1e-10.
     """
-    u = np.asarray(state.u, dtype=complex)
-    return EvolutionState(u=_crank_nicolson(gen, u, 0.5j * float(dt), _SOLVE_TOL,
-                                            "step_schrodinger"),
-                          t=state.t + dt)
-
-
-def _run(gen, state, T, dt, step, density, record_every):
-    n = max(1, int(round(T / dt)))
-    dt_eff = T / n
-    x_cells = gen.grid.x_of_cells()
-    left = x_cells < 0.0
-    right = x_cells > 0.0
-    series = []
-
-    def record(st):
-        d = density(st.u)
-        series.append((st.t,
-                       float(np.dot(gen.m[left], d[left])),
-                       float(np.dot(gen.m[right], d[right])),
-                       gen.m_norm(st.u)))
-
-    if record_every:
-        record(state)
-    for k in range(n):
-        state = step(state, dt_eff)
-        if record_every and ((k + 1) % record_every == 0 or k == n - 1):
-            record(state)
-    return state, series
+    return _evolve(gen, state, dt, dt, 0.5j, _SOLVE_TOL, "step_schrodinger")[0]
 
 
 def run_heat(gen, state, T, dt, *, tol=_SOLVE_TOL, record_every=0):
@@ -390,19 +419,16 @@ def run_heat(gen, state, T, dt, *, tol=_SOLVE_TOL, record_every=0):
     and mass_right the weighted content strictly left/right of the
     singular line and norm the mass-inner-product norm.
     """
-    return _run(gen, state, T, dt, lambda st, h: step_heat(gen, st, h, tol=tol),
-                lambda u: u, record_every)
+    return _evolve(gen, state, T, dt, 0.5, tol, "run_heat", record_every)
 
 
 def run_schrodinger(gen, state, T, dt, *, record_every=0):
     """Evolve the Schrodinger flow to time T; optionally record a series.
 
     As run_heat, with the weighted content of the density |u|**2 in
-    place of u; the state is made complex first.
+    place of u; the state comes back complex.
     """
-    state = EvolutionState(u=np.asarray(state.u, dtype=complex), t=state.t)
-    return _run(gen, state, T, dt, lambda st, h: step_schrodinger(gen, st, h),
-                lambda u: np.abs(u) ** 2, record_every)
+    return _evolve(gen, state, T, dt, 0.5j, _SOLVE_TOL, "run_schrodinger", record_every)
 
 
 def transmitted_fraction(gen, u):
@@ -442,6 +468,39 @@ class TransmissionReport:
     verdict: str
 
 
+def eps_sweep(alpha, eps_list, T, *, equation="heat", dt=1e-3, n_x=400, x_half=3.0,
+              n_y=64, period=_TWO_PI, bump_center=(-1.0, math.pi), bump_sigma=0.3,
+              tol=1e-10, record_every=0):
+    """Evolve the same left-started bump once per eps of a decreasing sweep.
+
+    equation is "heat" or "schrodinger".  Returns (series, report): the
+    recorded series of each run (see run_heat; empty without
+    record_every), and for the heat flow the TransmissionReport of the
+    transmitted fractions with their verdict, or None for Schrodinger.
+    Raises ValueError unless eps_list is strictly decreasing.
+    """
+    eps_list = [float(e) for e in eps_list]
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps_sweep: eps values must be strictly decreasing")
+    if equation not in ("heat", "schrodinger"):
+        raise ValueError(f"eps_sweep: unknown equation {equation!r}")
+    series, fractions = [], []
+    for eps in eps_list:
+        gen = assemble_generator(alpha, eps, n_x=n_x, x_half=x_half, n_y=n_y, period=period)
+        state = gaussian_bump_state(gen, bump_center, bump_sigma)
+        if equation == "heat":
+            state, rows = run_heat(gen, state, T, dt, tol=tol, record_every=record_every)
+            fractions.append(transmitted_fraction(gen, state.u))
+        else:
+            state, rows = run_schrodinger(gen, state, T, dt, record_every=record_every)
+        series.append(rows)
+    if equation != "heat":
+        return series, None
+    return series, TransmissionReport(alpha=float(alpha), eps_list=eps_list,
+                                      time_horizon=float(T), fractions=fractions,
+                                      verdict=transmission_verdict(fractions))
+
+
 def transmission_study(alpha, eps_list, T=0.5, *, dt=1e-3, n_x=400, x_half=3.0,
                        n_y=64, period=_TWO_PI, bump_center=(-1.0, math.pi),
                        bump_sigma=0.3, tol=1e-10):
@@ -452,24 +511,17 @@ def transmission_study(alpha, eps_list, T=0.5, *, dt=1e-3, n_x=400, x_half=3.0,
 
         sum_{x > 0} m u  /  sum m u
 
-    is recorded.  The verdict over the sweep is transmission_verdict's;
-    when it is "inconclusive", Inconclusive is raised, carrying a report
-    with the raw fractions.
+    is recorded (eps_sweep).  The verdict over the sweep is
+    transmission_verdict's; when it is "inconclusive", Inconclusive is
+    raised, carrying a report with the raw fractions.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 2 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("transmission_study: eps_list must be strictly decreasing")
-    fractions = []
-    for eps in eps_list:
-        gen = assemble_generator(alpha, eps, n_x=n_x, x_half=x_half, n_y=n_y,
-                                 period=period)
-        state = gaussian_bump_state(gen, bump_center, bump_sigma)
-        state, _ = run_heat(gen, state, T, dt, tol=tol)
-        fractions.append(transmitted_fraction(gen, state.u))
-    report = TransmissionReport(alpha=float(alpha), eps_list=eps_list,
-                                time_horizon=float(T), fractions=fractions,
-                                verdict=transmission_verdict(fractions))
+    _, report = eps_sweep(alpha, eps_list, T, dt=dt, n_x=n_x, x_half=x_half, n_y=n_y,
+                          period=period, bump_center=bump_center, bump_sigma=bump_sigma,
+                          tol=tol)
     if report.verdict == "inconclusive":
         raise Inconclusive(
-            f"transmission_study: fractions {fractions} match no verdict", report)
+            f"transmission_study: fractions {report.fractions} match no verdict", report)
     return report

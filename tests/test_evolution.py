@@ -15,8 +15,10 @@ from arslab import (
     Inconclusive,
     SolverDiverged,
     assemble_generator,
+    eps_sweep,
     gaussian_bump_state,
     run_heat,
+    run_schrodinger,
     step_heat,
     step_schrodinger,
     transmission_study,
@@ -298,11 +300,76 @@ def _corrupt_factor(name, index, fail):
 
 
 @pytest.mark.parametrize("step, factor, index", [
-    (step_heat, "dpttrf", 0), (step_schrodinger, "zgttrf", 1)])
+    (step_heat, "dpttrf", 0), (step_schrodinger, "zgttrf", 1),
+    (run_heat, "dpttrf", 0), (run_schrodinger, "zgttrf", 1)])
 @pytest.mark.parametrize("fail", [False, True])
 def test_corrupted_factor_raises(monkeypatch, step, factor, index, fail):
     gen = _small_gen()
     state = gaussian_bump_state(gen, (-1.0, math.pi), 0.3)
     monkeypatch.setattr(evolution.lapack, factor, _corrupt_factor(factor, index, fail))
+    # run_* take (T, dt): five steps of the time loop
+    times = (1e-3,) if step.__name__.startswith("step_") else (5e-3, 1e-3)
     with pytest.raises(SolverDiverged, match="info=1" if fail else "relative residual"):
-        step(gen, state, 1e-3)
+        step(gen, state, *times)
+
+
+_FLOWS = pytest.mark.parametrize("run, step, density", [
+    (run_heat, step_heat, lambda u: u),
+    (run_schrodinger, step_schrodinger, lambda u: np.abs(u) ** 2)], ids=["heat", "schrodinger"])
+
+
+@_FLOWS
+@pytest.mark.parametrize("n_y", [7, 8])
+def test_run_matches_chained_steps(run, step, density, n_y):
+    gen = assemble_generator(1.2, 0.05, n_x=80, n_y=n_y)
+    rng = np.random.default_rng(n_y)
+    state = gaussian_bump_state(gen, (-1.0, 2.0), 0.4)
+    state.u = state.u + 0.1 * rng.uniform(size=state.u.size)
+    n, dt = 23, 2e-3
+    got, _ = run(gen, state, n * dt, dt)
+    want = state
+    for _ in range(n):
+        want = step(gen, want, dt)
+    assert got.t == want.t
+    assert got.u.dtype == want.u.dtype
+    assert gen.m_norm(got.u - want.u) <= 1e-12 * gen.m_norm(want.u)
+
+
+@_FLOWS
+@pytest.mark.parametrize("n_y, record_every", [(7, 1), (7, 3), (8, 3), (9, 1)])
+def test_series_rows_match_real_space_recomputation(run, step, density, n_y, record_every):
+    gen = assemble_generator(0.8, 0.05, n_x=60, n_y=n_y)
+    rng = np.random.default_rng(3 * n_y + record_every)
+    state = gaussian_bump_state(gen, (-1.0, 2.0), 0.4)
+    # mass on both sides, varying in y, so every Parseval weight counts
+    state.u = state.u + rng.uniform(0.5, 1.0, state.u.size)
+    n, dt = 10, 2e-3
+    _, series = run(gen, state, n * dt, dt, record_every=record_every)
+    recorded = [k for k in range(n + 1) if k % record_every == 0 or k == n]
+    assert [row[0] for row in series] == pytest.approx([k * dt for k in recorded], abs=1e-15)
+    x = gen.grid.x_of_cells()
+    k, want = 0, state
+    for row, k_row in zip(series, recorded):
+        while k < k_row:  # each step's state is the inverse FFT of its modes
+            want, k = step(gen, want, dt), k + 1
+        d = density(want.u)
+        expected = (float(np.dot(gen.m[x < 0], d[x < 0])),
+                    float(np.dot(gen.m[x > 0], d[x > 0])), gen.m_norm(want.u))
+        for got_value, want_value in zip(row[1:], expected):
+            assert abs(got_value - want_value) <= 1e-12 * abs(want_value)
+
+
+def test_eps_sweep_rejects_bad_sweeps():
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        eps_sweep(1.0, [0.05, 0.1], 0.01, n_x=20, n_y=4)
+    with pytest.raises(ValueError, match="'wave'"):
+        eps_sweep(1.0, [0.1], 0.01, equation="wave", n_x=20, n_y=4)
+
+
+def test_eps_sweep_report_matches_transmission_study():
+    kwargs = dict(n_x=60, n_y=4, dt=2e-3)
+    series, report = eps_sweep(0.5, [0.1, 0.05], 0.1, record_every=5, **kwargs)
+    assert report == transmission_study(0.5, [0.1, 0.05], 0.1, **kwargs)
+    assert [len(rows) for rows in series] == [11, 11]
+    series, report = eps_sweep(0.5, [0.1], 0.1, equation="schrodinger", **kwargs)
+    assert report is None and series == [[]]
