@@ -221,24 +221,24 @@ class EvolutionState:
     t: float
 
 
-def gaussian_bump_state(gen, center, sigma, *, floor=1e-12, strict_left=True):
-    """Gaussian bump on the cylinder, truncated below the floor.
+def gaussian_bump_state(gen, center, sigma):
+    """Gaussian bump on the cylinder, truncated below 1e-12.
 
-    With strict_left the profile is zeroed at all nodes with
-    x >= -h, keeping its support strictly left of the singular line.
+    The profile is zeroed at all nodes with x >= -h, keeping its support
+    strictly left of the singular line; a center with x >= 0 raises
+    ValueError.
     """
     grid = gen.grid
     xc, yc = float(center[0]), float(center[1])
+    if xc >= 0:
+        raise ValueError("gaussian_bump_state: need center x < 0")
     x = grid.x_of_cells()
     y = grid.y_of_cells()
     dy = np.abs(y - yc)
     dy = np.minimum(dy, grid.period - dy)
     u = np.exp(-((x - xc) ** 2 + dy**2) / (2.0 * sigma**2))
-    u[u < floor] = 0.0
-    if strict_left:
-        if xc >= 0:
-            raise ValueError("gaussian_bump_state: strict_left needs center x < 0")
-        u[x >= -grid.h] = 0.0
+    u[u < 1e-12] = 0.0
+    u[x >= -grid.h] = 0.0
     return EvolutionState(u=u, t=0.0)
 
 
@@ -365,7 +365,10 @@ def _evolve(gen, state, T, dt, half, tol, who, record_every=0):
     step's relative residual in the mass norm is at most tol.  With
     record_every, the (t, mass_left, mass_right, norm) rows of the start,
     of every record_every-th step and of the last step are returned too.
+    Raises ValueError, naming who, unless dt > 0 and T >= 0.
     """
+    if not (dt > 0 and T >= 0):
+        raise ValueError(f"{who}: need dt > 0 and T >= 0, got dt={dt}, T={T}")
     n = max(1, int(round(T / dt)))
     dt = T / n
     system = _mode_system(gen, half * dt)
@@ -389,15 +392,15 @@ def _evolve(gen, state, T, dt, half, tol, who, record_every=0):
     return EvolutionState(u=system.from_modes(w), t=t), series
 
 
-def step_heat(gen, state, dt, *, tol=_SOLVE_TOL):
+def step_heat(gen, state, dt):
     """One Crank-Nicolson step of du/dt = A u.
 
     Solves (I - dt/2 A) u+ = (I + dt/2 A) u as one symmetric positive
     definite tridiagonal system per y-mode (the rfft of the real field),
     with the factorization cached on gen per dt.  Raises SolverDiverged
-    unless the relative residual in the mass norm is at most tol.
+    unless the relative residual in the mass norm is at most 1e-10.
     """
-    return _evolve(gen, state, dt, dt, 0.5, tol, "step_heat")[0]
+    return _evolve(gen, state, dt, dt, 0.5, _SOLVE_TOL, "step_heat")[0]
 
 
 def step_schrodinger(gen, state, dt):
@@ -501,12 +504,10 @@ def eps_sweep(alpha, eps_list, T, *, equation="heat", dt=1e-3, n_x=400, x_half=3
                                       verdict=transmission_verdict(fractions))
 
 
-def transmission_study(alpha, eps_list, T=0.5, *, dt=1e-3, n_x=400, x_half=3.0,
-                       n_y=64, period=_TWO_PI, bump_center=(-1.0, math.pi),
-                       bump_sigma=0.3, tol=1e-10):
+def transmission_study(alpha, eps_list, T=0.5, *, dt=1e-3, n_x=400, n_y=64):
     """Mass transmission across the singular line on a shrinking eps sweep.
 
-    For each eps the same left-started bump is evolved by the heat flow
+    For each eps the bump at (-1, pi) of width 0.3 is evolved by the heat flow
     to time T and the transmitted fraction
 
         sum_{x > 0} m u  /  sum m u
@@ -518,9 +519,7 @@ def transmission_study(alpha, eps_list, T=0.5, *, dt=1e-3, n_x=400, x_half=3.0,
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 2 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("transmission_study: eps_list must be strictly decreasing")
-    _, report = eps_sweep(alpha, eps_list, T, dt=dt, n_x=n_x, x_half=x_half, n_y=n_y,
-                          period=period, bump_center=bump_center, bump_sigma=bump_sigma,
-                          tol=tol)
+    _, report = eps_sweep(alpha, eps_list, T, dt=dt, n_x=n_x, n_y=n_y)
     if report.verdict == "inconclusive":
         raise Inconclusive(
             f"transmission_study: fractions {report.fractions} match no verdict", report)

@@ -60,53 +60,49 @@ VARIANT_ALPHA = "alpha-grushin"
 class ScalarField:
     """A smooth scalar field bundled with analytic derivative evaluators.
 
-    value, dx, dy, dxx and dyy accept floats or numpy arrays and
-    broadcast.  jet(x, y) -> (s, s_x, s_y) is the plain-float evaluator
-    for one point, built from the math module; pointwise loops (geodesic
-    RK4, curve_length) call it.  is_zero marks the identically-zero field
-    so callers can take exact shortcuts.
+    derivs(x, y) -> (s, s_x, s_y, s_xx, s_yy) accepts floats or numpy
+    arrays, broadcasts, and evaluates s once.  jet(x, y) -> (s, s_x, s_y)
+    is the plain-float evaluator for one point, built from the math
+    module; pointwise loops (geodesic RK4, curve_length) call it.  is_zero
+    marks the identically-zero field so callers can take exact shortcuts.
     """
 
-    value: Callable
-    dx: Callable
-    dy: Callable
-    dxx: Callable
-    dyy: Callable
+    derivs: Callable
     jet: Callable
     is_zero: bool = False
     label: str = "custom"
 
-    def check_derivatives(self, points, h=1e-5):
+    def check_derivatives(self, points):
         """Max mismatch between analytic derivatives and central differences.
 
         Returns the worst absolute error over the given (x, y) points; the
-        expected magnitude is O(h**2) times the local third derivative.
+        expected magnitude is O(h**2) times the local third derivative,
+        with step h = 1e-5.
         """
+        h = 1e-5
         worst = 0.0
         for x, y in points:
-            fd_x = (self.value(x + h, y) - self.value(x - h, y)) / (2 * h)
-            fd_y = (self.value(x, y + h) - self.value(x, y - h)) / (2 * h)
-            fd_xx = (
-                self.value(x + h, y) - 2 * self.value(x, y) + self.value(x - h, y)
-            ) / h**2
-            fd_yy = (
-                self.value(x, y + h) - 2 * self.value(x, y) + self.value(x, y - h)
-            ) / h**2
+            s, s_x, s_y, s_xx, s_yy = self.derivs(x, y)
+            east, west, north, south = (self.derivs(u, v)[0] for u, v in
+                                        ((x + h, y), (x - h, y), (x, y + h), (x, y - h)))
             worst = max(
                 worst,
-                abs(fd_x - self.dx(x, y)),
-                abs(fd_y - self.dy(x, y)),
-                abs(fd_xx - self.dxx(x, y)),
-                abs(fd_yy - self.dyy(x, y)),
+                abs((east - west) / (2 * h) - s_x),
+                abs((north - south) / (2 * h) - s_y),
+                abs((east - 2 * s + west) / h**2 - s_xx),
+                abs((north - 2 * s + south) / h**2 - s_yy),
             )
         return worst
 
 
 def scalar_zero():
     """The identically-zero scalar field."""
-    z = lambda x, y: np.zeros_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
-    return ScalarField(value=z, dx=z, dy=z, dxx=z, dyy=z, jet=lambda x, y: (0.0, 0.0, 0.0),
-                       is_zero=True, label="zero")
+    def derivs(x, y):
+        z = np.zeros_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
+        return z, z, z, z, z
+
+    return ScalarField(derivs=derivs, jet=lambda x, y: (0.0, 0.0, 0.0), is_zero=True,
+                       label="zero")
 
 
 def gaussian_bump(amplitude, sigma):
@@ -124,40 +120,20 @@ def gaussian_bump(amplitude, sigma):
     a = float(amplitude)
     s2 = float(sigma) ** 2
 
-    def _g(x):
-        return np.exp(-np.asarray(x, dtype=float) ** 2 / (2 * s2))
-
-    def _p(y):
-        return np.exp((np.cos(np.asarray(y, dtype=float) - math.pi) - 1.0) / s2)
-
-    def value(x, y):
-        return a * _g(x) * _p(y)
-
-    def dx(x, y):
+    def derivs(x, y):
         x = np.asarray(x, dtype=float)
-        return -(x / s2) * value(x, y)
-
-    def dxx(x, y):
-        x = np.asarray(x, dtype=float)
-        return (x**2 / s2**2 - 1.0 / s2) * value(x, y)
-
-    def dy(x, y):
         y = np.asarray(y, dtype=float)
-        return -(np.sin(y - math.pi) / s2) * value(x, y)
-
-    def dyy(x, y):
-        y = np.asarray(y, dtype=float)
-        fac = np.sin(y - math.pi) ** 2 / s2**2 - np.cos(y - math.pi) / s2
-        return fac * value(x, y)
+        v = a * np.exp(-x**2 / (2 * s2)) * np.exp((np.cos(y - math.pi) - 1.0) / s2)
+        sin = np.sin(y - math.pi)
+        return (v, -(x / s2) * v, -(sin / s2) * v, (x**2 / s2**2 - 1.0 / s2) * v,
+                (sin**2 / s2**2 - np.cos(y - math.pi) / s2) * v)
 
     def jet(x, y):
         v = a * math.exp(-(x * x) / (2 * s2)) * math.exp((math.cos(y - math.pi) - 1.0) / s2)
         return v, -(x / s2) * v, -(math.sin(y - math.pi) / s2) * v
 
-    return ScalarField(
-        value=value, dx=dx, dy=dy, dxx=dxx, dyy=dyy, jet=jet, is_zero=(a == 0.0),
-        label=f"gaussian-bump({amplitude},{sigma})",
-    )
+    return ScalarField(derivs=derivs, jet=jet, is_zero=(a == 0.0),
+                       label=f"gaussian-bump({amplitude},{sigma})")
 
 
 def _polyder2d(c, axis):
@@ -190,20 +166,16 @@ def polynomial_field(coeffs):
     cyy = _polyder2d(cy, 1)
     is_zero = not np.any(c)
 
-    def make(cc):
-        def ev(x, y):
-            return npoly.polyval2d(np.asarray(x, dtype=float), np.asarray(y, dtype=float), cc)
-        return ev
+    def derivs(x, y):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return tuple(npoly.polyval2d(x, y, cc) for cc in (c, cx, cy, cxx, cyy))
 
     c_cols, cx_cols, cy_cols = (cc.T.tolist() for cc in (c, cx, cy))
 
     def jet(x, y):
         return _horner2d(c_cols, x, y), _horner2d(cx_cols, x, y), _horner2d(cy_cols, x, y)
 
-    return ScalarField(
-        value=make(c), dx=make(cx), dy=make(cy), dxx=make(cxx), dyy=make(cyy), jet=jet,
-        is_zero=is_zero, label="polynomial",
-    )
+    return ScalarField(derivs=derivs, jet=jet, is_zero=is_zero, label="polynomial")
 
 
 class Point(NamedTuple):
@@ -262,44 +234,46 @@ class FrameSpec:
         """True when the frame degenerates on the line x = 0."""
         return self.variant in (VARIANT_F2, VARIANT_ALPHA)
 
+    def _scaled(self, x, y):
+        """(f, e**s, (s, s_x, s_y, s_xx, s_yy)) of an f1/f2 frame, from one derivs call."""
+        d = self.log_scale.derivs(x, y)
+        e = np.exp(d[0])
+        return (e if self.variant == VARIANT_F1 else x * e), e, d
+
     def f(self, x, y):
         x = np.asarray(x, dtype=float)
-        if self.variant == VARIANT_F1:
-            return np.exp(self.log_scale.value(x, y))
-        if self.variant == VARIANT_F2:
-            return x * np.exp(self.log_scale.value(x, y))
-        return np.abs(x) ** self.alpha
+        if self.variant == VARIANT_ALPHA:
+            return np.abs(x) ** self.alpha
+        return self._scaled(x, y)[0]
 
     def f_dx(self, x, y):
         x = np.asarray(x, dtype=float)
+        if self.variant == VARIANT_ALPHA:
+            a = self.alpha
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return a * np.sign(x) * np.abs(x) ** (a - 1.0)
+        _, e, (_, sx, _, _, _) = self._scaled(x, y)
         if self.variant == VARIANT_F1:
-            return self.log_scale.dx(x, y) * np.exp(self.log_scale.value(x, y))
-        if self.variant == VARIANT_F2:
-            return (1.0 + x * self.log_scale.dx(x, y)) * np.exp(self.log_scale.value(x, y))
-        a = self.alpha
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = a * np.sign(x) * np.abs(x) ** (a - 1.0)
-        return out
+            return sx * e
+        return (1.0 + x * sx) * e
 
     def f_dy(self, x, y):
         x = np.asarray(x, dtype=float)
         if self.variant == VARIANT_ALPHA:
             return np.zeros_like(x)
-        return self.f(x, y) * self.log_scale.dy(x, y)
+        f, _, d = self._scaled(x, y)
+        return f * d[2]
 
     def f_dxx(self, x, y):
         x = np.asarray(x, dtype=float)
+        if self.variant == VARIANT_ALPHA:
+            a = self.alpha
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return a * (a - 1.0) * np.abs(x) ** (a - 2.0)
+        _, e, (_, sx, _, sxx, _) = self._scaled(x, y)
         if self.variant == VARIANT_F1:
-            s = self.log_scale
-            return (s.dxx(x, y) + s.dx(x, y) ** 2) * np.exp(s.value(x, y))
-        if self.variant == VARIANT_F2:
-            s = self.log_scale
-            sx = s.dx(x, y)
-            return (2.0 * sx + x * s.dxx(x, y) + x * sx**2) * np.exp(s.value(x, y))
-        a = self.alpha
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = a * (a - 1.0) * np.abs(x) ** (a - 2.0)
-        return out
+            return (sxx + sx**2) * e
+        return (2.0 * sx + x * sxx + x * sx**2) * e
 
     def f_squared(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -321,7 +295,8 @@ class FrameSpec:
         x = np.asarray(x, dtype=float)
         if self.variant == VARIANT_ALPHA:
             return np.zeros_like(x)
-        return self.f_squared(x, y) * self.log_scale.dy(x, y)
+        f, _, d = self._scaled(x, y)
+        return f**2 * d[2]
 
     def fsq_jet(self, x, y):
         """(f**2, f * f_x, f * f_y) at one point, in plain floats.
@@ -345,11 +320,6 @@ class FrameSpec:
             f, f_x = x * e, (1.0 + x * s_x) * e
         fsq = f * f
         return fsq, f * f_x, fsq * s_y
-
-    def is_singular(self, p):
-        if self.variant == VARIANT_F1:
-            return False
-        return p[0] == 0.0
 
 
 @dataclass(frozen=True)
@@ -461,16 +431,22 @@ def _simpson_rec(g, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-def curve_length(frame, t, x, y, *, tol=1e-10, divergence_increment=1.0,
-                 divergence_window=10, max_levels=60, strict=False):
+# curve_length's Simpson tolerance, window rule and refinement depth
+_LENGTH_TOL = 1e-10
+_DIVERGENCE_INCREMENT = 1.0
+_DIVERGENCE_WINDOW = 10
+_MAX_LEVELS = 60
+
+
+def curve_length(frame, t, x, y, *, strict=False):
     """Length of a sampled path under the almost-Riemannian metric.
 
     The path is the piecewise-linear interpolant of the samples
     (t[i], x[i], y[i]); between samples the velocity is the finite
     difference of consecutive samples.  Segments crossing or touching
     the singular line are integrated as improper integrals by dyadic
-    refinement toward the singular time.  If the partial sums still grow
-    by more than divergence_increment over divergence_window consecutive
+    refinement toward the singular time, at most 60 levels per side.
+    If the partial sums still grow by more than 1 over 10 consecutive
     refinement levels, the length is declared infinite: math.inf is
     returned, or NotAdmissible is raised when strict=True.
 
@@ -513,7 +489,7 @@ def curve_length(frame, t, x, y, *, tol=1e-10, divergence_increment=1.0,
             total += abs(vx) * dt
             continue
         if not singular:
-            total += _adaptive_simpson(speed, 0.0, dt, tol * max(1.0, dt))
+            total += _adaptive_simpson(speed, 0.0, dt, _LENGTH_TOL * max(1.0, dt))
             continue
 
         # Singular variants: f vanishes exactly where x(tau) = 0.
@@ -524,7 +500,7 @@ def curve_length(frame, t, x, y, *, tol=1e-10, divergence_increment=1.0,
         else:
             tau_zero = math.nan
         if not (0.0 <= tau_zero <= dt) or math.isnan(tau_zero):
-            total += _adaptive_simpson(speed, 0.0, dt, tol * max(1.0, dt))
+            total += _adaptive_simpson(speed, 0.0, dt, _LENGTH_TOL * max(1.0, dt))
             continue
 
         # Improper segment: integrate each side by dyadic refinement
@@ -539,7 +515,7 @@ def curve_length(frame, t, x, y, *, tol=1e-10, divergence_increment=1.0,
             contrib_prev = None
             ratio = None
             contrib = 0.0
-            for lev in range(1, max_levels + 1):
+            for lev in range(1, _MAX_LEVELS + 1):
                 outer = span * 2.0 ** (1 - lev)
                 inner = span * 2.0 ** (-lev)
                 if toward_lo:
@@ -550,17 +526,17 @@ def curve_length(frame, t, x, y, *, tol=1e-10, divergence_increment=1.0,
                     a, b = hi - outer, hi - inner
                     if b >= hi or not a < b:
                         break
-                contrib = _adaptive_simpson(speed, a, b, tol * max(1.0, span))
+                contrib = _adaptive_simpson(speed, a, b, _LENGTH_TOL * max(1.0, span))
                 side_sum += contrib
                 window.append(contrib)
-                if len(window) > divergence_window:
+                if len(window) > _DIVERGENCE_WINDOW:
                     window.pop(0)
                 # log-divergence signature: the window still carries more
                 # than the increment AND per-level contributions have
                 # stopped decaying (convergent improper integrals decay
                 # geometrically, so deep windows always drain)
-                if (len(window) == divergence_window
-                        and sum(window) > divergence_increment
+                if (len(window) == _DIVERGENCE_WINDOW
+                        and sum(window) > _DIVERGENCE_INCREMENT
                         and window[-1] > 0.5 * window[0]):
                     return declare_infinite()
                 if contrib_prev is not None and contrib_prev > 0.0:

@@ -227,7 +227,7 @@ def _closed_form_endpoint(start, theta, T):
     return -s * float(X), y0 + s * s * float(Y)
 
 
-def front(frame, start, T, n, *, param_max=15.0, dt=1e-4, tol_H=1e-8):
+def front(frame, start, T, n, *, param_max=15.0, dt=1e-4):
     """Endpoints at time T of the geodesic fan out of a point.
 
     From a Riemannian point the fan is parametrized by the covector
@@ -246,7 +246,7 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4, tol_H=1e-8):
         raise ValueError("front: need T > 0")
     start = Point(float(start[0]), float(start[1]))
     closed = frame.is_exact_grushin
-    singular = frame.is_singular_variant and frame.is_singular(start)
+    singular = frame.is_singular_variant and start.x == 0.0
 
     if singular:
         params = np.linspace(-param_max, param_max, n)
@@ -258,8 +258,7 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4, tol_H=1e-8):
                 xe, ye = grushin_geodesic_origin(a, int(sgn), T)
                 endpoints[row] = (float(xe), start.y + float(ye))
             else:
-                traj = geodesic_flow(frame, (start.x, start.y, float(sgn), a), T,
-                                     dt=dt, tol_H=tol_H)
+                traj = geodesic_flow(frame, (start.x, start.y, float(sgn), a), T, dt=dt)
                 endpoints[row] = traj.states[-1, :2]
         return Front(kind="singular", start=start, time=T, params=all_params,
                      families=families, endpoints=endpoints,
@@ -273,7 +272,7 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4, tol_H=1e-8):
             endpoints[row] = _closed_form_endpoint(start, theta, T)
         else:
             state0 = (start.x, start.y, math.cos(theta), math.sin(theta) / f0)
-            traj = geodesic_flow(frame, state0, T, dt=dt, tol_H=tol_H)
+            traj = geodesic_flow(frame, state0, T, dt=dt)
             endpoints[row] = traj.states[-1, :2]
     return Front(kind="riemannian", start=start, time=T, params=thetas,
                  families=np.zeros(n, dtype=int), endpoints=endpoints,

@@ -115,7 +115,7 @@ class MartinetModeResult:
     multiplicity: int = 2
 
 
-def martinet_mode_solve(k, l, n, y_max=None, m=4, *, residual_tol=1e-8):
+def martinet_mode_solve(k, l, n, y_max=None, m=4):
     """Lowest m eigenvalues of the (k, l) mode operator.
 
     For l != 0 the quartic well confines and the default box shrinks
@@ -128,6 +128,6 @@ def martinet_mode_solve(k, l, n, y_max=None, m=4, *, residual_tol=1e-8):
     if y_max is None:
         y_max = 10.0 / max(abs(l), 1) ** 0.25
     y, diag, off, h = assemble_staggered(lambda t: mode_potential(k, l, t), n, y_max)
-    res = lowest_eigenpairs(diag, off, m, residual_tol=residual_tol)
+    res = lowest_eigenpairs(diag, off, m)
     return MartinetModeResult(k=k, l=l, n=int(n), y_max=float(y_max),
                               values=res.values, residuals=res.residuals)

@@ -76,7 +76,12 @@ def _zero_remainder(x, y):
 
 
 def inverse_square_coefficient(alpha):
-    """Coefficient of the 1/x**2 singularity for exponent alpha."""
+    """Coefficient of the 1/x**2 singularity for exponent alpha.
+
+    Raises OutOfRange unless alpha is finite and positive.
+    """
+    if not 0.0 < alpha < math.inf:
+        raise OutOfRange(f"inverse_square_coefficient: need finite alpha > 0, got {alpha}")
     return (alpha / 2.0) * (alpha / 2.0 + 1.0)
 
 
@@ -95,11 +100,10 @@ def gauge_transform(frame):
 
         def remainder(x, y):
             x = np.asarray(x, dtype=float)
-            sx = np.asarray(s.dx(x, y), dtype=float)
-            sy = np.asarray(s.dy(x, y), dtype=float)
-            e2 = np.exp(2.0 * np.asarray(s.value(x, y), dtype=float))
-            return (sx / (2.0 * x) + 0.25 * sx**2 - 0.5 * np.asarray(s.dxx(x, y), dtype=float)
-                    - x**2 * e2 * (0.5 * np.asarray(s.dyy(x, y), dtype=float) + 0.75 * sy**2))
+            v, sx, sy, sxx, syy = (np.asarray(d, dtype=float) for d in s.derivs(x, y))
+            e2 = np.exp(2.0 * v)
+            return (sx / (2.0 * x) + 0.25 * sx**2 - 0.5 * sxx
+                    - x**2 * e2 * (0.5 * syy + 0.75 * sy**2))
 
         return GaugePotential(0.75, remainder, remainder_is_zero=False)
     if frame.variant == VARIANT_ALPHA:
@@ -117,10 +121,6 @@ class ModeOperator:
     endpoint; the outer boundary is a hard Dirichlet cut at x_max.
     """
 
-    k: int
-    alpha: float
-    inverse_square_coeff: float
-    n: int
     x_max: float
     h: float
     x: np.ndarray
@@ -159,13 +159,12 @@ def assemble_mode_operator(k, alpha, n, x_max=None):
         return (k * k) * x ** (2.0 * alpha) + c / x**2
 
     x, diag, off, h = assemble_staggered(potential, n, x_max)
-    return ModeOperator(k=k, alpha=alpha, inverse_square_coeff=c, n=int(n),
-                        x_max=float(x_max), h=h, x=x, diag=diag, off=off)
+    return ModeOperator(x_max=float(x_max), h=h, x=x, diag=diag, off=off)
 
 
-def eigen_solve(op, m, *, residual_tol=1e-8):
+def eigen_solve(op, m):
     """Lowest m eigenpairs of a staggered operator, residual-certified."""
-    return lowest_eigenpairs(op.diag, op.off, m, residual_tol=residual_tol)
+    return lowest_eigenpairs(op.diag, op.off, m)
 
 
 @dataclass(frozen=True)
@@ -188,13 +187,14 @@ def classify_self_adjoint(c):
     The frozen solutions x**s have indicial exponents
     s = 1/2 +- sqrt(1/4 + c); both are square integrable near 0 exactly
     when the minus exponent stays above -1/2, i.e. c < 3/4, and then one
-    boundary condition is needed.  Requires c > -1/4 (below that the
-    exponents turn complex and the operator is unbounded below).
+    boundary condition is needed.  Raises OutOfRange unless c is finite
+    and c > -1/4 (below that the exponents turn complex and the operator
+    is unbounded below).
     """
     c = float(c)
     disc = 0.25 + c
-    if disc <= 0:
-        raise OutOfRange(f"classify_self_adjoint: need c > -1/4, got {c}")
+    if not 0.0 < disc < math.inf:
+        raise OutOfRange(f"classify_self_adjoint: need finite c > -1/4, got {c}")
     root = math.sqrt(disc)
     s_plus = 0.5 + root
     s_minus = 0.5 - root
@@ -208,11 +208,11 @@ def classify_self_adjoint(c):
     )
 
 
-def deficiency_index_numeric(c, eps=1e-3, x_far=10.0, *, n_fit=48, rtol=1e-11):
+def deficiency_index_numeric(c, eps=1e-3, x_far=10.0):
     """Count L2 deficiency solutions at x = 0 by direct integration.
 
     Integrates -u'' + (c/x**2) u = i u inward from x_far with decaying
-    initial data, fits u on [eps, 4 eps] to the frozen basis
+    initial data, fits u at 48 points of [eps, 4 eps] to the frozen basis
     x**s_plus, x**s_minus, and counts 1 when the minus component is both
     present above the fit noise floor and square integrable near 0.
     Raises FitIllConditioned when the exponents are too close to
@@ -237,9 +237,9 @@ def deficiency_index_numeric(c, eps=1e-3, x_far=10.0, *, n_fit=48, rtol=1e-11):
 
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     w0 = (1.0, 0.0, -inv_sqrt2, inv_sqrt2)  # u = 1, u' = -sqrt(-i)
-    t_eval = np.geomspace(4.0 * eps, eps, n_fit)
+    t_eval = np.geomspace(4.0 * eps, eps, 48)
     sol = solve_ivp(rhs, (x_far, eps), w0, t_eval=t_eval, method="DOP853",
-                    rtol=rtol, atol=1e-14)
+                    rtol=1e-11, atol=1e-14)
     if not sol.success:
         raise FitIllConditioned(f"deficiency_index_numeric: integration failed: {sol.message}")
     u = sol.y[0] + 1j * sol.y[1]

@@ -5,7 +5,7 @@ iteration, through scipy.linalg.eigh_tridiagonal).  Every solve is
 certified before it is returned:
 
 - each eigenvalue is the Rayleigh quotient of its unit eigenvector;
-- each residual ||A v - lambda v||_2 is at most residual_tol * ||A||_inf;
+- each residual ||A v - lambda v||_2 is at most 1e-8 * ||A||_inf;
 - one Sturm-sequence sweep (count_below), independent of LAPACK, finds no
   eigenvalue below the first returned value and at least m up to the
   last, so none below lambda_m was skipped.
@@ -30,6 +30,8 @@ from .errors import ConvergenceFailure
 __all__ = ["EigenResult", "count_below", "lowest_eigenvalues", "lowest_eigenpairs"]
 
 _TINY = 1e-300
+# certified residual bound, relative to ||A||_inf
+_RESIDUAL_TOL = 1e-8
 
 
 @dataclass
@@ -106,12 +108,12 @@ def lowest_eigenvalues(diag, off, m):
                                        select_range=(0, m - 1))
 
 
-def lowest_eigenpairs(diag, off, m, *, residual_tol=1e-8):
+def lowest_eigenpairs(diag, off, m):
     """The m smallest eigenpairs with certified residuals.
 
     The vectors come from LAPACK; each reported eigenvalue is the Rayleigh
     quotient of its normalized vector.  ConvergenceFailure is raised when
-    a residual exceeds residual_tol * ||A||_inf, or when the Sturm count
+    a residual exceeds 1e-8 * ||A||_inf, or when the Sturm count
     shows an eigenvalue below the first value or fewer than m up to the
     last one.  The count is taken at the values widened by the summed
     residuals (which bound how far the Ritz values of orthonormal vectors
@@ -128,10 +130,10 @@ def lowest_eigenpairs(diag, off, m, *, residual_tol=1e-8):
     values = np.sum(vectors * av, axis=0)
     residuals = np.linalg.norm(av - vectors * values, axis=0)
     worst = int(np.argmax(residuals))
-    if not residuals[worst] <= residual_tol * norm_bound:
+    if not residuals[worst] <= _RESIDUAL_TOL * norm_bound:
         raise ConvergenceFailure(
             f"lowest_eigenpairs: pair {worst} residual {residuals[worst]:.3e} above "
-            f"{residual_tol:.1e} * ||A|| = {residual_tol * norm_bound:.3e}")
+            f"{_RESIDUAL_TOL:.1e} * ||A|| = {_RESIDUAL_TOL * norm_bound:.3e}")
 
     slack = float(np.sum(residuals)) + diag.size * np.finfo(float).eps * norm_bound
     below, up_to = count_below(diag, off, [values[0] - slack, values[-1] + slack])

@@ -216,6 +216,26 @@ def test_classify_subcommand(tmp_path, capsys):
     assert code == 2  # alpha and c are mutually exclusive
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--alpha", "-3"], "alpha > 0"),
+    (["--alpha", "0"], "alpha > 0"),
+    (["--alpha", "nan"], "alpha > 0"),
+    (["--c", "nan"], "c > -1/4"),
+])
+def test_classify_rejects_nonsense_exponents(tmp_path, capsys, argv, named):
+    code, err = cli(["classify", *argv, "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert named in err
+
+
+@pytest.mark.parametrize("argv", [["--dt", "0"], ["--dt", "-1"], ["--t-final", "-1"]])
+def test_evolve_rejects_bad_time_steps(tmp_path, capsys, argv):
+    code, err = cli(["evolve", *argv, "--eps", "0.1", "--n-x", "20", "--n-y", "4",
+                     "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "need dt > 0 and T >= 0" in err
+
+
 def test_front_csv_has_family_column(tmp_path, capsys):
     code, err = cli(["front", "--x0", "0.0", "--y0", "0.0", "--n", "8",
                      "--t-final", "0.5", "--param-max", "2.0",

@@ -231,6 +231,23 @@ def test_validation_errors():
         gaussian_bump_state(gen, (0.5, math.pi), 0.3)  # right of the line
 
 
+@pytest.mark.parametrize("T, dt", [(0.01, 0.0), (0.01, -1e-3), (-0.01, 1e-3),
+                                   (0.01, math.nan), (math.nan, 1e-3)])
+def test_run_heat_rejects_bad_time_steps(T, dt):
+    gen = _small_gen()
+    state = gaussian_bump_state(gen, (-1.0, math.pi), 0.3)
+    with pytest.raises(ValueError, match="run_heat: need dt > 0 and T >= 0"):
+        run_heat(gen, state, T, dt)
+
+
+def test_run_heat_to_time_zero_keeps_the_field():
+    gen = _small_gen()
+    state = gaussian_bump_state(gen, (-1.0, math.pi), 0.3)
+    still, _ = run_heat(gen, state, 0.0, 1e-3)
+    assert still.t == 0.0
+    np.testing.assert_allclose(still.u, state.u, rtol=0.0, atol=1e-14)
+
+
 def _loop_assembled(grid):
     """Reference assembly of C, edge by edge, with the degree on the diagonal.
 

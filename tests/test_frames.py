@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import hypothesis.strategies as st
@@ -9,12 +10,15 @@ from arslab import (
     FrameSpec,
     NotAdmissible,
     Point,
+    ScalarField,
     SingularPoint,
     curve_length,
     divergence,
     frame_from_config,
     frame_vectors,
+    gauge_transform,
     gaussian_bump,
+    geodesic_flow,
     gradient,
     laplace_beltrami_coeffs,
     metric_at,
@@ -139,10 +143,11 @@ def test_divergence_matches_weighted_measure_form():
 def _fd_laplacian(frame, field, p, h=1e-5):
     # divergence form (1/w) [d/dx (w u_x) + d/dy (w f**2 u_y)], w = 1/|f|
     def g1(x, y):
-        return float(field.dx(x, y)) / abs(float(frame.f(x, y)))
+        return float(field.derivs(x, y)[1]) / abs(float(frame.f(x, y)))
 
     def g2(x, y):
-        return float(frame.f_squared(x, y)) * float(field.dy(x, y)) / abs(float(frame.f(x, y)))
+        return (float(frame.f_squared(x, y)) * float(field.derivs(x, y)[2])
+                / abs(float(frame.f(x, y))))
 
     ddx = (g1(p.x + h, p.y) - g1(p.x - h, p.y)) / (2.0 * h)
     ddy = (g2(p.x, p.y + h) - g2(p.x, p.y - h)) / (2.0 * h)
@@ -156,8 +161,8 @@ def test_laplace_beltrami_matches_divergence_form():
                FrameSpec.alpha_grushin(0.75)):
         for p in points:
             a_xx, a_yy, b_x, b_y = laplace_beltrami_coeffs(fr, p)
-            got = (a_xx * float(u.dxx(p.x, p.y)) + a_yy * float(u.dyy(p.x, p.y))
-                   + b_x * float(u.dx(p.x, p.y)) + b_y * float(u.dy(p.x, p.y)))
+            _, u_x, u_y, u_xx, u_yy = (float(d) for d in u.derivs(p.x, p.y))
+            got = a_xx * u_xx + a_yy * u_yy + b_x * u_x + b_y * u_y
             want = _fd_laplacian(fr, u, p)
             assert got == pytest.approx(want, rel=1e-5, abs=1e-5)
 
@@ -180,17 +185,54 @@ def test_scalar_field_derivative_checks():
     assert scalar_zero().check_derivatives(pts) == 0.0
 
 
+@pytest.mark.parametrize("index", [1, 2, 3, 4], ids=["s_x", "s_y", "s_xx", "s_yy"])
+def test_check_derivatives_catches_each_corrupted_derivative(index):
+    pts = [(x, y) for x in (-1.5, 0.4) for y in (0.0, 1.0)]
+    good = gaussian_bump(0.7, 0.9)
+
+    def derivs(x, y):
+        d = list(good.derivs(x, y))
+        d[index] = d[index] + 0.01
+        return tuple(d)
+
+    assert dataclasses.replace(good, derivs=derivs).check_derivatives(pts) > 1e-3
+
+
+def test_custom_field_from_derivs_and_jet_alone():
+    """A field given only derivs and jet runs everywhere a built-in one does."""
+    def derivs(x, y):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        zero = np.zeros_like(x)
+        return 0.2 * x * y, 0.2 * y, 0.2 * x, zero, zero
+
+    custom = ScalarField(derivs=derivs, jet=lambda x, y: (0.2 * x * y, 0.2 * y, 0.2 * x))
+    same = polynomial_field([[0.0, 0.0], [0.0, 0.2]])  # 0.2 x y
+    for make in (FrameSpec.f1, FrameSpec.f2):
+        got, want = make(custom), make(same)
+        for p in (Point(0.7, -1.3), Point(-1.6, 0.4)):
+            assert metric_at(got, p) == metric_at(want, p)
+        a = geodesic_flow(got, (-0.4, 0.5, 0.8, 0.6), 1.0, dt=1e-3)
+        b = geodesic_flow(want, (-0.4, 0.5, 0.8, 0.6), 1.0, dt=1e-3)
+        assert np.array_equal(a.states, b.states) and a.energy_drift == b.energy_drift
+        assert a.crossings == b.crossings and len(a.crossings) == 1
+    x = np.array([0.3, -0.8, 1.9])
+    y = np.array([-2.0, 0.5, 1.1])
+    assert np.array_equal(gauge_transform(FrameSpec.f2(custom)).remainder(x, y),
+                          gauge_transform(FrameSpec.f2(same)).remainder(x, y))
+
+
 def test_polynomial_field_exact():
     # 1 + 3y + 2x + xy, so dxx = dyy = 0 identically
     f = polynomial_field([[1.0, 3.0], [2.0, 1.0]])
     rng = np.random.default_rng(11)
     for _ in range(20):
         x, y = rng.uniform(-2.0, 2.0, size=2)
-        assert f.value(x, y) == pytest.approx(1 + 3 * y + 2 * x + x * y, rel=1e-14)
-        assert f.dx(x, y) == pytest.approx(2 + y, rel=1e-14)
-        assert f.dy(x, y) == pytest.approx(3 + x, rel=1e-14)
-        assert f.dxx(x, y) == 0.0
-        assert f.dyy(x, y) == 0.0
+        s, s_x, s_y, s_xx, s_yy = f.derivs(x, y)
+        assert s == pytest.approx(1 + 3 * y + 2 * x + x * y, rel=1e-14)
+        assert s_x == pytest.approx(2 + y, rel=1e-14)
+        assert s_y == pytest.approx(3 + x, rel=1e-14)
+        assert s_xx == 0.0
+        assert s_yy == 0.0
 
 
 def _close(got, want, rel=1e-14):
@@ -209,7 +251,7 @@ def test_jet_matches_array_evaluators(x, y, amplitude, sigma, coeffs):
     for field in (scalar_zero(), gaussian_bump(amplitude, sigma), polynomial_field(coeffs)):
         jet = field.jet(x, y)
         assert all(type(v) is float for v in jet)
-        want = (float(field.value(x, y)), float(field.dx(x, y)), float(field.dy(x, y)))
+        want = tuple(float(d) for d in field.derivs(x, y)[:3])
         assert all(_close(g, w) for g, w in zip(jet, want)), (field.label, jet, want)
 
 
