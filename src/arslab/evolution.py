@@ -151,10 +151,10 @@ def _build_grid(alpha, eps, n_x, x_half, n_y, period):
         raise BadGrid(f"need n_y >= 4, got {n_y}")
     if not (eps > 0 and x_half > eps):
         raise BadGrid(f"need 0 < eps < x_half, got eps={eps}, x_half={x_half}")
-    if alpha <= 0:
-        raise BadGrid(f"need alpha > 0, got {alpha}")
-    if period <= 0:
-        raise BadGrid(f"need period > 0, got {period}")
+    if not 0.0 < alpha < math.inf:
+        raise BadGrid(f"need finite alpha > 0, got {alpha}")
+    if not 0.0 < period < math.inf:
+        raise BadGrid(f"need finite period > 0, got {period}")
     h = 2.0 * x_half / n_x
     x = np.linspace(-x_half, x_half, n_x + 1)
     x[n_x // 2] = 0.0
@@ -225,13 +225,16 @@ def gaussian_bump_state(gen, center, sigma):
     """Gaussian bump on the cylinder, truncated below 1e-12.
 
     The profile is zeroed at all nodes with x >= -h, keeping its support
-    strictly left of the singular line; a center with x >= 0 raises
-    ValueError.
+    strictly left of the singular line.  Raises ValueError for a center
+    with x >= 0, for sigma outside (0, inf), and when no mass of the
+    profile is left on the grid.
     """
     grid = gen.grid
     xc, yc = float(center[0]), float(center[1])
     if xc >= 0:
         raise ValueError("gaussian_bump_state: need center x < 0")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"gaussian_bump_state: need finite sigma > 0, got {sigma}")
     x = grid.x_of_cells()
     y = grid.y_of_cells()
     dy = np.abs(y - yc)
@@ -239,6 +242,9 @@ def gaussian_bump_state(gen, center, sigma):
     u = np.exp(-((x - xc) ** 2 + dy**2) / (2.0 * sigma**2))
     u[u < 1e-12] = 0.0
     u[x >= -grid.h] = 0.0
+    if not gen.total_mass(u) > 0.0:
+        raise ValueError(f"gaussian_bump_state: no mass of the bump at {center} "
+                         f"with sigma {sigma} is left on the grid")
     return EvolutionState(u=u, t=0.0)
 
 

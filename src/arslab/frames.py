@@ -187,8 +187,9 @@ class Point(NamedTuple):
 class FrameSpec:
     """Everything needed to evaluate a frame and its derivatives.
 
-    For the polynomial and bump fields the derivative evaluators are
-    analytic.
+    Two evaluators: derivs(x, y) -> (f, f_x, f_y, f_xx) broadcasts over
+    numpy arrays, and fsq_jet(x, y) -> (f**2, f * f_x, f * f_y) takes one
+    point in plain floats for the geodesic and curve-length loops.
     """
 
     variant: str
@@ -201,8 +202,8 @@ class FrameSpec:
         if self.variant in (VARIANT_F1, VARIANT_F2) and self.log_scale is None:
             raise ValueError(f"variant {self.variant!r} needs a log_scale field")
         if self.variant == VARIANT_ALPHA:
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError("alpha-grushin needs alpha > 0")
+            if self.alpha is None or not 0.0 < self.alpha < math.inf:
+                raise ValueError(f"alpha-grushin needs finite alpha > 0, got {self.alpha}")
 
     # -- constructors ---------------------------------------------------
 
@@ -234,76 +235,34 @@ class FrameSpec:
         """True when the frame degenerates on the line x = 0."""
         return self.variant in (VARIANT_F2, VARIANT_ALPHA)
 
-    def _scaled(self, x, y):
-        """(f, e**s, (s, s_x, s_y, s_xx, s_yy)) of an f1/f2 frame, from one derivs call."""
-        d = self.log_scale.derivs(x, y)
-        e = np.exp(d[0])
-        return (e if self.variant == VARIANT_F1 else x * e), e, d
+    def derivs(self, x, y):
+        """(f, f_x, f_y, f_xx) at float or array points, broadcasting x against y.
 
-    def f(self, x, y):
-        x = np.asarray(x, dtype=float)
+        One evaluation of the scale field per call.  For alpha-grushin at
+        x = 0, f_x and f_xx follow the power rule: 0 where the exponent
+        is positive, inf or nan where it is negative.
+        """
         if self.variant == VARIANT_ALPHA:
-            return np.abs(x) ** self.alpha
-        return self._scaled(x, y)[0]
-
-    def f_dx(self, x, y):
-        x = np.asarray(x, dtype=float)
-        if self.variant == VARIANT_ALPHA:
+            x = np.broadcast_arrays(np.asarray(x, dtype=float), y)[0]
             a = self.alpha
+            ax = np.abs(x)
             with np.errstate(divide="ignore", invalid="ignore"):
-                return a * np.sign(x) * np.abs(x) ** (a - 1.0)
-        _, e, (_, sx, _, _, _) = self._scaled(x, y)
+                return (ax**a, a * np.sign(x) * ax ** (a - 1.0), np.zeros_like(ax),
+                        a * (a - 1.0) * ax ** (a - 2.0))
+        x = np.asarray(x, dtype=float)
+        s, sx, sy, sxx, _ = self.log_scale.derivs(x, y)
+        e = np.exp(s)
         if self.variant == VARIANT_F1:
-            return sx * e
-        return (1.0 + x * sx) * e
-
-    def f_dy(self, x, y):
-        x = np.asarray(x, dtype=float)
-        if self.variant == VARIANT_ALPHA:
-            return np.zeros_like(x)
-        f, _, d = self._scaled(x, y)
-        return f * d[2]
-
-    def f_dxx(self, x, y):
-        x = np.asarray(x, dtype=float)
-        if self.variant == VARIANT_ALPHA:
-            a = self.alpha
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return a * (a - 1.0) * np.abs(x) ** (a - 2.0)
-        _, e, (_, sx, _, sxx, _) = self._scaled(x, y)
-        if self.variant == VARIANT_F1:
-            return (sxx + sx**2) * e
-        return (2.0 * sx + x * sxx + x * sx**2) * e
-
-    def f_squared(self, x, y):
-        x = np.asarray(x, dtype=float)
-        if self.variant == VARIANT_ALPHA:
-            return np.abs(x) ** (2.0 * self.alpha)
-        return self.f(x, y) ** 2
-
-    def f_times_fx(self, x, y):
-        """f * df/dx, which stays finite down to x = 0 for alpha >= 1/2."""
-        x = np.asarray(x, dtype=float)
-        if self.variant == VARIANT_ALPHA:
-            a = self.alpha
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = a * np.sign(x) * np.abs(x) ** (2.0 * a - 1.0)
-            return np.where(x == 0.0, 0.0 if 2.0 * a - 1.0 >= 0 else np.inf, out)
-        return self.f(x, y) * self.f_dx(x, y)
-
-    def f_times_fy(self, x, y):
-        x = np.asarray(x, dtype=float)
-        if self.variant == VARIANT_ALPHA:
-            return np.zeros_like(x)
-        f, _, d = self._scaled(x, y)
-        return f**2 * d[2]
+            return e, sx * e, e * sy, (sxx + sx**2) * e
+        f = x * e
+        return f, (1.0 + x * sx) * e, f * sy, (2.0 * sx + x * sxx + x * sx**2) * e
 
     def fsq_jet(self, x, y):
         """(f**2, f * f_x, f * f_y) at one point, in plain floats.
 
         These are f**2 and the gradient of f**2 / 2, all the Hamiltonian
         flow needs.  For alpha-grushin at x = 0, f * f_x is 0 when
-        alpha >= 1/2 and inf below, as in f_times_fx.
+        alpha >= 1/2 and inf below, the limit of |x|**(2 alpha - 1).
         """
         if self.variant == VARIANT_ALPHA:
             a = self.alpha
@@ -336,8 +295,16 @@ class MetricData:
 
 def frame_vectors(frame, p):
     """The orthonormal frame at p; defined everywhere, including x = 0."""
-    fv = float(frame.f(p[0], p[1]))
+    fv = float(frame.derivs(p[0], p[1])[0])
     return ((1.0, 0.0), (0.0, fv))
+
+
+def _regular_derivs(frame, p, who):
+    """frame.derivs at p as floats; SingularPoint where f vanishes."""
+    fv, fx, fy, fxx = (float(d) for d in frame.derivs(p[0], p[1]))
+    if fv == 0.0:
+        raise SingularPoint(f"{who}: frame degenerates at {tuple(p)}")
+    return fv, fx, fy, fxx
 
 
 def metric_at(frame, p):
@@ -348,12 +315,7 @@ def metric_at(frame, p):
 
         K = (f * f_xx - 2 * f_x**2) / f**2.
     """
-    x, y = p[0], p[1]
-    fv = float(frame.f(x, y))
-    if fv == 0.0:
-        raise SingularPoint(f"metric_at: frame degenerates at {tuple(p)}")
-    fx = float(frame.f_dx(x, y))
-    fxx = float(frame.f_dxx(x, y))
+    fv, fx, _, fxx = _regular_derivs(frame, p, "metric_at")
     curv = (fv * fxx - 2.0 * fx * fx) / fv**2
     return MetricData(
         g11=1.0,
@@ -371,8 +333,8 @@ def gradient(frame, p, dvalue):
     Equals (d/dx, f**2 * d/dy); well defined on the singular line, where
     it degenerates to a multiple of (1, 0).
     """
-    fsq = float(frame.f_squared(p[0], p[1]))
-    return (float(dvalue[0]), fsq * float(dvalue[1]))
+    fv = float(frame.derivs(p[0], p[1])[0])
+    return (float(dvalue[0]), fv * fv * float(dvalue[1]))
 
 
 def divergence(frame, p, vec, dvec):
@@ -381,12 +343,7 @@ def divergence(frame, p, vec, dvec):
     vec = (Y1, Y2) at p, dvec = (dY1/dx, dY2/dy).  The weight 1/|f|
     contributes -(f_x/f) Y1 - (f_y/f) Y2; blows up on the singular line.
     """
-    x, y = p[0], p[1]
-    fv = float(frame.f(x, y))
-    if fv == 0.0:
-        raise SingularPoint(f"divergence: frame degenerates at {tuple(p)}")
-    fx = float(frame.f_dx(x, y))
-    fy = float(frame.f_dy(x, y))
+    fv, fx, fy, _ = _regular_derivs(frame, p, "divergence")
     return float(dvec[0]) + float(dvec[1]) - (fx / fv) * float(vec[0]) - (fy / fv) * float(vec[1])
 
 
@@ -397,12 +354,8 @@ def laplace_beltrami_coeffs(frame, p):
     with a_xx = 1, a_yy = f**2, b_x = -f_x/f, b_y = f*f_y.  The first
     order x coefficient blows up on the singular line.
     """
-    x, y = p[0], p[1]
-    fv = float(frame.f(x, y))
-    if fv == 0.0:
-        raise SingularPoint(f"laplace_beltrami_coeffs: frame degenerates at {tuple(p)}")
-    fx = float(frame.f_dx(x, y))
-    return (1.0, fv * fv, -fx / fv, float(frame.f_times_fy(x, y)))
+    fv, fx, fy, _ = _regular_derivs(frame, p, "laplace_beltrami_coeffs")
+    return (1.0, fv * fv, -fx / fv, fv * fy)
 
 
 # -- curve length -------------------------------------------------------

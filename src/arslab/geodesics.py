@@ -128,14 +128,18 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
 
     Records the full trajectory on the uniform grid T/n with
     n = round(T/dt), plus interpolated crossing events of x = 0.
-    Raises StepSizeTooLarge when the energy drift exceeds 100 * tol_H;
-    the measured drift is stored on the returned Trajectory either way.
+    Raises StepSizeTooLarge unless the energy drift, recomputed from the
+    array evaluator f, is at most 100 * tol_H (a non-finite drift fails).
     """
     if dt <= 0:
         raise ValueError("geodesic_flow: dt must be positive")
     if T < 0:
         raise ValueError("geodesic_flow: T must be non-negative")
+    if not 0.0 < tol_H < math.inf:
+        raise ValueError(f"geodesic_flow: need finite tol_H > 0, got {tol_H}")
     x, y, px, py = (float(v) for v in state0)
+    if not all(map(math.isfinite, (x, y, px, py))):
+        raise ValueError(f"geodesic_flow: need a finite start state, got {tuple(state0)}")
     n = max(1, int(round(T / dt)))
     dt_eff = T / n
     jet = frame.fsq_jet
@@ -162,10 +166,12 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
         states[i + 1] = (x, y, px, py)
 
     t_grid = np.linspace(0.0, T, n + 1)
-    fsq = np.asarray(frame.f_squared(states[:, 0], states[:, 1]), dtype=float)
-    energies = 0.5 * (states[:, 2] ** 2 + fsq * states[:, 3] ** 2)
-    drift = float(np.max(np.abs(energies - energies[0])))
-    if drift > 100.0 * tol_H:
+    # a blown-up trajectory makes the drift inf or nan, which the gate rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        fsq = frame.derivs(states[:, 0], states[:, 1])[0] ** 2
+        energies = 0.5 * (states[:, 2] ** 2 + fsq * states[:, 3] ** 2)
+        drift = float(np.max(np.abs(energies - energies[0])))
+    if not drift <= 100.0 * tol_H:
         raise StepSizeTooLarge(
             f"geodesic_flow: energy drift {drift:.3e} exceeds {100.0 * tol_H:.3e}; "
             f"reduce dt below {dt_eff:.3e}")
@@ -264,7 +270,7 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4):
                      families=families, endpoints=endpoints,
                      provenance="closed-form" if closed else "integrated")
 
-    f0 = abs(float(frame.f(start.x, start.y)))
+    f0 = abs(float(frame.derivs(start.x, start.y)[0]))
     thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     endpoints = np.empty((n, 2))
     for row, theta in enumerate(thetas):

@@ -90,7 +90,7 @@ def test_criterion_3_horizontal_crossings():
     worst_ydot = 0.0
     worst_xdot = 0.0
     for ev in traj.crossings:
-        ydot = float(GRUSHIN.f_squared(ev.x, ev.y)) * ev.py
+        ydot = float(GRUSHIN.derivs(ev.x, ev.y)[0]) ** 2 * ev.py
         worst_ydot = max(worst_ydot, abs(ydot))
         worst_xdot = max(worst_xdot, abs(abs(ev.px) - 1.0))
     ok = len(traj.crossings) == 2 and worst_ydot <= 1e-4 and worst_xdot <= 1e-4

@@ -236,6 +236,57 @@ def test_evolve_rejects_bad_time_steps(tmp_path, capsys, argv):
     assert "need dt > 0 and T >= 0" in err
 
 
+_FAST_EVOLVE = ["evolve", "--eps", "0.1", "--n-x", "20", "--n-y", "4"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["metric", "--variant", "alpha-grushin", "--frame-alpha", "nan"], "finite alpha > 0"),
+    (["metric", "--variant", "alpha-grushin", "--frame-alpha", "inf"], "finite alpha > 0"),
+    (["geodesic", "--variant", "alpha-grushin", "--frame-alpha", "nan", "--t-final", "0.01"],
+     "finite alpha > 0"),
+    (["geodesic", "--variant", "alpha-grushin", "--frame-alpha", "inf", "--t-final", "0.01"],
+     "finite alpha > 0"),
+    (_FAST_EVOLVE + ["--alpha", "nan"], "finite alpha > 0"),
+    (_FAST_EVOLVE + ["--alpha", "inf"], "finite alpha > 0"),
+    (_FAST_EVOLVE + ["--period", "nan"], "finite period > 0"),
+    (_FAST_EVOLVE + ["--period", "inf"], "finite period > 0"),
+])
+def test_non_finite_exponents_and_periods_are_usage_errors(tmp_path, capsys, argv, named):
+    code, err = cli([*argv, "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert named in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, code, named", [
+    (["--px0", "nan"], 2, "finite start state"),
+    (["--x0", "inf"], 2, "finite start state"),
+    (["--tol-h", "nan"], 2, "finite tol_H > 0"),
+    (["--tol-h", "-1"], 2, "finite tol_H > 0"),
+    (["--tol-h", "inf"], 2, "finite tol_H > 0"),
+    (["--py0", "1e200"], 3, "energy drift nan"),
+])
+def test_geodesic_energy_gate_has_no_nan_hole(tmp_path, capsys, argv, code, named):
+    got, err = cli(["geodesic", *argv, "--t-final", "0.01", "--out-dir", str(tmp_path)],
+                   capsys)
+    assert got == code
+    assert "geodesic_flow" in err and named in err
+    assert not (tmp_path / "geodesic.csv").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--bump-sigma", "0"], "finite sigma > 0"),
+    (["--bump-sigma", "-0.3"], "finite sigma > 0"),
+    (["--bump-sigma", "nan"], "finite sigma > 0"),
+    (["--bump-x", "-10"], "no mass of the bump"),
+    (["--bump-y", "nan"], "no mass of the bump"),
+])
+def test_evolve_rejects_an_empty_start_bump(tmp_path, capsys, argv, named):
+    code, err = cli([*_FAST_EVOLVE, *argv, "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "gaussian_bump_state" in err and named in err
+
+
 def test_front_csv_has_family_column(tmp_path, capsys):
     code, err = cli(["front", "--x0", "0.0", "--y0", "0.0", "--n", "8",
                      "--t-final", "0.5", "--param-max", "2.0",

@@ -117,6 +117,26 @@ def test_flow_rejects_bad_arguments():
         geodesic_flow(GRUSHIN, (0.0, 0.0, 1.0, 0.0), -1.0)
 
 
+@pytest.mark.parametrize("state0, tol_H", [
+    ((0.0, 0.0, math.nan, 0.5), 1e-8),
+    ((0.0, -math.inf, 1.0, 0.5), 1e-8),
+    ((0.0, 0.0, 1.0, 0.5), math.nan),
+    ((0.0, 0.0, 1.0, 0.5), -1.0),
+    ((0.0, 0.0, 1.0, 0.5), 0.0),
+    ((0.0, 0.0, 1.0, 0.5), math.inf),
+])
+def test_flow_rejects_non_finite_starts_and_tolerances(state0, tol_H):
+    with pytest.raises(ValueError, match="geodesic_flow"):
+        geodesic_flow(GRUSHIN, state0, 0.01, tol_H=tol_H)
+
+
+@pytest.mark.parametrize("frame", [GRUSHIN, FrameSpec.alpha_grushin(1.5)])
+def test_energy_gate_rejects_a_blown_up_trajectory(frame):
+    # the trajectory overflows to inf and nan; a nan drift must not pass
+    with pytest.raises(StepSizeTooLarge, match="energy drift nan"):
+        geodesic_flow(frame, (-1.0, 0.0, 0.5, 1e200), 0.01)
+
+
 # -- fronts ---------------------------------------------------------------
 
 

@@ -81,7 +81,8 @@ def _conjugation_error(frame, n):
     hx = xs[1] - xs[0]
     hy = ys[1] - ys[0]
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    W = np.sqrt(np.abs(frame.f(X, Y)))
+    fv, f_x, f_y, _ = frame.derivs(X, Y)
+    W = np.sqrt(np.abs(fv))
 
     c1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
     c2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
@@ -98,10 +99,9 @@ def _conjugation_error(frame, n):
     Wy = deriv(W, 1, c1, hy)
     Wyy = deriv(W, 1, c2, hy * hy)
 
-    fsq = frame.f_squared(X, Y)
-    fv = frame.f(X, Y)
-    b_x = -frame.f_dx(X, Y) / fv
-    b_y = frame.f_times_fy(X, Y)
+    fsq = fv**2
+    b_x = -f_x / fv
+    b_y = fv * f_y
     lap_w = Wxx + fsq * Wyy + b_x * Wx + b_y * Wy
 
     pot = gauge_transform(frame)
