@@ -226,20 +226,24 @@ def gaussian_bump_state(gen, center, sigma):
 
     The profile is zeroed at all nodes with x >= -h, keeping its support
     strictly left of the singular line.  Raises ValueError for a center
-    with x >= 0, for sigma outside (0, inf), and when no mass of the
-    profile is left on the grid.
+    with x >= 0, for sigma outside (0, inf) or so small or large that
+    2 sigma**2 under- or overflows, and when no mass of the profile is
+    left on the grid.
     """
     grid = gen.grid
     xc, yc = float(center[0]), float(center[1])
     if xc >= 0:
         raise ValueError("gaussian_bump_state: need center x < 0")
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"gaussian_bump_state: need finite sigma > 0, got {sigma}")
+    if not (sigma > 0.0 and sigma * sigma > 0.0 and 2.0 * sigma * sigma < math.inf):
+        raise ValueError(f"gaussian_bump_state: need finite sigma > 0 with 2 sigma**2 "
+                         f"neither underflowing nor overflowing, got {sigma}")
     x = grid.x_of_cells()
     y = grid.y_of_cells()
     dy = np.abs(y - yc)
     dy = np.minimum(dy, grid.period - dy)
-    u = np.exp(-((x - xc) ** 2 + dy**2) / (2.0 * sigma**2))
+    # an exponent that overflows to -inf is a tail below the 1e-12 cut anyway
+    with np.errstate(over="ignore"):
+        u = np.exp(-((x - xc) ** 2 + dy**2) / (2.0 * sigma**2))
     u[u < 1e-12] = 0.0
     u[x >= -grid.h] = 0.0
     if not gen.total_mass(u) > 0.0:

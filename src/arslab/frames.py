@@ -18,8 +18,9 @@ here; arslab.martinet treats its mode decomposition directly.
 All pointwise quantities (frame vectors, metric, area density, Gaussian
 curvature, gradient, divergence, Laplace-Beltrami coefficients) are
 evaluated from f and its derivatives, and curve_length integrates the
-induced length of sampled paths including the improper case where a path
-meets the singular line.
+induced length of sampled paths.  Whether a path that meets the singular
+line has finite length follows from the order to which f vanishes there
+(1 for f2, alpha for alpha-grushin), not from the quadrature.
 """
 
 from __future__ import annotations
@@ -262,15 +263,17 @@ class FrameSpec:
 
         These are f**2 and the gradient of f**2 / 2, all the Hamiltonian
         flow needs.  For alpha-grushin at x = 0, f * f_x is 0 when
-        alpha >= 1/2 and inf below, the limit of |x|**(2 alpha - 1).
+        alpha >= 1/2 and inf below, the limit of |x|**(2 alpha - 1);
+        elsewhere f * f_x is formed in derivs' operation order, so the two
+        evaluators agree bit for bit.
         """
         if self.variant == VARIANT_ALPHA:
             a = self.alpha
-            two_a = 2.0 * a
             ax = abs(x)
             if ax == 0.0:
-                return 0.0, (0.0 if two_a - 1.0 >= 0.0 else math.inf), 0.0
-            return ax**two_a, math.copysign(a * ax ** (two_a - 1.0), x), 0.0
+                return 0.0, (0.0 if a >= 0.5 else math.inf), 0.0
+            f = ax**a
+            return f * f, math.copysign(f * (a * ax ** (a - 1.0)), x), 0.0
         s, s_x, s_y = self.log_scale.jet(x, y)
         e = math.exp(s)
         if self.variant == VARIANT_F1:
@@ -384,11 +387,8 @@ def _simpson_rec(g, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-# curve_length's Simpson tolerance, window rule and refinement depth
+# curve_length's Simpson tolerance
 _LENGTH_TOL = 1e-10
-_DIVERGENCE_INCREMENT = 1.0
-_DIVERGENCE_WINDOW = 10
-_MAX_LEVELS = 60
 
 
 def curve_length(frame, t, x, y, *, strict=False):
@@ -396,17 +396,15 @@ def curve_length(frame, t, x, y, *, strict=False):
 
     The path is the piecewise-linear interpolant of the samples
     (t[i], x[i], y[i]); between samples the velocity is the finite
-    difference of consecutive samples.  Segments crossing or touching
-    the singular line are integrated as improper integrals by dyadic
-    refinement toward the singular time, at most 60 levels per side.
-    If the partial sums still grow by more than 1 over 10 consecutive
-    refinement levels, the length is declared infinite: math.inf is
-    returned, or NotAdmissible is raised when strict=True.
-
-    The dyadic window rule separates the logarithmic blow-up of
-    non-admissible crossings from convergent improper integrals; for
-    exponents very close to the borderline it deliberately errs on the
-    infinite side.
+    difference of consecutive samples.  On the singular variants f
+    vanishes on x = 0 like |x|**order, with order 1 for f2 and alpha for
+    alpha-grushin, so a segment with vy != 0 that meets the line has
+    finite length exactly when order < 1.  Such a segment is integrated
+    on each side of its crossing time tau0 after the substitution
+    |tau - tau0| = u**p, p = 1 / (1 - order), which leaves a bounded
+    integrand.  A segment that meets the line when order >= 1, or runs
+    along it, has infinite length: math.inf is returned, or
+    NotAdmissible is raised when strict=True.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -422,6 +420,7 @@ def curve_length(frame, t, x, y, *, strict=False):
         return math.inf
 
     singular = frame.is_singular_variant
+    order = frame.alpha if frame.variant == VARIANT_ALPHA else 1.0
     fsq_jet = frame.fsq_jet
     t, x, y = t.tolist(), x.tolist(), y.tolist()
     total = 0.0
@@ -432,6 +431,7 @@ def curve_length(frame, t, x, y, *, strict=False):
         x0, y0 = x[i], y[i]
         vx = (x[i + 1] - x[i]) / dt
         vy = (y[i + 1] - y[i]) / dt
+        tol = _LENGTH_TOL * max(1.0, dt)
 
         def speed(tau):
             # tau measured from t[i]; the speed is infinite where f vanishes
@@ -442,65 +442,29 @@ def curve_length(frame, t, x, y, *, strict=False):
             total += abs(vx) * dt
             continue
         if not singular:
-            total += _adaptive_simpson(speed, 0.0, dt, _LENGTH_TOL * max(1.0, dt))
+            total += _adaptive_simpson(speed, 0.0, dt, tol)
             continue
 
         # Singular variants: f vanishes exactly where x(tau) = 0.
         if x0 == 0.0 and vx == 0.0:
             return declare_infinite()  # runs along the singular line with vy != 0
-        if vx != 0.0:
-            tau_zero = -x0 / vx
-        else:
-            tau_zero = math.nan
-        if not (0.0 <= tau_zero <= dt) or math.isnan(tau_zero):
-            total += _adaptive_simpson(speed, 0.0, dt, _LENGTH_TOL * max(1.0, dt))
+        tau_zero = -x0 / vx if vx != 0.0 else math.nan
+        if not 0.0 <= tau_zero <= dt:
+            total += _adaptive_simpson(speed, 0.0, dt, tol)
             continue
+        if order >= 1.0:
+            return declare_infinite()
 
-        # Improper segment: integrate each side by dyadic refinement
-        # toward tau_zero.
-        for lo, hi in ((0.0, tau_zero), (tau_zero, dt)):
-            span = hi - lo
-            if span == 0.0:
-                continue
-            toward_lo = lo == tau_zero  # singularity at the lo end
-            side_sum = 0.0
-            window = []
-            contrib_prev = None
-            ratio = None
-            contrib = 0.0
-            for lev in range(1, _MAX_LEVELS + 1):
-                outer = span * 2.0 ** (1 - lev)
-                inner = span * 2.0 ** (-lev)
-                if toward_lo:
-                    a, b = lo + inner, lo + outer
-                    if a <= lo or not a < b:  # shell below float resolution
-                        break
-                else:
-                    a, b = hi - outer, hi - inner
-                    if b >= hi or not a < b:
-                        break
-                contrib = _adaptive_simpson(speed, a, b, _LENGTH_TOL * max(1.0, span))
-                side_sum += contrib
-                window.append(contrib)
-                if len(window) > _DIVERGENCE_WINDOW:
-                    window.pop(0)
-                # log-divergence signature: the window still carries more
-                # than the increment AND per-level contributions have
-                # stopped decaying (convergent improper integrals decay
-                # geometrically, so deep windows always drain)
-                if (len(window) == _DIVERGENCE_WINDOW
-                        and sum(window) > _DIVERGENCE_INCREMENT
-                        and window[-1] > 0.5 * window[0]):
-                    return declare_infinite()
-                if contrib_prev is not None and contrib_prev > 0.0:
-                    ratio = contrib / contrib_prev
-                contrib_prev = contrib
-                if contrib < 1e-13 * (1.0 + total + side_sum):
-                    break
-            # Geometric tail estimate for convergent improper integrals.
-            if ratio is not None and 0.0 < ratio < 0.97:
-                side_sum += contrib * ratio / (1.0 - ratio)
-            total += side_sum
+        # Only alpha-grushin gets here, where f = |vx (tau - tau0)|**alpha on
+        # the segment, so speed * dtau/du = p * hypot(vx u**(p - 1), vy / |vx|**alpha).
+        p = 1.0 / (1.0 - order)
+        c = vy / abs(vx) ** order
+
+        def smoothed(u):
+            return p * math.hypot(vx * u ** (p - 1.0), c)
+
+        for span in (tau_zero, dt - tau_zero):
+            total += _adaptive_simpson(smoothed, 0.0, span ** (1.0 / p), tol)
     return total
 
 

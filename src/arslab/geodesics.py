@@ -129,7 +129,8 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
     Records the full trajectory on the uniform grid T/n with
     n = round(T/dt), plus interpolated crossing events of x = 0.
     Raises StepSizeTooLarge unless the energy drift, recomputed from the
-    array evaluator f, is at most 100 * tol_H (a non-finite drift fails).
+    array evaluator f, is at most 100 * tol_H (a non-finite drift fails),
+    and also when a float evaluation overflows or leaves its domain.
     """
     if dt <= 0:
         raise ValueError("geodesic_flow: dt must be positive")
@@ -149,21 +150,29 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
     crossings = []
     half = 0.5 * dt_eff
     sixth = dt_eff / 6.0
-    for i in range(n):
-        k1 = _rhs(jet, x, y, px, py)
-        k2 = _rhs(jet, x + half * k1[0], y + half * k1[1], px + half * k1[2], py + half * k1[3])
-        k3 = _rhs(jet, x + half * k2[0], y + half * k2[1], px + half * k2[2], py + half * k2[3])
-        k4 = _rhs(jet, x + dt_eff * k3[0], y + dt_eff * k3[1], px + dt_eff * k3[2],
-                  py + dt_eff * k3[3])
-        xn = x + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        yn = y + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        pxn = px + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-        pyn = py + sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
-        if x * xn < 0.0 or (xn == 0.0 and x != 0.0):
-            crossings.append(_locate_crossing(
-                frame, i * dt_eff, dt_eff, (x, y, px, py), (xn, yn, pxn, pyn)))
-        x, y, px, py = xn, yn, pxn, pyn
-        states[i + 1] = (x, y, px, py)
+    try:
+        for i in range(n):
+            k1 = _rhs(jet, x, y, px, py)
+            k2 = _rhs(jet, x + half * k1[0], y + half * k1[1], px + half * k1[2],
+                      py + half * k1[3])
+            k3 = _rhs(jet, x + half * k2[0], y + half * k2[1], px + half * k2[2],
+                      py + half * k2[3])
+            k4 = _rhs(jet, x + dt_eff * k3[0], y + dt_eff * k3[1], px + dt_eff * k3[2],
+                      py + dt_eff * k3[3])
+            xn = x + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+            yn = y + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+            pxn = px + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
+            pyn = py + sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
+            if x * xn < 0.0 or (xn == 0.0 and x != 0.0):
+                crossings.append(_locate_crossing(
+                    frame, i * dt_eff, dt_eff, (x, y, px, py), (xn, yn, pxn, pyn)))
+            x, y, px, py = xn, yn, pxn, pyn
+            states[i + 1] = (x, y, px, py)
+    except (OverflowError, ValueError) as exc:
+        # a float jet raises where the state has blown up past the floats
+        raise StepSizeTooLarge(
+            f"geodesic_flow: the state left the floats at t = {i * dt_eff:.3e} ({exc}); "
+            f"reduce dt below {dt_eff:.3e}") from exc
 
     t_grid = np.linspace(0.0, T, n + 1)
     # a blown-up trajectory makes the drift inf or nan, which the gate rejects

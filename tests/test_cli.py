@@ -265,6 +265,13 @@ def test_non_finite_exponents_and_periods_are_usage_errors(tmp_path, capsys, arg
     (["--tol-h", "-1"], 2, "finite tol_H > 0"),
     (["--tol-h", "inf"], 2, "finite tol_H > 0"),
     (["--py0", "1e200"], 3, "energy drift nan"),
+    # blow-ups that overflow or leave the domain of a float jet
+    (["--variant", "alpha-grushin", "--frame-alpha", "3", "--x0", "1e200"], 3,
+     "left the floats"),
+    (["--variant", "alpha-grushin", "--frame-alpha", "1.5", "--x0", "1e200"], 3,
+     "energy drift nan"),
+    (["--variant", "f2", "--log-scale", "gaussian-bump(0.3,0.7)", "--py0", "1e200"], 3,
+     "left the floats"),
 ])
 def test_geodesic_energy_gate_has_no_nan_hole(tmp_path, capsys, argv, code, named):
     got, err = cli(["geodesic", *argv, "--t-final", "0.01", "--out-dir", str(tmp_path)],
@@ -280,6 +287,9 @@ def test_geodesic_energy_gate_has_no_nan_hole(tmp_path, capsys, argv, code, name
     (["--bump-sigma", "nan"], "finite sigma > 0"),
     (["--bump-x", "-10"], "no mass of the bump"),
     (["--bump-y", "nan"], "no mass of the bump"),
+    (["--bump-sigma", "1e-200"], "2 sigma**2 neither underflowing nor overflowing"),
+    (["--bump-sigma", "1e200"], "2 sigma**2 neither underflowing nor overflowing"),
+    (["--bump-sigma", "1e-160"], "no mass of the bump"),
 ])
 def test_evolve_rejects_an_empty_start_bump(tmp_path, capsys, argv, named):
     code, err = cli([*_FAST_EVOLVE, *argv, "--out-dir", str(tmp_path)], capsys)

@@ -4,7 +4,8 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from scipy.integrate import quad
 
 from arslab import (
     FrameSpec,
@@ -257,6 +258,8 @@ def test_jet_matches_array_evaluators(x, y, amplitude, sigma, coeffs):
 
 @settings(max_examples=60, deadline=None)
 @given(x=_coord, y=_coord, alpha=st.floats(0.1, 3.0))
+# one pow for |x|**(2 alpha - 1) missed derivs' two by 1.23e-14 relative here
+@example(x=7.103108846948233e-78, y=0.0, alpha=0.10000000000000002)
 def test_fsq_jet_matches_array_evaluators(x, y, alpha):
     for fr in (GRUSHIN, _bump_frame("f1"), _bump_frame("f2"),
                FrameSpec.f2(polynomial_field([[0.1, -0.3], [0.2, 0.05]])),
@@ -396,6 +399,30 @@ def test_length_diagonal_grushin_is_infinite():
 def test_length_along_singular_line_is_infinite():
     out = curve_length(GRUSHIN, [0.0, 1.0], [0.0, 0.0], [0.0, 1.0])
     assert math.isinf(out)
+    # even where a transversal crossing has finite length
+    out = curve_length(FrameSpec.alpha_grushin(0.5), [0.0, 1.0], [0.0, 0.0], [0.0, 1.0])
+    assert math.isinf(out)
+
+
+@pytest.mark.parametrize("frame", [GRUSHIN, _bump_frame("f2")], ids=["grushin", "f2-bump"])
+@pytest.mark.parametrize("slope", [0.3, 0.1, 0.01])
+@pytest.mark.parametrize("t", [[-0.5, 0.5], np.linspace(-0.5, 0.7, 7)], ids=["2", "7"])
+def test_length_shallow_crossing_of_unit_order_is_infinite(frame, slope, t):
+    # f vanishes to first order on x = 0: every transversal crossing diverges
+    t = np.asarray(t)
+    assert math.isinf(curve_length(frame, t, t, slope * t))
+    with pytest.raises(NotAdmissible):
+        curve_length(frame, t, t, slope * t, strict=True)
+
+
+@pytest.mark.parametrize("alpha", [0.8, 0.9, 0.95, 0.99])
+@pytest.mark.parametrize("n", [2, 101])
+def test_length_diagonal_near_unit_order_matches_quadrature(alpha, n):
+    # on x = y = t the speed is sqrt(1 + |t|**(-2 alpha)) = |t|**(-alpha) sqrt(|t|**(2 alpha) + 1)
+    oracle = 2.0 * quad(lambda t: math.sqrt(t ** (2.0 * alpha) + 1.0), 0.0, 1.0,
+                        weight="alg", wvar=(-alpha, 0.0), epsabs=0.0, epsrel=1e-13)[0]
+    t = np.linspace(-1.0, 1.0, n)
+    assert curve_length(FrameSpec.alpha_grushin(alpha), t, t, t) == pytest.approx(oracle, rel=1e-9)
 
 
 def test_length_is_parametrization_invariant():
