@@ -23,6 +23,7 @@ square-integrable deficiency solutions.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -47,6 +48,10 @@ __all__ = [
     "richardson_extrapolate",
     "spectrum_2d",
 ]
+
+# LSODA step budget of the deficiency probe; odeint's default of 500 runs
+# out before eps at c = 0.5
+_ODEINT_MXSTEP = 100_000
 
 
 @dataclass(frozen=True)
@@ -212,14 +217,24 @@ def deficiency_index_numeric(c, eps=1e-3, x_far=10.0):
     """Count L2 deficiency solutions at x = 0 by direct integration.
 
     Integrates -u'' + (c/x**2) u = i u inward from x_far with decaying
-    initial data, fits u at 48 points of [eps, 4 eps] to the frozen basis
-    x**s_plus, x**s_minus, and counts 1 when the minus component is both
-    present above the fit noise floor and square integrable near 0.
+    initial data (LSODA, scipy's odeint), fits u at 48 points of
+    [eps, 4 eps] to the frozen basis x**s_plus, x**s_minus, and counts 1
+    when the minus component is both present above the fit noise floor
+    and square integrable near 0.
+
+    In practice the exponent decides the count: over c in [-0.2499, 3]
+    at (eps, x_far) = (1e-3, 10), (1e-4, 10) and (1e-2, 5) the minus
+    component carries at least 0.517 of the fitted amplitude, so the
+    presence test never fails and the count is 1 exactly when
+    s_minus > -1/2, i.e. c < 3/4.
+
     Raises FitIllConditioned when the exponents are too close to
-    separate.
+    separate, when the integration fails, or when the solution overflows
+    (x_far beyond about 1e3).
     """
-    # scipy.integrate costs a fifth of a second to import; only this probe needs it
-    from scipy.integrate import solve_ivp
+    # scipy.integrate costs a fifth of a second to import; only this probe needs
+    # it, for LSODA (odeint), which runs the whole integration in compiled code
+    from scipy.integrate import ODEintWarning, odeint
 
     c = float(c)
     report = classify_self_adjoint(c)
@@ -238,11 +253,22 @@ def deficiency_index_numeric(c, eps=1e-3, x_far=10.0):
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     w0 = (1.0, 0.0, -inv_sqrt2, inv_sqrt2)  # u = 1, u' = -sqrt(-i)
     t_eval = np.geomspace(4.0 * eps, eps, 48)
-    sol = solve_ivp(rhs, (x_far, eps), w0, t_eval=t_eval, method="DOP853",
-                    rtol=1e-11, atol=1e-14)
-    if not sol.success:
-        raise FitIllConditioned(f"deficiency_index_numeric: integration failed: {sol.message}")
-    u = sol.y[0] + 1j * sol.y[1]
+    # odeint reports a failed integration only as a warning; an overflowing
+    # state is caught by the finiteness check below
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("error", ODEintWarning)
+        try:
+            states = odeint(rhs, w0, np.concatenate(([x_far], t_eval)), tfirst=True,
+                            rtol=1e-11, atol=1e-14, mxstep=_ODEINT_MXSTEP)
+        except ODEintWarning as exc:
+            message = str(exc).partition(" Run with full_output")[0]
+            raise FitIllConditioned(
+                f"deficiency_index_numeric: integration failed: {message}") from None
+    u = states[1:, 0] + 1j * states[1:, 1]
+    if not np.all(np.isfinite(u)):
+        raise FitIllConditioned(
+            f"deficiency_index_numeric: the solution overflowed between x_far = {x_far!r}"
+            f" and eps = {eps!r}")
     basis = np.column_stack([t_eval**s_plus, t_eval**s_minus])
     coef, *_ = np.linalg.lstsq(basis, u, rcond=None)
     amp_plus = abs(coef[0]) * float(np.max(basis[:, 0]))

@@ -217,6 +217,47 @@ def test_classify_subcommand(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, named", [
+    (["--x-far", "1e4"], "solution overflowed"),
+    (["--eps", "1e-160"], "integration failed"),
+])
+def test_classify_failed_integration_exits_3(tmp_path, capsys, argv, named):
+    code, err = cli(["classify", "--c", "0.5", "--numeric-check", *argv,
+                     "--out-dir", str(tmp_path)], capsys)
+    assert code == 3
+    assert "deficiency_index_numeric" in err and named in err
+    assert not (tmp_path / "classify.json").exists()
+
+
+_CLASSIFY_GOLDEN = {
+    "0.5": ('"alpha": 0.5', '"deficiency_count": 1', '"essentially_self_adjoint": false',
+            '"indicial_minus": -0.25', '"indicial_plus": 1.25',
+            '"inverse_square_coeff": 0.3125', '"numeric_deficiency_count": 1',
+            '"verdict": "needs-boundary-condition"'),
+    "0.9": ('"alpha": 0.9', '"deficiency_count": 1', '"essentially_self_adjoint": false',
+            '"indicial_minus": -0.44999999999999996', '"indicial_plus": 1.45',
+            '"inverse_square_coeff": 0.6525', '"numeric_deficiency_count": 1',
+            '"verdict": "needs-boundary-condition"'),
+    "1.5": ('"alpha": 1.5', '"deficiency_count": 0', '"essentially_self_adjoint": true',
+            '"indicial_minus": -0.75', '"indicial_plus": 1.75',
+            '"inverse_square_coeff": 1.3125', '"numeric_deficiency_count": 0',
+            '"verdict": "essentially-self-adjoint"'),
+    "2.5": ('"alpha": 2.5', '"deficiency_count": 0', '"essentially_self_adjoint": true',
+            '"indicial_minus": -1.25', '"indicial_plus": 2.25',
+            '"inverse_square_coeff": 2.8125', '"numeric_deficiency_count": 0',
+            '"verdict": "essentially-self-adjoint"'),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(_CLASSIFY_GOLDEN))
+def test_classify_numeric_check_matches_golden_bytes(tmp_path, capsys, alpha):
+    code, err = cli(["classify", "--alpha", alpha, "--numeric-check",
+                     "--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
+    want = "{\n" + ",\n".join("  " + line for line in _CLASSIFY_GOLDEN[alpha]) + "\n}\n"
+    assert (tmp_path / "classify.json").read_text() == want
+
+
+@pytest.mark.parametrize("argv, named", [
     (["--alpha", "-3"], "alpha > 0"),
     (["--alpha", "0"], "alpha > 0"),
     (["--alpha", "nan"], "alpha > 0"),

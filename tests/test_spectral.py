@@ -231,6 +231,27 @@ def test_numeric_deficiency_validation():
         deficiency_index_numeric(0.5, eps=3.0, x_far=10.0)
 
 
+_SWEEP_C = [*np.linspace(-0.2499, 3.0, 40).tolist(), 0.7499999, 0.75, 0.7500001]
+
+
+@pytest.mark.parametrize("eps, x_far", [(1e-3, 10.0), (1e-4, 10.0), (1e-2, 5.0)])
+def test_numeric_deficiency_agrees_on_a_sweep(eps, x_far):
+    wrong = [(c, got) for c in _SWEEP_C
+             if (got := deficiency_index_numeric(c, eps, x_far))
+             != classify_self_adjoint(c).deficiency_count]
+    assert not wrong, f"eps={eps}, x_far={x_far}: (c, count) {wrong}"
+
+
+@pytest.mark.parametrize("eps, x_far, named", [
+    (1e-160, 10.0, "integration failed: Excess work done"),  # c/x**2 overflows
+    (1e-3, 1e4, "solution overflowed"),  # the decaying start grows like e**(x_far/sqrt 2)
+])
+def test_numeric_deficiency_failed_integration_is_named(eps, x_far, named):
+    with pytest.raises(FitIllConditioned, match="deficiency_index_numeric") as info:
+        deficiency_index_numeric(0.5, eps=eps, x_far=x_far)
+    assert named in str(info.value)
+
+
 # -- assembled 2-d spectrum --------------------------------------------------
 
 
