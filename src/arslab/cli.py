@@ -39,7 +39,8 @@ from .spectral import (classify_self_adjoint, deficiency_index_numeric,
 
 _TWO_PI = 2.0 * math.pi
 
-_VALIDATION_ERRORS = (ValueError, BadGrid, OutOfRange)
+# exit 2; ConfigError is a ValueError, and OSError covers an unreadable --config
+_VALIDATION_ERRORS = (ValueError, OSError, BadGrid, OutOfRange)
 
 
 class ConfigError(ValueError):
@@ -392,15 +393,12 @@ def run(argv=None):
 def main(argv=None):
     try:
         return run(argv)
-    except (ConfigError,) + _VALIDATION_ERRORS as exc:
+    except _VALIDATION_ERRORS as exc:
         print(f"arslab: {exc}", file=sys.stderr)
         return 2
     except ArslabError as exc:
         print(f"arslab: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"arslab: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

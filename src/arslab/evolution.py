@@ -28,9 +28,8 @@ mu_q = 2 cos(2 pi q / n_y) - 2, so one Crank-Nicolson step
     (M - c C) u+ = (M + c C) u,   c = dt/2 (heat) or i dt/2 (Schrodinger),
 
 is one tridiagonal solve in x per Fourier mode q.  All modes are stacked
-into one block-tridiagonal system, factored once per (generator, c) by
-LAPACK (dpttrf for the real heat step, zgttrf for the complex Cayley
-step) and cached on the generator.
+into one block-tridiagonal system, factored once per run by LAPACK
+(dpttrf for the real heat step, zgttrf for the complex Cayley step).
 
 Because the modes never couple, run_heat and run_schrodinger evolve in
 mode space from start to end: one FFT in y takes the field in, one takes
@@ -42,7 +41,8 @@ raises SolverDiverged.  Recorded series rows are read off the mode
 coefficients by Parseval.  The Schrodinger (Cayley) step is unitary in
 the mass inner product, and the heat step conserves mass, both to
 roundoff.  step_heat and step_schrodinger are the one-step case of the
-same loop.
+same loop; each call factors anew, so a caller that takes many steps
+calls run_heat or run_schrodinger.
 
 eps_sweep runs the same experiment over a shrinking eps sweep for the
 CLI and transmission_study, and transmission_verdict says whether the
@@ -53,7 +53,7 @@ stabilizes (crossing-consistent).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -185,7 +185,6 @@ class Generator:
     x_diag: np.ndarray  # -(x-edge conductances at each node)
     x_off: np.ndarray   # cond_x * h_y
     y_coef: np.ndarray  # ycoef_x / h_y
-    _modes: dict = field(default_factory=dict, repr=False)
 
     def apply(self, u):
         """A u = M^{-1} C u, matrix-free from the 1-D pieces."""
@@ -319,10 +318,7 @@ class _ModeSystem:
 
 
 def _mode_system(gen, c):
-    """The factored mode system of (M - c C), cached on gen per c."""
-    system = gen._modes.get(c)
-    if system is not None:
-        return system
+    """The mode system of (M - c C), factored by LAPACK; _evolve makes one per run."""
     n_y = gen.grid.n_y
     real = isinstance(c, float)
     q = np.arange(n_y // 2 + 1 if real else n_y)
@@ -352,15 +348,11 @@ def _mode_system(gen, c):
         x = np.tile(x, q.size)
         sides = np.repeat(np.where([x < 0.0, x > 0.0], energy, 0.0), 2, axis=1)
         energy = np.repeat(energy, 2)
-    system = _ModeSystem(real=real, n_y=n_y, diag=diag, coupling=coupling,
-                         two_m=np.tile(2.0 * gen.m_x, q.size),
-                         weight=(parseval[:, None] / gen.m_x).reshape(-1),
-                         energy=energy, sides=sides, lu=tuple(lu),
-                         trs=lapack.dpttrs if real else lapack.zgttrs)
-    gen._modes[c] = system
-    if len(gen._modes) > 8:
-        gen._modes.pop(next(iter(gen._modes)))
-    return system
+    return _ModeSystem(real=real, n_y=n_y, diag=diag, coupling=coupling,
+                       two_m=np.tile(2.0 * gen.m_x, q.size),
+                       weight=(parseval[:, None] / gen.m_x).reshape(-1),
+                       energy=energy, sides=sides, lu=tuple(lu),
+                       trs=lapack.dpttrs if real else lapack.zgttrs)
 
 
 def _evolve(gen, state, T, dt, half, tol, who, record_every=0):
@@ -407,8 +399,9 @@ def step_heat(gen, state, dt):
 
     Solves (I - dt/2 A) u+ = (I + dt/2 A) u as one symmetric positive
     definite tridiagonal system per y-mode (the rfft of the real field),
-    with the factorization cached on gen per dt.  Raises SolverDiverged
-    unless the relative residual in the mass norm is at most 1e-10.
+    factored once per run, so each call factors anew: to take many steps,
+    call run_heat.  Raises SolverDiverged unless the relative residual in
+    the mass norm is at most 1e-10.
     """
     return _evolve(gen, state, dt, dt, 0.5, _SOLVE_TOL, "step_heat")[0]
 
@@ -417,10 +410,10 @@ def step_schrodinger(gen, state, dt):
     """One Cayley (Crank-Nicolson) unitary step of i du/dt = -A u.
 
     Solves (M - i dt/2 C) u+ = (M + i dt/2 C) u as one complex
-    tridiagonal system per y-mode, with the factorization cached on gen
-    per dt.  The step is unitary in the mass inner product up to
-    roundoff; it raises SolverDiverged unless the relative residual is
-    at most 1e-10.
+    tridiagonal system per y-mode, factored once per run, so each call
+    factors anew: to take many steps, call run_schrodinger.  The step is
+    unitary in the mass inner product up to roundoff; it raises
+    SolverDiverged unless the relative residual is at most 1e-10.
     """
     return _evolve(gen, state, dt, dt, 0.5j, _SOLVE_TOL, "step_schrodinger")[0]
 
@@ -490,9 +483,11 @@ def eps_sweep(alpha, eps_list, T, *, equation="heat", dt=1e-3, n_x=400, x_half=3
     recorded series of each run (see run_heat; empty without
     record_every), and for the heat flow the TransmissionReport of the
     transmitted fractions with their verdict, or None for Schrodinger.
-    Raises ValueError unless eps_list is strictly decreasing.
+    Raises ValueError unless eps_list is non-empty and strictly decreasing.
     """
     eps_list = [float(e) for e in eps_list]
+    if not eps_list:
+        raise ValueError("eps_sweep: need at least one eps value")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_sweep: eps values must be strictly decreasing")
     if equation not in ("heat", "schrodinger"):

@@ -483,27 +483,20 @@ def _scale_from_config(spec):
         raise ValueError(f"unknown log_scale preset {spec!r}")
     if isinstance(spec, list):
         return polynomial_field(spec)
-    if isinstance(spec, dict):
-        known = {"preset", "amplitude", "sigma", "coeffs"}
-        extra = set(spec) - known
-        if extra:
-            raise ValueError(f"unknown log_scale keys {sorted(extra)}")
-        preset = spec.get("preset")
-        if preset == "zero":
-            return scalar_zero()
-        if preset == "gaussian-bump":
-            return gaussian_bump(float(spec["amplitude"]), float(spec["sigma"]))
-        if preset == "polynomial":
-            return polynomial_field(spec["coeffs"])
-        raise ValueError(f"unknown log_scale preset {preset!r}")
     raise ValueError(f"cannot parse log_scale from {spec!r}")
+
+
+# the frame config keys each variant takes besides "variant"
+_VARIANT_KEYS = {"grushin": set(), VARIANT_F1: {"log_scale"}, VARIANT_F2: {"log_scale"},
+                 VARIANT_ALPHA: {"alpha"}}
 
 
 def frame_from_config(cfg):
     """Build a FrameSpec from a plain dict (e.g. parsed JSON).
 
-    Keys: variant (required; "grushin" is shorthand for f2 with zero
-    scale), alpha, log_scale.  Unknown keys are rejected.
+    Keys: variant (default "grushin", shorthand for f2 with zero scale),
+    alpha for alpha-grushin (required) and log_scale for f1 and f2.
+    Unknown keys, and keys the variant does not take, are rejected.
     """
     if not isinstance(cfg, dict):
         raise ValueError("frame config must be a dict")
@@ -511,15 +504,16 @@ def frame_from_config(cfg):
     if extra:
         raise ValueError(f"unknown frame config keys {sorted(extra)}")
     variant = cfg.get("variant", "grushin")
+    if not isinstance(variant, str) or variant not in _VARIANT_KEYS:
+        raise ValueError(f"unknown frame variant {variant!r}")
+    ignored = set(cfg) - {"variant"} - _VARIANT_KEYS[variant]
+    if ignored:
+        raise ValueError(f"variant {variant!r} takes no "
+                         + " or ".join(repr(k) for k in sorted(ignored)))
     if variant == "grushin":
-        if "alpha" in cfg or "log_scale" in cfg:
-            raise ValueError("variant 'grushin' takes no alpha or log_scale")
         return FrameSpec.grushin()
     if variant == VARIANT_ALPHA:
         if "alpha" not in cfg:
             raise ValueError("alpha-grushin needs key 'alpha'")
         return FrameSpec.alpha_grushin(float(cfg["alpha"]))
-    if variant in (VARIANT_F1, VARIANT_F2):
-        scale = _scale_from_config(cfg.get("log_scale"))
-        return FrameSpec(variant, log_scale=scale)
-    raise ValueError(f"unknown frame variant {variant!r}")
+    return FrameSpec(variant, log_scale=_scale_from_config(cfg.get("log_scale")))

@@ -262,35 +262,27 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4):
     start = Point(float(start[0]), float(start[1]))
     closed = frame.is_exact_grushin
     singular = frame.is_singular_variant and start.x == 0.0
-
     if singular:
-        params = np.linspace(-param_max, param_max, n)
-        all_params = np.concatenate([params, params])
-        families = np.concatenate([np.ones(n, dtype=int), -np.ones(n, dtype=int)])
-        endpoints = np.empty((2 * n, 2))
-        for row, (a, sgn) in enumerate(zip(all_params, families)):
-            if closed:
-                xe, ye = grushin_geodesic_origin(a, int(sgn), T)
-                endpoints[row] = (float(xe), start.y + float(ye))
-            else:
-                traj = geodesic_flow(frame, (start.x, start.y, float(sgn), a), T, dt=dt)
-                endpoints[row] = traj.states[-1, :2]
-        return Front(kind="singular", start=start, time=T, params=all_params,
-                     families=families, endpoints=endpoints,
-                     provenance="closed-form" if closed else "integrated")
+        params = np.tile(np.linspace(-param_max, param_max, n), 2)
+        families = np.repeat([1, -1], n)
+    else:
+        params = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        families = np.zeros(n, dtype=int)
+        f0 = abs(float(frame.derivs(start.x, start.y)[0]))
 
-    f0 = abs(float(frame.derivs(start.x, start.y)[0]))
-    thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    endpoints = np.empty((n, 2))
-    for row, theta in enumerate(thetas):
-        if closed:
-            endpoints[row] = _closed_form_endpoint(start, theta, T)
+    endpoints = np.empty((params.size, 2))
+    for row, (a, sgn) in enumerate(zip(params, families)):
+        if closed and singular:
+            xe, ye = grushin_geodesic_origin(a, int(sgn), T)
+            endpoints[row] = (float(xe), start.y + float(ye))
+        elif closed:
+            endpoints[row] = _closed_form_endpoint(start, a, T)
         else:
-            state0 = (start.x, start.y, math.cos(theta), math.sin(theta) / f0)
-            traj = geodesic_flow(frame, state0, T, dt=dt)
+            covector = (float(sgn), a) if singular else (math.cos(a), math.sin(a) / f0)
+            traj = geodesic_flow(frame, (start.x, start.y, *covector), T, dt=dt)
             endpoints[row] = traj.states[-1, :2]
-    return Front(kind="riemannian", start=start, time=T, params=thetas,
-                 families=np.zeros(n, dtype=int), endpoints=endpoints,
+    return Front(kind="singular" if singular else "riemannian", start=start, time=T,
+                 params=params, families=families, endpoints=endpoints,
                  provenance="closed-form" if closed else "integrated")
 
 

@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .errors import ConvergenceFailure
 
-__all__ = ["EigenResult", "count_below", "lowest_eigenvalues", "lowest_eigenpairs"]
+__all__ = ["EigenResult", "count_below", "lowest_eigenpairs"]
 
 _TINY = 1e-300
 # certified residual bound, relative to ||A||_inf
@@ -83,29 +83,12 @@ def count_below(diag, off, shifts):
     return counts
 
 
-def _checked(diag, off, m, name):
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    if not (1 <= m <= diag.size):
-        raise ValueError(f"{name}: need 1 <= m <= n")
-    if off.size != diag.size - 1:
-        raise ValueError(f"{name}: off-diagonal must have length n-1")
-    return diag, off, _inf_norm(diag, off)
-
-
 def _matvec(diag, off, v):
     """A @ v for each column of v."""
     out = diag[:, None] * v
     out[:-1] += off[:, None] * v[1:]
     out[1:] += off[:, None] * v[:-1]
     return out
-
-
-def lowest_eigenvalues(diag, off, m):
-    """The m smallest eigenvalues, ascending (LAPACK stebz)."""
-    diag, off, norm = _checked(diag, off, m, "lowest_eigenvalues")
-    return norm * eigvalsh_tridiagonal(diag / norm, off / norm, select="i",
-                                       select_range=(0, m - 1))
 
 
 def lowest_eigenpairs(diag, off, m):
@@ -119,7 +102,13 @@ def lowest_eigenpairs(diag, off, m):
     residuals (which bound how far the Ritz values of orthonormal vectors
     can sit from the spectrum) plus a rounding allowance.
     """
-    diag, off, norm_bound = _checked(diag, off, m, "lowest_eigenpairs")
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float)
+    if not (1 <= m <= diag.size):
+        raise ValueError("lowest_eigenpairs: need 1 <= m <= n")
+    if off.size != diag.size - 1:
+        raise ValueError("lowest_eigenpairs: off-diagonal must have length n-1")
+    norm_bound = _inf_norm(diag, off)
     try:
         _, vectors = eigh_tridiagonal(diag / norm_bound, off / norm_bound, select="i",
                                       select_range=(0, m - 1))

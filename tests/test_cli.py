@@ -436,3 +436,66 @@ def test_successive_in_process_runs_match_fresh_runs(tmp_path, capsys):
 def test_unknown_subcommand_fails(tmp_path):
     proc = run_cli(["orbit"], cwd=tmp_path)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [["--eps", ""], ["--eps", ","]], ids=["empty", "comma"])
+def test_evolve_rejects_an_empty_eps_list(tmp_path, capsys, argv):
+    code, err = cli(["evolve", *argv, "--n-x", "20", "--n-y", "4", "--out-dir", str(tmp_path)],
+                    capsys)
+    assert code == 2
+    assert "eps_sweep: need at least one eps value" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_evolve_config_with_empty_eps_list_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "evolve", "eps": [], "n_x": 20, "n_y": 4}))
+    code, err = cli(["--config", str(cfg), "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "eps_sweep: need at least one eps value" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--variant", "f1", "--frame-alpha", "2"], "variant 'f1' takes no 'alpha'"),
+    (["--variant", "f2", "--frame-alpha", "2"], "variant 'f2' takes no 'alpha'"),
+    (["--variant", "alpha-grushin", "--frame-alpha", "1.5",
+      "--log-scale", "gaussian-bump(0.3,0.7)"], "variant 'alpha-grushin' takes no 'log_scale'"),
+    (["--variant", "grushin", "--frame-alpha", "2"], "variant 'grushin' takes no 'alpha'"),
+], ids=["f1-alpha", "f2-alpha", "alpha-grushin-log-scale", "grushin-alpha"])
+def test_frame_key_the_variant_ignores_is_a_usage_error(tmp_path, capsys, argv, named):
+    code, err = cli(["metric", *argv, "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert named in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_gaussian_bump_with_zero_sigma_is_a_usage_error(tmp_path, capsys):
+    code, err = cli(["metric", "--variant", "f2", "--log-scale", "gaussian-bump(0.3,0)",
+                     "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "gaussian-bump sigma must be positive" in err
+
+
+@pytest.mark.parametrize("cfg, named", [
+    ({"subcommand": "metric", "frame": {"variant": "f2", "log_scale": {
+        "preset": "gaussian-bump", "amplitude": 0.3, "sigma": 0.7}}}, "cannot parse log_scale"),
+    ({"subcommand": "metric", "frame": {"variant": "f1", "log_scale": {
+        "preset": "polynomial", "coeffs": [[0.1]]}}}, "cannot parse log_scale"),
+    ({"subcommand": "metric", "frame": "grushin"}, "frame config must be a dict"),
+    ({"subcommand": "orbit"}, "unknown subcommand 'orbit'"),
+    ([1, 2], "config file must hold a JSON object"),
+], ids=["dict-bump", "dict-polynomial", "frame-not-dict", "subcommand", "not-object"])
+def test_bad_config_file_is_a_usage_error(tmp_path, capsys, cfg, named):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg))
+    code, err = cli(["--config", str(cfg_file), "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert named in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no-such.json"
+    code, err = cli(["--config", str(missing), "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "No such file" in err and str(missing) in err

@@ -478,3 +478,41 @@ def test_frame_from_config_rejects_bad_input():
     with pytest.raises(ValueError):
         frame_from_config({"variant": "no-such-frame"})
 
+
+
+@pytest.mark.parametrize("cfg, named", [
+    ({"variant": "f1", "alpha": 2.0}, "variant 'f1' takes no 'alpha'"),
+    ({"variant": "f2", "alpha": 2.0, "log_scale": "zero"}, "variant 'f2' takes no 'alpha'"),
+    ({"variant": "alpha-grushin", "alpha": 1.5, "log_scale": "gaussian-bump(0.3,0.7)"},
+     "variant 'alpha-grushin' takes no 'log_scale'"),
+    ({"variant": "grushin", "alpha": 2.0, "log_scale": "zero"},
+     "variant 'grushin' takes no 'alpha' or 'log_scale'"),
+    ({"variant": "f2", "log_scale": {"preset": "gaussian-bump", "amplitude": 0.3,
+                                     "sigma": 0.7}}, "cannot parse log_scale"),
+    ({"variant": "f2", "log_scale": {"preset": "polynomial", "coeffs": [[0.1]]}},
+     "cannot parse log_scale"),
+    ({"variant": ["f2"]}, "unknown frame variant"),
+    ("grushin", "frame config must be a dict"),
+    ([("variant", "f2")], "frame config must be a dict"),
+], ids=["f1-alpha", "f2-alpha", "alpha-log-scale", "grushin-both", "dict-bump",
+        "dict-polynomial", "variant-list", "str", "list"])
+def test_frame_from_config_names_what_it_rejects(cfg, named):
+    with pytest.raises(ValueError, match=named):
+        frame_from_config(cfg)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.7])
+def test_gaussian_bump_needs_positive_sigma(sigma):
+    with pytest.raises(ValueError, match="gaussian-bump sigma must be positive"):
+        gaussian_bump(0.3, sigma)
+
+
+@pytest.mark.parametrize("variant, kwargs, named", [
+    ("martinet", {}, "unknown frame variant 'martinet'"),
+    ("grushin", {}, "unknown frame variant 'grushin'"),
+    ("f1", {}, "variant 'f1' needs a log_scale field"),
+    ("f2", {"alpha": 1.0}, "variant 'f2' needs a log_scale field"),
+])
+def test_frame_spec_rejects_bad_variants(variant, kwargs, named):
+    with pytest.raises(ValueError, match=named):
+        FrameSpec(variant, **kwargs)

@@ -9,7 +9,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from arslab import tridiag
 from arslab.errors import ConvergenceFailure
-from arslab.tridiag import count_below, lowest_eigenpairs, lowest_eigenvalues
+from arslab.tridiag import count_below, lowest_eigenpairs
 
 
 def _free_laplacian(n, h):
@@ -22,7 +22,7 @@ def test_free_laplacian_exact_eigenvalues():
     # second-difference matrix with Dirichlet ends: lambda_j = (4/h^2) sin^2(j pi / (2(n+1)))
     n, h = 50, 0.1
     diag, off = _free_laplacian(n, h)
-    got = lowest_eigenvalues(diag, off, 6)
+    got = lowest_eigenpairs(diag, off, 6).values
     j = np.arange(1, 7)
     exact = (4.0 / h**2) * np.sin(j * math.pi / (2.0 * (n + 1))) ** 2
     assert np.max(np.abs(got - exact)) <= 1e-10 * (4.0 / h**2)
@@ -75,7 +75,7 @@ def test_eigenvalues_monotone_and_interlaced_with_counts():
     rng = np.random.default_rng(2024)
     diag = rng.uniform(0.0, 5.0, 80)
     off = rng.uniform(-1.0, 1.0, 79)
-    vals = lowest_eigenvalues(diag, off, 8)
+    vals = lowest_eigenpairs(diag, off, 8).values
     assert np.all(np.diff(vals) >= -1e-12)
     # exactly j eigenvalues lie strictly below a point just above vals[j-1]
     for j in (1, 4, 8):
@@ -119,7 +119,6 @@ def test_lowest_pairs_match_dense_oracle(case):
 
     res = lowest_eigenpairs(diag, off, m)
     assert np.max(np.abs(res.values - oracle[:m])) <= tol
-    assert np.max(np.abs(lowest_eigenvalues(diag, off, m) - oracle[:m])) <= tol
     assert res.operator_norm == pytest.approx(max(norm, 1e-300), rel=1e-12)
     true_residuals = np.linalg.norm(dense @ res.vectors - res.vectors * res.values, axis=0)
     assert np.all(true_residuals <= 1e-8 * res.operator_norm)
@@ -174,3 +173,14 @@ def test_perturbed_vector_fails_the_residual_check(monkeypatch):
     monkeypatch.setattr(tridiag, "eigh_tridiagonal", perturb_one)
     with pytest.raises(ConvergenceFailure, match="pair 2 residual"):
         lowest_eigenpairs(*_ladder(), 4)
+
+
+@pytest.mark.parametrize("diag, off, m, named", [
+    ([1.0, 2.0, 3.0], [0.5, 0.5], 0, "need 1 <= m <= n"),
+    ([1.0, 2.0, 3.0], [0.5, 0.5], 4, "need 1 <= m <= n"),
+    ([1.0, 2.0, 3.0], [0.5], 2, "off-diagonal must have length n-1"),
+    ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5], 2, "off-diagonal must have length n-1"),
+], ids=["m-zero", "m-above-n", "off-short", "off-long"])
+def test_bad_shapes_are_rejected(diag, off, m, named):
+    with pytest.raises(ValueError, match=f"lowest_eigenpairs: {named}"):
+        lowest_eigenpairs(diag, off, m)
