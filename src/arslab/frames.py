@@ -25,8 +25,10 @@ line has finite length follows from the order to which f vanishes there
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -115,23 +117,34 @@ def gaussian_bump(amplitude, sigma):
     The y factor is a von Mises profile so the same field works on the
     plane and on the cylinder.  The field decays like a Gaussian in x and
     is numerically constant for |x| beyond about 12*sigma.
+
+    Raises ValueError for a non-finite amplitude, and for a sigma outside
+    (0, inf) or so small or large that a divisor sigma**2, 2 sigma**2 or
+    sigma**4 under- or overflows.
     """
-    if sigma <= 0:
-        raise ValueError("gaussian-bump sigma must be positive")
-    a = float(amplitude)
-    s2 = float(sigma) ** 2
+    a, sg = float(amplitude), float(sigma)
+    if not math.isfinite(a):
+        raise ValueError(f"gaussian-bump amplitude must be finite, got {amplitude}")
+    # sigma**4 bounds the other two divisors from both sides
+    if not (0.0 < sg < math.inf and sys.float_info.min <= (sg * sg) * (sg * sg) < math.inf):
+        raise ValueError(f"gaussian-bump sigma must be positive, with sigma**2, 2 sigma**2 and "
+                         f"sigma**4 neither underflowing nor overflowing, got {sigma}")
+    s2 = sg ** 2
+    two_s2 = 2 * s2
 
     def derivs(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        v = a * np.exp(-x**2 / (2 * s2)) * np.exp((np.cos(y - math.pi) - 1.0) / s2)
+        v = a * np.exp(-x**2 / two_s2) * np.exp((np.cos(y - math.pi) - 1.0) / s2)
         sin = np.sin(y - math.pi)
         return (v, -(x / s2) * v, -(sin / s2) * v, (x**2 / s2**2 - 1.0 / s2) * v,
                 (sin**2 / s2**2 - np.cos(y - math.pi) / s2) * v)
 
+    exp, cos, sin, pi = math.exp, math.cos, math.sin, math.pi
+
     def jet(x, y):
-        v = a * math.exp(-(x * x) / (2 * s2)) * math.exp((math.cos(y - math.pi) - 1.0) / s2)
-        return v, -(x / s2) * v, -(math.sin(y - math.pi) / s2) * v
+        v = a * exp(-(x * x) / two_s2) * exp((cos(y - pi) - 1.0) / s2)
+        return v, -(x / s2) * v, -(sin(y - pi) / s2) * v
 
     return ScalarField(derivs=derivs, jet=jet, is_zero=(a == 0.0),
                        label=f"gaussian-bump({amplitude},{sigma})")
@@ -191,6 +204,8 @@ class FrameSpec:
     Two evaluators: derivs(x, y) -> (f, f_x, f_y, f_xx) broadcasts over
     numpy arrays, and fsq_jet(x, y) -> (f**2, f * f_x, f * f_y) takes one
     point in plain floats for the geodesic and curve-length loops.
+    fsq_jet is a closure resolved once per frame instance on first use;
+    equality and hashing see only the three fields.
     """
 
     variant: str
@@ -258,30 +273,62 @@ class FrameSpec:
         f = x * e
         return f, (1.0 + x * sx) * e, f * sy, (2.0 * sx + x * sxx + x * sx**2) * e
 
-    def fsq_jet(self, x, y):
-        """(f**2, f * f_x, f * f_y) at one point, in plain floats.
+    def __getstate__(self):
+        # the resolved fsq_jet is a local closure, which pickle cannot store
+        return {k: v for k, v in self.__dict__.items() if k != "fsq_jet"}
+
+    @functools.cached_property
+    def fsq_jet(self):
+        """The plain-float evaluator (x, y) -> (f**2, f * f_x, f * f_y).
 
         These are f**2 and the gradient of f**2 / 2, all the Hamiltonian
-        flow needs.  For alpha-grushin at x = 0, f * f_x is 0 when
-        alpha >= 1/2 and inf below, the limit of |x|**(2 alpha - 1);
-        elsewhere f * f_x is formed in derivs' operation order, so the two
-        evaluators agree bit for bit.
+        flow needs.  The evaluator is chosen once per frame by variant, so
+        a call makes no dispatch: the exact Grushin plane returns
+        (x*x, x, 0.0) without the scale field, alpha-grushin has its
+        constants bound, and f1/f2 call the field's jet once.  For
+        alpha-grushin at x = 0, f * f_x is 0 when alpha >= 1/2 and inf
+        below, the limit of |x|**(2 alpha - 1); elsewhere f * f_x is formed
+        in derivs' operation order, so the two evaluators agree bit for bit.
         """
         if self.variant == VARIANT_ALPHA:
             a = self.alpha
-            ax = abs(x)
-            if ax == 0.0:
-                return 0.0, (0.0 if a >= 0.5 else math.inf), 0.0
-            f = ax**a
-            return f * f, math.copysign(f * (a * ax ** (a - 1.0)), x), 0.0
-        s, s_x, s_y = self.log_scale.jet(x, y)
-        e = math.exp(s)
+            a_minus_1 = a - 1.0
+            ffx_at_zero = 0.0 if a >= 0.5 else math.inf
+            copysign = math.copysign
+
+            def alpha_jet(x, y):
+                ax = abs(x)
+                if ax == 0.0:
+                    return 0.0, ffx_at_zero, 0.0
+                f = ax**a
+                return f * f, copysign(f * (a * ax**a_minus_1), x), 0.0
+
+            return alpha_jet
+        if self.is_exact_grushin:
+            # f = x * exp(0): the general f2 form below gives the same floats
+            # wherever x * x is finite
+            def grushin_jet(x, y):
+                return x * x, x, 0.0
+
+            return grushin_jet
+        scale_jet, exp = self.log_scale.jet, math.exp
         if self.variant == VARIANT_F1:
-            f, f_x = e, s_x * e
-        else:
-            f, f_x = x * e, (1.0 + x * s_x) * e
-        fsq = f * f
-        return fsq, f * f_x, fsq * s_y
+            def f1_jet(x, y):
+                s, s_x, s_y = scale_jet(x, y)
+                f = exp(s)
+                fsq = f * f
+                return fsq, f * (s_x * f), fsq * s_y
+
+            return f1_jet
+
+        def f2_jet(x, y):
+            s, s_x, s_y = scale_jet(x, y)
+            e = exp(s)
+            f = x * e
+            fsq = f * f
+            return fsq, f * ((1.0 + x * s_x) * e), fsq * s_y
+
+        return f2_jet
 
 
 @dataclass(frozen=True)

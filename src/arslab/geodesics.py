@@ -15,6 +15,7 @@ to high order from the stored trajectory.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -86,12 +87,6 @@ def hamiltonian(frame, state):
     return 0.5 * (px * px + fsq * py * py)
 
 
-def _rhs(fsq_jet, x, y, px, py):
-    """Hamilton's equations: (px, f**2 py, -f f_x py**2, -f f_y py**2)."""
-    fsq, ffx, ffy = fsq_jet(x, y)
-    return px, fsq * py, -ffx * py * py, -ffy * py * py
-
-
 def _hermite(tau, v0, v1, d0, d1, dt):
     h00 = (1.0 + 2.0 * tau) * (1.0 - tau) ** 2
     h10 = tau * (1.0 - tau) ** 2
@@ -127,7 +122,9 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
     """Integrate the Hamiltonian flow for time T with fixed-step RK4.
 
     Records the full trajectory on the uniform grid T/n with
-    n = round(T/dt), plus interpolated crossing events of x = 0.
+    n = round(T/dt), plus interpolated crossing events of x = 0.  The
+    four stages of a step run inline on plain floats, one call of the
+    frame's fsq_jet each, and the states collect in a flat float buffer.
     Raises StepSizeTooLarge unless the energy drift, recomputed from the
     array evaluator f, is at most 100 * tol_H (a non-finite drift fails),
     and also when a float evaluation overflows or leaves its domain.
@@ -145,35 +142,44 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
     dt_eff = T / n
     jet = frame.fsq_jet
 
-    states = np.empty((n + 1, 4))
-    states[0] = (x, y, px, py)
+    # x, y, px, py of every step, viewed as an (n+1, 4) array at the end
+    buf = array("d", (x, y, px, py))
+    push = buf.extend
     crossings = []
     half = 0.5 * dt_eff
     sixth = dt_eff / 6.0
     try:
         for i in range(n):
-            k1 = _rhs(jet, x, y, px, py)
-            k2 = _rhs(jet, x + half * k1[0], y + half * k1[1], px + half * k1[2],
-                      py + half * k1[3])
-            k3 = _rhs(jet, x + half * k2[0], y + half * k2[1], px + half * k2[2],
-                      py + half * k2[3])
-            k4 = _rhs(jet, x + dt_eff * k3[0], y + dt_eff * k3[1], px + dt_eff * k3[2],
-                      py + dt_eff * k3[3])
-            xn = x + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-            yn = y + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-            pxn = px + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-            pyn = py + sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
+            # stage j evaluates Hamilton's equations at its state (xj, yj, pj, qj):
+            # (dx, dy, dpx, dpy) = (pj, f**2 qj, -f f_x qj**2, -f f_y qj**2)
+            fsq, ffx, ffy = jet(x, y)
+            dy1, dp1, dq1 = fsq * py, -ffx * py * py, -ffy * py * py
+            x2, y2, p2, q2 = x + half * px, y + half * dy1, px + half * dp1, py + half * dq1
+            fsq, ffx, ffy = jet(x2, y2)
+            dy2, dp2, dq2 = fsq * q2, -ffx * q2 * q2, -ffy * q2 * q2
+            x3, y3, p3, q3 = x + half * p2, y + half * dy2, px + half * dp2, py + half * dq2
+            fsq, ffx, ffy = jet(x3, y3)
+            dy3, dp3, dq3 = fsq * q3, -ffx * q3 * q3, -ffy * q3 * q3
+            x4, y4 = x + dt_eff * p3, y + dt_eff * dy3
+            p4, q4 = px + dt_eff * dp3, py + dt_eff * dq3
+            fsq, ffx, ffy = jet(x4, y4)
+            dy4, dp4, dq4 = fsq * q4, -ffx * q4 * q4, -ffy * q4 * q4
+            xn = x + sixth * (px + 2.0 * (p2 + p3) + p4)
+            yn = y + sixth * (dy1 + 2.0 * (dy2 + dy3) + dy4)
+            pxn = px + sixth * (dp1 + 2.0 * (dp2 + dp3) + dp4)
+            pyn = py + sixth * (dq1 + 2.0 * (dq2 + dq3) + dq4)
             if x * xn < 0.0 or (xn == 0.0 and x != 0.0):
                 crossings.append(_locate_crossing(
                     frame, i * dt_eff, dt_eff, (x, y, px, py), (xn, yn, pxn, pyn)))
             x, y, px, py = xn, yn, pxn, pyn
-            states[i + 1] = (x, y, px, py)
+            push((x, y, px, py))
     except (OverflowError, ValueError) as exc:
         # a float jet raises where the state has blown up past the floats
         raise StepSizeTooLarge(
             f"geodesic_flow: the state left the floats at t = {i * dt_eff:.3e} ({exc}); "
             f"reduce dt below {dt_eff:.3e}") from exc
 
+    states = np.frombuffer(buf).reshape(n + 1, 4)
     t_grid = np.linspace(0.0, T, n + 1)
     # a blown-up trajectory makes the drift inf or nan, which the gate rejects
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import subprocess
@@ -257,6 +258,60 @@ def test_classify_numeric_check_matches_golden_bytes(tmp_path, capsys, alpha):
     assert (tmp_path / "classify.json").read_text() == want
 
 
+_F2_BUMP = ["--variant", "f2", "--log-scale", "gaussian-bump(0.4,0.6)"]
+_F1_BUMP = ["--variant", "f1", "--log-scale", "gaussian-bump(0.3,0.7)"]
+_ALPHA_15 = ["--variant", "alpha-grushin", "--frame-alpha", "1.5"]
+
+# sha256 of the data file and the crossing count of RK4 runs, recorded before
+# the stages were written inline.  Coarse steps let a change in the order of
+# a float operation inside a stage reach the written digits.
+_RK4_GOLDEN = {
+    "f2-bump-geodesic": (
+        ["geodesic", *_F2_BUMP, "--x0", "-0.3", "--y0", "3.0", "--px0", "0.5", "--py0", "4",
+         "--t-final", "2", "--dt", "0.005", "--tol-h", "1"], 4,
+        "901e7529101c40731e56435227a360ae753dc387f20562628b35b739d70f523d"),
+    "f2-bump-geodesic-fine": (
+        ["geodesic", *_F2_BUMP, "--x0", "-0.6", "--y0", "3.0", "--px0", "0.8", "--py0", "0.9",
+         "--t-final", "0.4"], 0,
+        "06eabf4d64153c2551de32979dcafafbb5e45d2f4aff31c5afbef8fdb949e177"),
+    "f2-bump-front": (
+        ["front", *_F2_BUMP, "--x0", "-0.9", "--y0", "3.0", "--t-final", "1", "--n", "8",
+         "--dt", "0.01"], None,
+        "c41a841dcb746d27181e0666f2d03edd7be1b40d005fbe285049fc495b979861"),
+    "f1-bump-geodesic": (
+        ["geodesic", *_F1_BUMP, "--x0", "-0.3", "--y0", "3.0", "--px0", "0.5", "--py0", "2",
+         "--t-final", "2", "--dt", "0.005", "--tol-h", "1"], 1,
+        "fee4f73aca933ea651013000d24eb6273b7bb5f7b2f94a991ce44460c5bc6256"),
+    "f1-bump-front": (
+        ["front", *_F1_BUMP, "--x0", "-0.3", "--y0", "3.0", "--t-final", "2", "--n", "8",
+         "--dt", "0.005"], None,
+        "94dbaf44e9bcb69ea58a4c298084e3a39a29356cbcdd73ce64d530be6ca4ce62"),
+    "alpha-1.5-crossing": (
+        ["geodesic", *_ALPHA_15, "--x0", "-0.2", "--px0", "1", "--py0", "3", "--t-final", "1",
+         "--dt", "0.01", "--tol-h", "1"], 1,
+        "6224c5b2858ebff997bb836705d0d1f78bd188a9312bfddadbe5b289390c0a05"),
+    "alpha-1.5-singular-front": (
+        ["front", *_ALPHA_15, "--x0", "0", "--y0", "1", "--t-final", "1", "--n", "8",
+         "--param-max", "4", "--dt", "0.01"], None,
+        "157ca31664b49889d71a01de471a18a9f8587d688fa8177d86e1e60e240c662b"),
+    "grushin-geodesic": (
+        ["geodesic", "--t-final", "3", "--py0", "2", "--dt", "0.01", "--tol-h", "1"], 2,
+        "06fff5230c1176c4749a9a880e0b6dded2510ee33b0254564cece5ec109a6716"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RK4_GOLDEN))
+def test_rk4_outputs_match_golden_bytes(tmp_path, capsys, case):
+    argv, crossings, digest = _RK4_GOLDEN[case]
+    code, err = cli([*argv, "--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
+    if crossings is not None:
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert len(manifest["summary"]["crossings"]) == crossings
+    data = tmp_path / f"{argv[0]}.csv"
+    assert hashlib.sha256(data.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv, named", [
     (["--alpha", "-3"], "alpha > 0"),
     (["--alpha", "0"], "alpha > 0"),
@@ -474,6 +529,26 @@ def test_gaussian_bump_with_zero_sigma_is_a_usage_error(tmp_path, capsys):
                      "--out-dir", str(tmp_path)], capsys)
     assert code == 2
     assert "gaussian-bump sigma must be positive" in err
+
+
+@pytest.mark.parametrize("bump, named", [
+    ("gaussian-bump(0.3,nan)", "gaussian-bump sigma"),
+    ("gaussian-bump(0.3,inf)", "gaussian-bump sigma"),
+    ("gaussian-bump(nan,0.7)", "gaussian-bump amplitude must be finite"),
+    ("gaussian-bump(inf,0.5)", "gaussian-bump amplitude must be finite"),
+    ("gaussian-bump(-inf,0.5)", "gaussian-bump amplitude must be finite"),
+    # sigma**2 or sigma**4 under- or overflows
+    ("gaussian-bump(0.3,1e-200)", "neither underflowing nor overflowing"),
+    ("gaussian-bump(0.3,1e-80)", "neither underflowing nor overflowing"),
+    ("gaussian-bump(0.3,1e200)", "neither underflowing nor overflowing"),
+], ids=["sigma-nan", "sigma-inf", "amp-nan", "amp-inf", "amp-minus-inf", "sigma-tiny",
+        "sigma4-subnormal", "sigma-huge"])
+def test_gaussian_bump_out_of_range_is_a_usage_error(tmp_path, capsys, bump, named):
+    code, err = cli(["metric", "--variant", "f2", "--log-scale", bump, "--x", "0.5",
+                     "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert named in err
+    assert not (tmp_path / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("cfg, named", [

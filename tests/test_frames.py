@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import hypothesis.strategies as st
 import numpy as np
@@ -284,6 +285,71 @@ def test_fsq_jet_on_the_singular_line():
         assert fr.fsq_jet(0.0, 0.4) == (0.0, 0.0, 0.0)
 
 
+def _bits(values):
+    return tuple(float(v).hex() for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+# beyond |x| = 1e154, x * x overflows and the general chain's f * f_y is inf * 0
+@given(x=st.floats(-1e154, 1e154), y=st.floats(allow_nan=False, allow_infinity=False))
+@example(x=-0.0, y=-0.0)
+@example(x=-1e154, y=3.0)
+def test_grushin_closed_form_jet_is_the_f2_chain_bit_for_bit(x, y):
+    # the same zero field, not marked zero, takes the general f2 jet
+    zero = scalar_zero()
+    general = FrameSpec.f2(ScalarField(derivs=zero.derivs, jet=zero.jet))
+    assert _bits(GRUSHIN.fsq_jet(x, y)) == _bits(general.fsq_jet(x, y))
+
+
+def test_grushin_closed_form_geodesic_is_the_f2_chain_bit_for_bit():
+    zero = scalar_zero()
+    general = FrameSpec.f2(ScalarField(derivs=zero.derivs, jet=zero.jet))
+    for state0 in ((-1.0, 0.0, 0.6, 0.8), (0.0, -0.0, -1.0, -0.0), (0.4, 2.0, -0.3, 2.5)):
+        fast = geodesic_flow(GRUSHIN, state0, 1.3, dt=1e-3)
+        slow = geodesic_flow(general, state0, 1.3, dt=1e-3)
+        assert fast.states.tobytes() == slow.states.tobytes()
+        assert fast.crossings == slow.crossings
+
+
+def test_resolved_jet_follows_the_frame():
+    base = FrameSpec.alpha_grushin(1.5)
+    assert base.fsq_jet(0.0, 1.0)[1] == 0.0
+    # a copy with another exponent resolves its own jet: |x|**(2 alpha - 1) blows up at 0
+    assert dataclasses.replace(base, alpha=0.4).fsq_jet(0.0, 1.0)[1] == math.inf
+    assert base.fsq_jet(0.0, 1.0)[1] == 0.0
+
+
+def test_equal_frames_compare_and_hash_equal_once_resolved():
+    field = gaussian_bump(0.3, 0.7)
+    for make in (lambda: FrameSpec.alpha_grushin(1.5), lambda: FrameSpec.f2(field),
+                 lambda: FrameSpec.f1(field)):
+        resolved, fresh = make(), make()
+        resolved.fsq_jet(0.3, 0.2)
+        assert resolved == fresh and hash(resolved) == hash(fresh)
+        assert len({resolved, fresh}) == 1
+    assert FrameSpec.alpha_grushin(1.5) != FrameSpec.alpha_grushin(0.4)
+
+
+def test_resolved_frame_pickles_and_resolves_again():
+    frame = FrameSpec.alpha_grushin(0.4)
+    want = frame.fsq_jet(0.3, 0.2)
+    copy = pickle.loads(pickle.dumps(frame))
+    assert copy == frame and copy.fsq_jet(0.3, 0.2) == want
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+def test_gaussian_bump_needs_finite_amplitude(amplitude):
+    with pytest.raises(ValueError, match="gaussian-bump amplitude must be finite"):
+        gaussian_bump(amplitude, 0.7)
+
+
+def test_gaussian_bump_accepts_the_extreme_sigmas_it_can_divide_by():
+    # sigma**4 is a normal float at both ends
+    for sigma in (1e-76, 1e76):
+        field = gaussian_bump(0.3, sigma)
+        assert all(math.isfinite(v) for v in field.jet(0.5, 0.3))
+
+
 def _derivs_mismatch(derivs, f_exact, points, h=1e-4):
     """Worst error of derivs(x, y) = (f, f_x, f_y, f_xx) over the points.
 
@@ -501,7 +567,8 @@ def test_frame_from_config_names_what_it_rejects(cfg, named):
         frame_from_config(cfg)
 
 
-@pytest.mark.parametrize("sigma", [0.0, -0.7])
+# nan, inf, and sigmas whose sigma**2 or sigma**4 under- or overflows
+@pytest.mark.parametrize("sigma", [0.0, -0.7, math.nan, math.inf, 1e-200, 1e-80, 1e200])
 def test_gaussian_bump_needs_positive_sigma(sigma):
     with pytest.raises(ValueError, match="gaussian-bump sigma must be positive"):
         gaussian_bump(0.3, sigma)
