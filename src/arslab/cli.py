@@ -20,6 +20,7 @@ import argparse
 import copy
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -123,14 +124,34 @@ def _cell_format(types):
     return "%.17g"
 
 
+# rows per "%" in _write_csv: one format call per chunk keeps memory bounded
+_CSV_CHUNK = 2048
+
+
 def _write_csv(path, columns, rows):
+    """Write a header line and the rows; returns the file's manifest entry.
+
+    rows is a sequence of row tuples or a 2-D ndarray.  A column is written
+    with %d when all its cells are ints and with %.17g otherwise (for an
+    ndarray its dtype decides, with no scan of the cells); boolean cells
+    raise TypeError.  Rows are formatted _CSV_CHUNK at a time, one % each.
+    """
+    n = len(rows)
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        if rows:
-            line = ",".join(_cell_format({type(row[j]) for row in rows})
-                            for j in range(len(rows[0]))) + "\n"
-            fh.writelines(line % tuple(row) for row in rows)
-    return {"columns": list(columns), "rows": len(rows)}
+        if n:
+            table = isinstance(rows, np.ndarray)
+            if table:
+                formats = [_cell_format({rows.dtype.type})] * rows.shape[1]
+            else:
+                formats = [_cell_format({type(row[j]) for row in rows})
+                           for j in range(len(rows[0]))]
+            line = ",".join(formats) + "\n"
+            for start in range(0, n, _CSV_CHUNK):
+                chunk = rows[start:start + _CSV_CHUNK]
+                cells = chunk.ravel().tolist() if table else itertools.chain.from_iterable(chunk)
+                fh.write(line * len(chunk) % tuple(cells))
+    return {"columns": list(columns), "rows": n}
 
 
 def _write_json(path, payload):
@@ -166,9 +187,8 @@ def _cmd_geodesic(cfg, out_dir):
     state0 = (float(cfg["x0"]), float(cfg["y0"]), float(cfg["px0"]), float(cfg["py0"]))
     traj = geodesic_flow(fr, state0, float(cfg["t_final"]), dt=float(cfg["dt"]),
                          tol_H=float(cfg["tol_h"]))
-    rows = list(zip(traj.t.tolist(), *traj.states.T.tolist()))
-    outputs = {"geodesic.csv": _write_csv(out_dir / "geodesic.csv",
-                                          ["t", "x", "y", "px", "py"], rows)}
+    outputs = {"geodesic.csv": _write_csv(out_dir / "geodesic.csv", ["t", "x", "y", "px", "py"],
+                                          np.column_stack((traj.t, traj.states)))}
     crossings = [{"t": t, "xdot": xd, "ydot": yd} for t, xd, yd in crossing_report(traj, fr)]
     summary = {"energy_drift": traj.energy_drift, "crossings": crossings,
                "n_steps": traj.t.size - 1}

@@ -29,7 +29,7 @@ import functools
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -59,7 +59,7 @@ VARIANT_F2 = "f2"
 VARIANT_ALPHA = "alpha-grushin"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
     """A smooth scalar field bundled with analytic derivative evaluators.
 
@@ -68,12 +68,34 @@ class ScalarField:
     is the plain-float evaluator for one point, built from the math
     module; pointwise loops (geodesic RK4, curve_length) call it.  is_zero
     marks the identically-zero field so callers can take exact shortcuts.
+
+    key is (constructor, args) for a field made by scalar_zero,
+    gaussian_bump or polynomial_field: such fields compare, hash and
+    pickle by it, and FrameSpec.fsq_jet reads a bump's parameters from it.
+    A field built from raw callables, or copied with dataclasses.replace,
+    has key None and compares by its callables.
     """
 
     derivs: Callable
     jet: Callable
     is_zero: bool = False
     label: str = "custom"
+    key: Optional[tuple] = field(default=None, init=False)
+
+    def _identity(self):
+        return self.key if self.key is not None else (self.derivs, self.jet, self.is_zero,
+                                                      self.label)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self):
+        return hash(self._identity())
+
+    def __reduce_ex__(self, protocol):
+        return self.key if self.key is not None else super().__reduce_ex__(protocol)
 
     def check_derivatives(self, points):
         """Max mismatch between analytic derivatives and central differences.
@@ -98,14 +120,19 @@ class ScalarField:
         return worst
 
 
+def _keyed(fld, make, *args):
+    object.__setattr__(fld, "key", (make, args))
+    return fld
+
+
 def scalar_zero():
     """The identically-zero scalar field."""
     def derivs(x, y):
         z = np.zeros_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
         return z, z, z, z, z
 
-    return ScalarField(derivs=derivs, jet=lambda x, y: (0.0, 0.0, 0.0), is_zero=True,
-                       label="zero")
+    return _keyed(ScalarField(derivs=derivs, jet=lambda x, y: (0.0, 0.0, 0.0), is_zero=True,
+                              label="zero"), scalar_zero)
 
 
 def gaussian_bump(amplitude, sigma):
@@ -135,19 +162,24 @@ def gaussian_bump(amplitude, sigma):
     def derivs(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        v = a * np.exp(-x**2 / two_s2) * np.exp((np.cos(y - math.pi) - 1.0) / s2)
-        sin = np.sin(y - math.pi)
+        u = y - math.pi
+        # the x factor first, so warnings keep their order
+        gx = a * np.exp(-x**2 / two_s2)
+        cos = np.cos(u)
+        v = gx * np.exp((cos - 1.0) / s2)
+        sin = np.sin(u)
         return (v, -(x / s2) * v, -(sin / s2) * v, (x**2 / s2**2 - 1.0 / s2) * v,
-                (sin**2 / s2**2 - np.cos(y - math.pi) / s2) * v)
+                (sin**2 / s2**2 - cos / s2) * v)
 
     exp, cos, sin, pi = math.exp, math.cos, math.sin, math.pi
 
     def jet(x, y):
-        v = a * exp(-(x * x) / two_s2) * exp((cos(y - pi) - 1.0) / s2)
-        return v, -(x / s2) * v, -(sin(y - pi) / s2) * v
+        u = y - pi
+        v = a * exp(-(x * x) / two_s2) * exp((cos(u) - 1.0) / s2)
+        return v, -(x / s2) * v, -(sin(u) / s2) * v
 
-    return ScalarField(derivs=derivs, jet=jet, is_zero=(a == 0.0),
-                       label=f"gaussian-bump({amplitude},{sigma})")
+    return _keyed(ScalarField(derivs=derivs, jet=jet, is_zero=(a == 0.0),
+                              label=f"gaussian-bump({a},{sg})"), gaussian_bump, a, sg)
 
 
 def _polyder2d(c, axis):
@@ -189,7 +221,8 @@ def polynomial_field(coeffs):
     def jet(x, y):
         return _horner2d(c_cols, x, y), _horner2d(cx_cols, x, y), _horner2d(cy_cols, x, y)
 
-    return ScalarField(derivs=derivs, jet=jet, is_zero=is_zero, label="polynomial")
+    return _keyed(ScalarField(derivs=derivs, jet=jet, is_zero=is_zero, label="polynomial"),
+                  polynomial_field, tuple(map(tuple, c.tolist())))
 
 
 class Point(NamedTuple):
@@ -282,11 +315,16 @@ class FrameSpec:
         """The plain-float evaluator (x, y) -> (f**2, f * f_x, f * f_y).
 
         These are f**2 and the gradient of f**2 / 2, all the Hamiltonian
-        flow needs.  The evaluator is chosen once per frame by variant, so
-        a call makes no dispatch: the exact Grushin plane returns
-        (x*x, x, 0.0) without the scale field, alpha-grushin has its
-        constants bound, and f1/f2 call the field's jet once.  For
-        alpha-grushin at x = 0, f * f_x is 0 when alpha >= 1/2 and inf
+        flow needs.  The evaluator is chosen once per frame by variant and
+        scale field, so a call makes no dispatch:
+          - the exact Grushin plane (a zero field, a zero-amplitude bump
+            included) returns (x*x, x, 0.0) without the field;
+          - f1/f2 over a gaussian_bump evaluate field and frame in one call,
+            with the floats, and the OverflowError or ValueError of a
+            blown-up state, of the two-call chain below;
+          - f1/f2 over any other field call its jet, then the chain;
+          - alpha-grushin has its constants bound.
+        For alpha-grushin at x = 0, f * f_x is 0 when alpha >= 1/2 and inf
         below, the limit of |x|**(2 alpha - 1); elsewhere f * f_x is formed
         in derivs' operation order, so the two evaluators agree bit for bit.
         """
@@ -311,6 +349,9 @@ class FrameSpec:
                 return x * x, x, 0.0
 
             return grushin_jet
+        key = self.log_scale.key
+        if key is not None and key[0] is gaussian_bump:
+            return _bump_fsq_jet(self.variant, *key[1])
         scale_jet, exp = self.log_scale.jet, math.exp
         if self.variant == VARIANT_F1:
             def f1_jet(x, y):
@@ -329,6 +370,42 @@ class FrameSpec:
             return fsq, f * ((1.0 + x * s_x) * e), fsq * s_y
 
         return f2_jet
+
+
+def _bump_fsq_jet(variant, a, sg):
+    """fsq_jet of an f1 or f2 frame over gaussian_bump(a, sg), one call per point.
+
+    The bump's jet inlined into the frame's chain with y - pi formed once;
+    every other float operation, and each math call that can raise, is
+    the chain's in the chain's order.
+    """
+    s2 = sg ** 2
+    two_s2 = 2 * s2
+    exp, cos, sin, pi = math.exp, math.cos, math.sin, math.pi
+
+    if variant == VARIANT_F1:
+        def f1_bump_jet(x, y):
+            u = y - pi
+            s = a * exp(-(x * x) / two_s2) * exp((cos(u) - 1.0) / s2)
+            s_x = -(x / s2) * s
+            s_y = -(sin(u) / s2) * s
+            f = exp(s)
+            fsq = f * f
+            return fsq, f * (s_x * f), fsq * s_y
+
+        return f1_bump_jet
+
+    def f2_bump_jet(x, y):
+        u = y - pi
+        s = a * exp(-(x * x) / two_s2) * exp((cos(u) - 1.0) / s2)
+        s_x = -(x / s2) * s
+        s_y = -(sin(u) / s2) * s
+        e = exp(s)
+        f = x * e
+        fsq = f * f
+        return fsq, f * ((1.0 + x * s_x) * e), fsq * s_y
+
+    return f2_bump_jet
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from arslab.cli import _HANDLERS, DEFAULTS, _build_parser, _write_csv, main
+from arslab.cli import _CSV_CHUNK, _HANDLERS, DEFAULTS, _build_parser, _write_csv, main
 
 BASE = [sys.executable, "-m", "arslab.cli"]
 
@@ -297,6 +297,11 @@ _RK4_GOLDEN = {
     "grushin-geodesic": (
         ["geodesic", "--t-final", "3", "--py0", "2", "--dt", "0.01", "--tol-h", "1"], 2,
         "06fff5230c1176c4749a9a880e0b6dded2510ee33b0254564cece5ec109a6716"),
+    # the benchmark's geodesic shape: 15 001 rows, several CSV writer chunks
+    "f2-bump-geodesic-bench": (
+        ["geodesic", "--variant", "f2", "--log-scale", "gaussian-bump(0.35,0.7)", "--x0", "-0.7",
+         "--y0", "3.0", "--px0", "0.8", "--py0", "1.1", "--t-final", "1.5"], 1,
+        "59ac26c89110832fe5dfebe30a986b394268535ab66d4ca43a597e143433b61b"),
 }
 
 
@@ -468,6 +473,43 @@ def test_write_csv_matches_per_cell_format(tmp_path):
     for flag in (True, np.bool_(False)):
         with pytest.raises(TypeError):
             _write_csv(tmp_path / "b.csv", ["a", "b"], [(1.0, 2), (0.5, flag)])
+
+
+def _reference_csv(columns, rows):
+    return ",".join(columns) + "\n" + "".join(
+        ",".join(_reference_cell(v) for v in row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("n", [_CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 1])
+def test_write_csv_chunk_boundaries(tmp_path, n):
+    rng = np.random.default_rng(n)
+    table = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-320, 300, size=(n, 3))
+    table[-1] = (math.nan, -0.0, math.inf)
+    table[n // 2] = (5e-324, -math.inf, 0.1)
+    columns = ["a", "b", "c"]
+    want = _reference_csv(columns, table.tolist())
+    for rows in (table, [tuple(row) for row in table.tolist()]):
+        meta = _write_csv(tmp_path / "t.csv", columns, rows)
+        assert (tmp_path / "t.csv").read_text() == want
+        assert meta == {"columns": columns, "rows": n}
+
+    ints = rng.integers(-2**62, 2**62, size=(n, 2))
+    _write_csv(tmp_path / "i.csv", ["a", "b"], ints)
+    assert (tmp_path / "i.csv").read_text() == _reference_csv(["a", "b"], ints.tolist())
+
+    # one float cell in the last chunk makes the whole column %.17g
+    mixed = [(i, 1) for i in range(n - 1)] + [(0.5, 2)]
+    _write_csv(tmp_path / "m.csv", ["a", "b"], mixed)
+    lines = (tmp_path / "m.csv").read_text().splitlines()
+    assert lines[1] == "0,1" and lines[-1] == "0.5,2" and lines[-2] == f"{n - 2},1"
+    assert lines == _reference_csv(["a", "b"], [(float(a), b) for a, b in mixed]).splitlines()
+
+
+def test_write_csv_takes_a_table(tmp_path):
+    _write_csv(tmp_path / "e.csv", ["a", "b"], np.empty((0, 2)))
+    assert (tmp_path / "e.csv").read_text() == "a,b\n"
+    with pytest.raises(TypeError):
+        _write_csv(tmp_path / "b.csv", ["a", "b"], np.zeros((3, 2), dtype=bool))
 
 
 def test_successive_in_process_runs_match_fresh_runs(tmp_path, capsys):

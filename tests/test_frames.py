@@ -8,12 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from scipy.integrate import quad
 
+from arslab.frames import _bump_fsq_jet
+
 from arslab import (
     FrameSpec,
     NotAdmissible,
     Point,
     ScalarField,
     SingularPoint,
+    StepSizeTooLarge,
     curve_length,
     divergence,
     frame_from_config,
@@ -335,6 +338,119 @@ def test_resolved_frame_pickles_and_resolves_again():
     want = frame.fsq_jet(0.3, 0.2)
     copy = pickle.loads(pickle.dumps(frame))
     assert copy == frame and copy.fsq_jet(0.3, 0.2) == want
+
+
+@pytest.mark.parametrize("cfg", [
+    {"variant": "grushin"},
+    {"variant": "f2", "log_scale": "zero"},
+    {"variant": "f1", "log_scale": "gaussian-bump(0.3,0.7)"},
+    {"variant": "f2", "log_scale": "gaussian-bump(0.3,0.7)"},
+    {"variant": "f2", "log_scale": [[0.1, -0.3], [0.2, 0.05]]},
+    {"variant": "alpha-grushin", "alpha": 1.5},
+], ids=["grushin", "f2-zero", "f1-bump", "f2-bump", "f2-polynomial", "alpha"])
+def test_frames_from_equal_configs_compare_and_hash_equal(cfg):
+    a, b = frame_from_config(cfg), frame_from_config(dict(cfg))
+    a.fsq_jet(0.3, 0.2)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_fields_compare_by_what_built_them():
+    assert gaussian_bump(0.3, 1) == gaussian_bump(0.3, 1.0)
+    assert gaussian_bump(0.3, 0.7) != gaussian_bump(0.3, 0.8)
+    assert scalar_zero() == scalar_zero()
+    assert gaussian_bump(0.0, 0.7) != scalar_zero()
+    assert polynomial_field([[1.0, 2.0]]) == polynomial_field([[1, 2]])
+    assert polynomial_field([[1.0, 2.0]]) != polynomial_field([[1.0, 3.0]])
+    # raw callables compare by identity, and a copied field forgets its key
+    bump = gaussian_bump(0.3, 0.7)
+    raw = ScalarField(derivs=bump.derivs, jet=bump.jet)
+    assert raw == ScalarField(derivs=bump.derivs, jet=bump.jet) and raw != bump
+    assert raw != ScalarField(derivs=bump.derivs, jet=lambda x, y: bump.jet(x, y))
+    copied = dataclasses.replace(bump, jet=lambda x, y: (0.0, 0.0, 0.0))
+    assert copied.key is None and copied != bump
+    assert FrameSpec.f2(copied).fsq_jet(0.5, 0.2) == (0.25, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("make", [FrameSpec.grushin, lambda: _bump_frame("f1"),
+                                  lambda: _bump_frame("f2"),
+                                  lambda: FrameSpec.f1(polynomial_field([[0.1, -0.3], [0.2, 0.05]]))],
+                         ids=["grushin", "f1-bump", "f2-bump", "f1-polynomial"])
+def test_used_frame_with_a_field_pickles(make):
+    frame = make()
+    want = frame.fsq_jet(0.3, 0.2)
+    copy = pickle.loads(pickle.dumps(frame))
+    assert copy == frame and hash(copy) == hash(frame)
+    assert copy.fsq_jet(0.3, 0.2) == want
+    assert np.array_equal(copy.derivs(0.3, 0.2), frame.derivs(0.3, 0.2))
+
+
+def _chain_frame(variant, field):
+    """The same field without its key: fsq_jet calls field.jet, then the frame's chain."""
+    return FrameSpec(variant, log_scale=ScalarField(derivs=field.derivs, jet=field.jet))
+
+
+def _outcome(jet, x, y):
+    try:
+        return _bits(jet(x, y))
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_bump_frames_resolve_one_fused_jet():
+    for variant in ("f1", "f2"):
+        assert _bump_frame(variant).fsq_jet.__name__ == f"{variant}_bump_jet"
+        assert _chain_frame(variant, gaussian_bump(0.3, 0.9)).fsq_jet.__name__ == f"{variant}_jet"
+    # a zero-amplitude bump is the Grushin plane under f2
+    assert FrameSpec.f2(gaussian_bump(-0.0, 0.9)).fsq_jet.__name__ == "grushin_jet"
+
+
+_near_pi = st.floats(math.pi - 1e-6, math.pi + 1e-6)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(variant=st.sampled_from(["f1", "f2"]),
+       x=st.one_of(st.floats(-1e154, 1e154), st.floats(-1e-300, 1e-300)),
+       y=st.one_of(_near_pi, st.floats(-10.0, 10.0), _finite),
+       amplitude=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0),
+                           st.floats(-1e3, 1e3)),
+       sigma=st.one_of(st.floats(0.05, 5.0), st.floats(1e-76, 1e76)))
+@example(variant="f2", x=-0.0, y=math.pi, amplitude=0.4, sigma=0.6)
+@example(variant="f1", x=0.0, y=-0.0, amplitude=-0.4, sigma=0.6)
+@example(variant="f2", x=5e-324, y=math.pi, amplitude=-0.0, sigma=1e-76)
+@example(variant="f1", x=-5e-324, y=3.0, amplitude=0.3, sigma=1e76)
+@example(variant="f2", x=1e154, y=1e300, amplitude=0.3, sigma=0.7)
+@example(variant="f2", x=0.1, y=math.pi, amplitude=800.0, sigma=0.7)
+def test_fused_bump_jet_is_the_chain_bit_for_bit(variant, x, y, amplitude, sigma):
+    # the fused closure itself: an f2 frame over a zero bump takes the Grushin one
+    fused = _bump_fsq_jet(variant, amplitude, sigma)
+    chain = _chain_frame(variant, gaussian_bump(amplitude, sigma)).fsq_jet
+    assert _outcome(fused, x, y) == _outcome(chain, x, y)
+
+
+@pytest.mark.parametrize("variant", ["f1", "f2"])
+@pytest.mark.parametrize("x, y, amplitude, raises", [
+    (0.3, math.inf, 0.4, ValueError), (0.3, -math.inf, 0.4, ValueError),
+    (-math.inf, math.inf, 0.4, ValueError), (0.01, math.pi, 800.0, OverflowError),
+    (math.inf, 1.0, 0.4, None), (math.nan, 1.0, 0.4, None), (0.3, math.nan, 0.4, None),
+    (1e200, math.pi, 0.4, None), (0.01, math.pi, -800.0, None),
+])
+def test_fused_bump_jet_raises_where_the_chain_raises(variant, x, y, amplitude, raises):
+    field = gaussian_bump(amplitude, 0.7)
+    fused = FrameSpec(variant, log_scale=field).fsq_jet
+    chain = _chain_frame(variant, field).fsq_jet
+    got = _outcome(fused, x, y)
+    assert got == _outcome(chain, x, y)
+    assert got[0] is raises if raises else isinstance(got[0], str)
+    # and a trajectory through such a state fails with the same message
+    runs = []
+    for frame in (FrameSpec(variant, log_scale=field), _chain_frame(variant, field)):
+        try:
+            geodesic_flow(frame, (x, 3.0, 0.5, 2.0), 0.1, dt=0.01, tol_H=1.0)
+            runs.append(None)
+        except (StepSizeTooLarge, ValueError) as exc:
+            runs.append((type(exc), str(exc)))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
