@@ -31,12 +31,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ArslabError, BadGrid, Inconclusive, OutOfRange
-from .evolution import eps_sweep
 from .frames import frame_from_config, frame_vectors, laplace_beltrami_coeffs, metric_at
 from .geodesics import crossing_report, front, geodesic_flow
-from .martinet import martinet_mode_solve
-from .spectral import (classify_self_adjoint, deficiency_index_numeric,
-                       inverse_square_coefficient, spectrum_2d)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -162,6 +158,10 @@ def _write_json(path, payload):
 
 
 # -- handlers -----------------------------------------------------------
+#
+# The handlers of spectrum, classify, evolve and martinet import their
+# layer when they run: those layers load scipy, which metric, geodesic
+# and front never need.
 
 
 def _cmd_metric(cfg, out_dir):
@@ -209,6 +209,8 @@ def _cmd_front(cfg, out_dir):
 
 def _cmd_spectrum(cfg, out_dir):
     """mode spectrum of the flattened operator"""
+    from .spectral import spectrum_2d
+
     lines = spectrum_2d(float(cfg["alpha"]), int(cfg["k_max"]), int(cfg["m_per_mode"]),
                         n=int(cfg["n"]), x_max=float(cfg["x_max"]))
     rows = [(rec.k, rec.index, rec.value, rec.residual) for rec in lines]
@@ -220,6 +222,9 @@ def _cmd_spectrum(cfg, out_dir):
 
 def _cmd_classify(cfg, out_dir):
     """self-adjointness at the singular line"""
+    from .spectral import (classify_self_adjoint, deficiency_index_numeric,
+                           inverse_square_coefficient)
+
     if cfg["alpha"] is not None and cfg["c"] is not None:
         raise ConfigError("classify: give either alpha or c, not both")
     if cfg["c"] is not None:
@@ -239,6 +244,8 @@ def _cmd_classify(cfg, out_dir):
 
 def _cmd_evolve(cfg, out_dir):
     """regularized heat/Schrodinger evolution"""
+    from .evolution import eps_sweep
+
     equation = cfg["equation"]
     eps_list = [float(e) for e in cfg["eps"]]
     series, report = eps_sweep(
@@ -266,6 +273,8 @@ def _cmd_evolve(cfg, out_dir):
 
 def _cmd_martinet(cfg, out_dir):
     """Martinet mode eigenvalues"""
+    from .martinet import martinet_mode_solve
+
     rows = []
     for k in cfg["k"]:
         for l in cfg["l"]:

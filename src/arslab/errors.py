@@ -11,7 +11,8 @@ class ArslabError(Exception):
 
 
 class SingularPoint(ArslabError):
-    """A pointwise quantity was requested on the singular set."""
+    """A pointwise quantity was requested on the singular set, or where
+    it leaves the range of the floats."""
 
 
 class NotAdmissible(ArslabError):

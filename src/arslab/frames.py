@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import NotAdmissible, SingularPoint
 
@@ -205,6 +204,9 @@ def _horner2d(cols, x, y):
 
 def polynomial_field(coeffs):
     """Polynomial scalar field sum_ij c[i][j] x**i y**j."""
+    # imported here: nothing else needs numpy.polynomial, and importing it costs ~14 ms
+    from numpy.polynomial import polynomial as npoly
+
     c = np.atleast_2d(np.asarray(coeffs, dtype=float))
     cx = _polyder2d(c, 0)
     cy = _polyder2d(c, 1)
@@ -441,12 +443,21 @@ def metric_at(frame, p):
     from the frame function alone:
 
         K = (f * f_xx - 2 * f_x**2) / f**2.
+
+    SingularPoint where f vanishes, or where f**2 underflows to 0 or
+    overflows the floats.
     """
     fv, fx, _, fxx = _regular_derivs(frame, p, "metric_at")
-    curv = (fv * fxx - 2.0 * fx * fx) / fv**2
+    try:
+        fsq = fv**2
+    except OverflowError:
+        raise SingularPoint(f"metric_at: f**2 overflows at {tuple(p)}") from None
+    if fsq == 0.0:
+        raise SingularPoint(f"metric_at: f**2 underflows to 0 at {tuple(p)}")
+    curv = (fv * fxx - 2.0 * fx * fx) / fsq
     return MetricData(
         g11=1.0,
-        g22=1.0 / fv**2,
+        g22=1.0 / fsq,
         area_density=1.0 / abs(fv),
         curvature=curv,
         f=fv,

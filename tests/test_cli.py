@@ -199,6 +199,28 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "metric_at" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--x", "1e-300", "--y", "1"], "f**2 underflows to 0"),
+    (["--variant", "f2", "--x", "1e-300", "--y", "1"], "f**2 underflows to 0"),
+    (["--variant", "f2", "--log-scale", "gaussian-bump(0.3,0.7)", "--x", "1e-300", "--y", "1"],
+     "f**2 underflows to 0"),
+    (["--variant", "alpha-grushin", "--frame-alpha", "0.7", "--x", "1e-300", "--y", "1"],
+     "f**2 underflows to 0"),
+    (["--variant", "f2", "--log-scale", "gaussian-bump(0.3,0.7)", "--x", "1e200"],
+     "f**2 overflows"),
+    (["--x", "1e200"], "f**2 overflows"),
+], ids=["grushin-tiny", "f2-zero-tiny", "f2-bump-tiny", "alpha-0.7-tiny", "f2-bump-huge",
+        "grushin-huge"])
+def test_metric_where_f_squared_leaves_the_floats_exits_3(tmp_path, argv, named):
+    # a fresh interpreter, as a user runs it: numpy's overflow warnings on the
+    # way are fine, a traceback is not
+    proc = run_cli(["metric", *argv, "--out-dir", str(tmp_path)], cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert f"arslab: metric_at: {named} at (" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_classify_subcommand(tmp_path, capsys):
     code, err = cli(["classify", "--alpha", "0.9", "--numeric-check",
                      "--out-dir", str(tmp_path)], capsys)
@@ -616,3 +638,83 @@ def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
     code, err = cli(["--config", str(missing), "--out-dir", str(tmp_path)], capsys)
     assert code == 2
     assert "No such file" in err and str(missing) in err
+
+
+# -- cold start: what `import arslab` and the geometry subcommands load ----
+
+# every public name of `import arslab` before its names became lazy, by the
+# submodule that defines it; the submodules themselves are names too
+_PUBLIC_NAMES = {
+    "errors": ["ArslabError", "BadGrid", "ConvergenceFailure", "FitIllConditioned",
+               "Inconclusive", "NotAdmissible", "OutOfRange", "SingularPoint",
+               "SolverDiverged", "StepSizeTooLarge", "UnsupportedFrame"],
+    "frames": ["FrameSpec", "MetricData", "Point", "ScalarField", "curve_length", "divergence",
+               "frame_from_config", "frame_vectors", "gaussian_bump", "gradient",
+               "laplace_beltrami_coeffs", "metric_at", "polynomial_field", "scalar_zero"],
+    "geodesics": ["CotangentState", "Front", "Trajectory", "crossing_report", "front",
+                  "geodesic_flow", "grushin_geodesic_origin", "grushin_geodesic_riemannian",
+                  "hamiltonian"],
+    "spectral": ["GaugePotential", "ModeOperator", "SelfAdjointnessReport", "SpectrumLine",
+                 "assemble_mode_operator", "classify_self_adjoint", "deficiency_index_numeric",
+                 "eigen_solve", "gauge_transform", "inverse_square_coefficient",
+                 "richardson_extrapolate", "spectrum_2d"],
+    "evolution": ["EvolutionState", "Generator", "TransmissionReport", "WeightedGrid",
+                  "assemble_generator", "eps_sweep", "gaussian_bump_state", "run_heat",
+                  "run_schrodinger", "step_heat", "step_schrodinger", "transmission_study",
+                  "transmission_verdict", "transmitted_fraction"],
+    "martinet": ["MartinetCoeffs", "MartinetModeResult", "martinet_laplacian_coeffs",
+                 "martinet_mode_solve", "mode_potential", "popp_density"],
+    "tridiag": [],
+}
+_DUNDERS = ["__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__",
+            "__package__", "__path__", "__spec__", "__version__"]
+
+
+def _fresh_python(code, cwd, *args):
+    """Run code in a fresh interpreter; return what it prints as JSON."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_geometry_subcommands_load_neither_scipy_nor_numpy_polynomial(tmp_path):
+    code = """if True:
+        import json, sys
+        import arslab.cli
+        out = sys.argv[1]
+        codes = [arslab.cli.main(argv + ["--out-dir", out]) for argv in (
+            ["metric"],
+            ["geodesic", "--t-final", "0.01"],
+            ["front", "--n", "8", "--t-final", "0.05", "--dt", "1e-3"])]
+        loaded = sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))
+        print(json.dumps({"codes": codes, "loaded": loaded}))
+    """
+    got = _fresh_python(code, tmp_path, str(tmp_path))
+    assert got == {"codes": [0, 0, 0], "loaded": []}
+
+
+def test_lazy_names_resolve_to_their_defining_objects(tmp_path):
+    code = """if True:
+        import importlib, json, sys
+        import arslab
+        owners = json.loads(sys.argv[1])
+        bare_dir = dir(arslab)
+        star = {}
+        exec("from arslab import *", star)
+        resolved = {n: getattr(arslab, n) for mod, names in owners.items() for n in [mod, *names]}
+        wrong = []
+        for mod, names in owners.items():
+            owner = importlib.import_module("arslab." + mod)
+            wrong += [mod] if resolved[mod] is not owner else []
+            wrong += [n for n in names if resolved[n] is not getattr(owner, n)]
+        print(json.dumps({"dir": bare_dir, "wrong": wrong,
+                          "star": sorted(n for n in star if n != "__builtins__")}))
+    """
+    got = _fresh_python(code, tmp_path, json.dumps(_PUBLIC_NAMES))
+    public = sorted(n for mod, names in _PUBLIC_NAMES.items() for n in [mod, *names])
+    assert got["wrong"] == []
+    assert got["star"] == public
+    assert sorted(n for n in got["dir"] if not n.startswith("_")) == public
+    assert set(_DUNDERS) <= set(got["dir"])
