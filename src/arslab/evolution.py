@@ -27,22 +27,22 @@ mu_q = 2 cos(2 pi q / n_y) - 2, so one Crank-Nicolson step
 
     (M - c C) u+ = (M + c C) u,   c = dt/2 (heat) or i dt/2 (Schrodinger),
 
-is one tridiagonal solve in x per Fourier mode q.  All modes are stacked
-into one block-tridiagonal system, factored once per run by LAPACK
-(dpttrf for the real heat step, zgttrf for the complex Cayley step).
+is one tridiagonal solve in x per Fourier mode q.  Both flows keep their
+n_y modes (the real cosines and sines of a real heat field, the complex
+fft modes of a Schrodinger field) in one 1-D vector of blocks, factored
+once per run by LAPACK (dpttrf for the real heat step, zgttrf for the
+complex Cayley step) and solved with one right-hand side.
 
 Because the modes never couple, run_heat and run_schrodinger evolve in
 mode space from start to end: one FFT in y takes the field in, one takes
-it out.  A step is one LAPACK ?pttrs / ?gttrs call and one banded
+it out.  A step is one LAPACK dpttrs / zgttrs call and one banded
 product L w with L = M - c C, which certifies the step (the residual
 L w+ - rhs, in the mass norm) and gives the next right-hand side
 2 M w - L w.  A step whose relative residual or factorization fails
 raises SolverDiverged.  Recorded series rows are read off the mode
 coefficients by Parseval.  The Schrodinger (Cayley) step is unitary in
 the mass inner product, and the heat step conserves mass, both to
-roundoff.  step_heat and step_schrodinger are the one-step case of the
-same loop; each call factors anew, so a caller that takes many steps
-calls run_heat or run_schrodinger.
+roundoff.  step_heat and step_schrodinger are the one-step case.
 
 eps_sweep runs the same experiment over a shrinking eps sweep for the
 CLI and transmission_study, and transmission_verdict says whether the
@@ -261,13 +261,13 @@ def _tridiagonal_dot(diag, off, v):
 
 @dataclass
 class _ModeSystem:
-    """L = M_x - c (C_x + mu_q diag(y_coef)) for every y-mode q, stacked.
+    """L = M_x - c (C_x + mu_q diag(y_coef)) for n_y y-modes, stacked.
 
-    Mode coefficients are one C-contiguous (n_rhs, rows) array with rows
-    ordered (mode q, x-node).  For real c the two right-hand sides are
-    the cosine and sine coefficients (rfft real and imaginary parts) of a
-    real field, and L is symmetric positive definite: LAPACK dpttrf.  For
-    complex c the one right-hand side holds the fft coefficients of a
+    Mode coefficients are one 1-D vector of n_y blocks of n_x + 1 rows,
+    one right-hand side.  For real c they are the real modes of a real
+    field, cosines (rfft real parts) of q = 0 ... n_y // 2, then sines
+    (imaginary parts) of q = 1 ... (n_y - 1) // 2, and L is symmetric
+    positive definite: dpttrf.  For complex c they are the fft modes of a
     complex field, and L is complex symmetric: zgttrf.  The blocks are
     applied as one flat tridiagonal whose coupling is zero between them.
     """
@@ -279,41 +279,44 @@ class _ModeSystem:
     two_m: np.ndarray     # (rows,): 2 M_x, so M_x + c K_q = 2 M_x - L
     weight: np.ndarray    # (rows,): Parseval weight / m_x, the M^{-1} norm
     energy: np.ndarray    # per float of w: Parseval weight * m_x / n_y, the M norm
-    sides: np.ndarray     # (2, floats of w): the weights of mass_left, mass_right
+    sides: np.ndarray     # weights of mass_left, mass_right: (2, n_x + 1) or (2, floats of w)
     lu: tuple             # factorization, as ?trs takes it
     trs: object
 
     def to_modes(self, u):
         """Field on the cells -> mode coefficients."""
         v = np.asarray(u, dtype=float if self.real else complex).reshape(-1, self.n_y)
-        if self.real:
-            f = np.fft.rfft(v, axis=1).T
-            return np.stack((f.real, f.imag)).reshape(2, -1)
-        return np.fft.fft(v, axis=1).T.reshape(1, -1)
+        if not self.real:
+            return np.fft.fft(v, axis=1).T.reshape(-1)
+        f = np.fft.rfft(v, axis=1).T
+        return np.concatenate((f.real, f.imag[1:(self.n_y + 1) // 2])).reshape(-1)
 
     def from_modes(self, w):
-        if self.real:
-            f = (w[0] + 1j * w[1]).reshape(self.n_y // 2 + 1, -1).T
-            return np.fft.irfft(f, n=self.n_y, axis=1).reshape(-1)
-        return np.fft.ifft(w.reshape(self.n_y, -1).T, axis=1).reshape(-1)
+        blocks = w.reshape(self.n_y, -1)
+        if not self.real:
+            return np.fft.ifft(blocks.T, axis=1).reshape(-1)
+        n_cos = self.n_y // 2 + 1
+        f = blocks[:n_cos].astype(complex)
+        f.imag[1:1 + self.n_y - n_cos] = blocks[n_cos:]
+        return np.fft.irfft(f.T, n=self.n_y, axis=1).reshape(-1)
 
     def apply(self, w):
         return _tridiagonal_dot(self.diag, self.coupling, w)
 
     def solve(self, rhs):
-        x, info = self.trs(*self.lu, rhs.T)
+        x, info = self.trs(*self.lu, rhs)
         if info != 0:
             raise SolverDiverged(f"LAPACK ?trs failed with info={info}")
-        return x.T
+        return x
 
     def norm(self, v):
         return math.sqrt(np.vdot(v, self.weight * v).real)
 
     def record(self, t, w):
         """(t, mass_left, mass_right, norm) of the field, by Parseval."""
-        v = w.reshape(-1).view(float)  # complex: real and imaginary parts interleaved
+        v = w.view(float)  # complex: real and imaginary parts interleaved
         sq = v * v
-        left, right = self.sides @ (v if self.real else sq)
+        left, right = self.sides @ (v[:self.sides.shape[1]] if self.real else sq)
         return (t, float(left), float(right), math.sqrt(self.energy @ sq))
 
 
@@ -321,10 +324,10 @@ def _mode_system(gen, c):
     """The mode system of (M - c C), factored by LAPACK; _evolve makes one per run."""
     n_y = gen.grid.n_y
     real = isinstance(c, float)
-    q = np.arange(n_y // 2 + 1 if real else n_y)
+    q = np.r_[:n_y // 2 + 1, 1:(n_y + 1) // 2] if real else np.arange(n_y)  # cosines, then sines
     mu = 2.0 * np.cos(_TWO_PI * q / n_y) - 2.0
     diag = (gen.m_x - c * (gen.x_diag + mu[:, None] * gen.y_coef)).reshape(-1)
-    coupling = np.tile(np.append(-c * gen.x_off, 0.0), q.size)[:-1]
+    coupling = np.tile(np.append(-c * gen.x_off, 0.0), n_y)[:-1]
     kind = "dpt" if real else "zgt"
     if real:
         *lu, info = lapack.dpttrf(diag, coupling)
@@ -332,24 +335,21 @@ def _mode_system(gen, c):
         *lu, info = lapack.zgttrf(coupling, diag, coupling)
     if info != 0:
         raise SolverDiverged(f"LAPACK {kind}trf failed with info={info} at c={c}")
-    parseval = np.ones(q.size)
-    if real:  # modes 0 < q < n_y / 2 stand for q and n_y - q
-        parseval[1:(n_y + 1) // 2] = 2.0
+    # a real mode 0 < q < n_y / 2 stands for q and n_y - q
+    parseval = np.where(real & (q > 0) & (2 * q < n_y), 2.0, 1.0)
     energy = (parseval[:, None] / n_y * gen.m_x).reshape(-1)
     x = gen.grid.x
     if real:
         # heat masses are linear in u: m_x times the q = 0 cosine coefficient,
         # which is the sum of u over y
-        sides = np.zeros((2, 2 * diag.size))
-        sides[:, :x.size] = np.where([x < 0.0, x > 0.0], gen.m_x, 0.0)
-        energy = np.tile(energy, 2)
+        sides = np.where([x < 0.0, x > 0.0], gen.m_x, 0.0)
     else:
         # Schrodinger masses weigh |u|**2 like the norm, by side
-        x = np.tile(x, q.size)
+        x = np.tile(x, n_y)
         sides = np.repeat(np.where([x < 0.0, x > 0.0], energy, 0.0), 2, axis=1)
         energy = np.repeat(energy, 2)
     return _ModeSystem(real=real, n_y=n_y, diag=diag, coupling=coupling,
-                       two_m=np.tile(2.0 * gen.m_x, q.size),
+                       two_m=np.tile(2.0 * gen.m_x, n_y),
                        weight=(parseval[:, None] / gen.m_x).reshape(-1),
                        energy=energy, sides=sides, lu=tuple(lu),
                        trs=lapack.dpttrs if real else lapack.zgttrs)
@@ -398,10 +398,10 @@ def step_heat(gen, state, dt):
     """One Crank-Nicolson step of du/dt = A u.
 
     Solves (I - dt/2 A) u+ = (I + dt/2 A) u as one symmetric positive
-    definite tridiagonal system per y-mode (the rfft of the real field),
-    factored once per run, so each call factors anew: to take many steps,
-    call run_heat.  Raises SolverDiverged unless the relative residual in
-    the mass norm is at most 1e-10.
+    definite tridiagonal system per real y-mode (the n_y cosine and sine
+    modes of the real field), factored once per run, so each call factors
+    anew: to take many steps, call run_heat.  Raises SolverDiverged unless
+    the relative residual in the mass norm is at most 1e-10.
     """
     return _evolve(gen, state, dt, dt, 0.5, _SOLVE_TOL, "step_heat")[0]
 

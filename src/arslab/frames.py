@@ -157,12 +157,14 @@ def gaussian_bump(amplitude, sigma):
                          f"sigma**4 neither underflowing nor overflowing, got {sigma}")
     s2 = sg ** 2
     two_s2 = 2 * s2
+    x_cut = 40.0 * sg
 
     def derivs(x, y):
-        x = np.asarray(x, dtype=float)
+        # the x factor underflows to 0 beyond |x| = 40 sigma: clipping x
+        # there changes no value and keeps x**2 and x / s2 from overflowing
+        x = np.clip(np.asarray(x, dtype=float), -x_cut, x_cut)
         y = np.asarray(y, dtype=float)
         u = y - math.pi
-        # the x factor first, so warnings keep their order
         gx = a * np.exp(-x**2 / two_s2)
         cos = np.cos(u)
         v = gx * np.exp((cos - 1.0) / s2)
@@ -297,7 +299,7 @@ class FrameSpec:
             x = np.broadcast_arrays(np.asarray(x, dtype=float), y)[0]
             a = self.alpha
             ax = np.abs(x)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 return (ax**a, a * np.sign(x) * ax ** (a - 1.0), np.zeros_like(ax),
                         a * (a - 1.0) * ax ** (a - 2.0))
         x = np.asarray(x, dtype=float)
@@ -444,15 +446,16 @@ def metric_at(frame, p):
 
         K = (f * f_xx - 2 * f_x**2) / f**2.
 
-    SingularPoint where f vanishes, or where f**2 underflows to 0 or
-    overflows the floats.
+    SingularPoint where f vanishes, where f**2 overflows the floats, or
+    where it underflows: to 0, or to a subnormal float whose reciprocal
+    1/f**2 overflows.
     """
     fv, fx, _, fxx = _regular_derivs(frame, p, "metric_at")
     try:
         fsq = fv**2
     except OverflowError:
         raise SingularPoint(f"metric_at: f**2 overflows at {tuple(p)}") from None
-    if fsq == 0.0:
+    if fsq == 0.0 or 1.0 / fsq == math.inf:
         raise SingularPoint(f"metric_at: f**2 underflows to 0 at {tuple(p)}")
     curv = (fv * fxx - 2.0 * fx * fx) / fsq
     return MetricData(

@@ -221,6 +221,23 @@ def test_metric_where_f_squared_leaves_the_floats_exits_3(tmp_path, argv, named)
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--variant", "alpha-grushin", "--frame-alpha", "0.7", "--x", "1e-300", "--y", "1"],
+     "f**2 underflows to 0"),
+    (["--variant", "f2", "--log-scale", "gaussian-bump(0.3,0.7)", "--x", "1e200"],
+     "f**2 overflows"),
+    # f**2 = 1e-320 is subnormal, not 0, and 1/f**2 overflows
+    (["--x", "1e-160"], "f**2 underflows to 0"),
+], ids=["alpha-0.7-tiny", "f2-bump-huge", "grushin-subnormal"])
+def test_metric_where_f_squared_leaves_the_floats_exits_3_in_process(tmp_path, capsys, argv,
+                                                                    named):
+    # in this process a RuntimeWarning is an error: none may escape main
+    code, err = cli(["metric", *argv, "--out-dir", str(tmp_path)], capsys)
+    assert code == 3, err
+    assert f"arslab: metric_at: {named} at (" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_classify_subcommand(tmp_path, capsys):
     code, err = cli(["classify", "--alpha", "0.9", "--numeric-check",
                      "--out-dir", str(tmp_path)], capsys)
@@ -337,6 +354,30 @@ def test_rk4_outputs_match_golden_bytes(tmp_path, capsys, case):
         assert len(manifest["summary"]["crossings"]) == crossings
     data = tmp_path / f"{argv[0]}.csv"
     assert hashlib.sha256(data.read_bytes()).hexdigest() == digest
+
+
+# evolve outputs recorded while heat still kept its modes as cosine and sine
+# rows over n_y // 2 + 1 blocks each; odd n_y has no Nyquist mode
+_HEAT_TRANSMISSION_GOLDEN = (
+    '{\n  "alpha": 0.6,\n  "eps_list": [\n    0.1,\n    0.05\n  ],\n  "fractions": [\n'
+    '    0.05707628719015107,\n    0.05830872485242682\n  ],\n  "time_horizon": 0.1,\n'
+    '  "verdict": "crossing-consistent"\n}\n')
+_SCHRODINGER_CSV_GOLDEN = "10463325d1bfd86d948d8d8f248630342b07a5bc43d67693a4e32c7c83e4bb4e"
+
+
+def test_heat_evolve_matches_golden_transmission_bytes(tmp_path, capsys):
+    code, err = cli(["evolve", "--alpha", "0.6", "--eps", "0.1,0.05", "--n-x", "100",
+                     "--n-y", "9", "--t-final", "0.1", "--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
+    assert (tmp_path / "transmission.json").read_text() == _HEAT_TRANSMISSION_GOLDEN
+
+
+def test_schrodinger_evolve_matches_golden_bytes(tmp_path, capsys):
+    code, err = cli(["evolve", "--equation", "schrodinger", "--eps", "0.1", "--n-x", "60",
+                     "--n-y", "7", "--t-final", "0.02", "--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
+    data = (tmp_path / "evolve_eps_0.1.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _SCHRODINGER_CSV_GOLDEN
 
 
 @pytest.mark.parametrize("argv, named", [

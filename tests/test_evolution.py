@@ -376,6 +376,17 @@ def test_series_rows_match_real_space_recomputation(run, step, density, n_y, rec
             assert abs(got_value - want_value) <= 1e-12 * abs(want_value)
 
 
+@pytest.mark.parametrize("n_y", [7, 8, 9])
+def test_mode_systems_hold_n_y_blocks_and_round_trip_a_real_field(n_y):
+    gen = assemble_generator(0.8, 0.05, n_x=20, n_y=n_y)
+    u = np.random.default_rng(n_y).uniform(-1.0, 1.0, gen.grid.n_cells)
+    for c in (5e-4, 5e-4j):  # heat: real modes; Schrodinger: complex modes
+        system = evolution._mode_system(gen, c)
+        w = system.to_modes(u)
+        assert w.shape == system.diag.shape == (n_y * gen.grid.x.size,)
+        assert np.max(np.abs(system.from_modes(w) - u)) <= 1e-15
+
+
 def test_eps_sweep_rejects_bad_sweeps():
     with pytest.raises(ValueError, match="strictly decreasing"):
         eps_sweep(1.0, [0.05, 0.1], 0.01, n_x=20, n_y=4)

@@ -466,6 +466,29 @@ def test_gaussian_bump_accepts_the_extreme_sigmas_it_can_divide_by():
         assert all(math.isfinite(v) for v in field.jet(0.5, 0.3))
 
 
+def _unclipped_bump_derivs(a, sigma, x, y):
+    s2 = sigma**2
+    u = y - math.pi
+    v = a * np.exp(-x**2 / (2 * s2)) * np.exp((np.cos(u) - 1.0) / s2)
+    return (v, -(x / s2) * v, -(np.sin(u) / s2) * v, (x**2 / s2**2 - 1.0 / s2) * v,
+            (np.sin(u)**2 / s2**2 - np.cos(u) / s2) * v)
+
+
+@pytest.mark.parametrize("a, sigma", [(0.3, 0.7), (-2.0, 1e-30), (0.5, 1e30)])
+def test_gaussian_bump_derivs_are_the_formula_and_finite_far_out(a, sigma):
+    derivs = gaussian_bump(a, sigma).derivs
+    # where the formula neither over- nor underflows in x, bit for bit
+    x = sigma * np.concatenate((np.linspace(-45.0, 45.0, 901), [-1e3, 1e3]))
+    y = np.linspace(0.0, 2.0 * math.pi, x.size)
+    for got, want in zip(derivs(x, y), _unclipped_bump_derivs(a, sigma, x, y)):
+        assert np.array_equal(got, want)
+    # where x**2 or x / sigma**2 overflows: no warning (errors here), s_x = s_xx = 0
+    far = np.array([-math.inf, -1e300, -1e200, 1e160, 1e200, 1e300, math.inf])
+    v, s_x, s_y, s_xx, s_yy = derivs(far, 1.0)
+    assert not np.any(v) and not np.any(s_x) and not np.any(s_xx)
+    assert not np.any(s_y) and not np.any(s_yy)
+
+
 def _derivs_mismatch(derivs, f_exact, points, h=1e-4):
     """Worst error of derivs(x, y) = (f, f_x, f_y, f_xx) over the points.
 
