@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -330,13 +331,26 @@ def _flag_kwargs(default):
     return {"type": float if default is None else type(default)}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads -1e-3, -inf and -nan as values, not options.
+
+    argparse before Python 3.13 takes a negative number in scientific
+    notation for an option and reports the flag before it as missing its
+    value.  A subparser is made by the class of its parent.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 @functools.cache
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", default=None,
                         help="JSON config file; overrides flags")
     common.add_argument("--out-dir", default=".", help="output directory")
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="arslab",
         parents=[common],
         description="Almost-Riemannian structures: metric calculus, geodesic fronts, "

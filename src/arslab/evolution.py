@@ -367,10 +367,12 @@ def _evolve(gen, state, T, dt, half, tol, who, record_every=0):
     step's relative residual in the mass norm is at most tol.  With
     record_every, the (t, mass_left, mass_right, norm) rows of the start,
     of every record_every-th step and of the last step are returned too.
-    Raises ValueError, naming who, unless dt > 0 and T >= 0.
+    Raises ValueError, naming who, unless dt > 0, T >= 0 and T / dt is finite.
     """
     if not (dt > 0 and T >= 0):
         raise ValueError(f"{who}: need dt > 0 and T >= 0, got dt={dt}, T={T}")
+    if not T / dt < math.inf:
+        raise ValueError(f"{who}: T / dt = {T} / {dt} is not a finite step count")
     n = max(1, int(round(T / dt)))
     dt = T / n
     system = _mode_system(gen, half * dt)

@@ -63,9 +63,10 @@ class ScalarField:
     """A smooth scalar field bundled with analytic derivative evaluators.
 
     derivs(x, y) -> (s, s_x, s_y, s_xx, s_yy) accepts floats or numpy
-    arrays, broadcasts, and evaluates s once.  jet(x, y) -> (s, s_x, s_y)
-    is the plain-float evaluator for one point, built from the math
-    module; pointwise loops (geodesic RK4, curve_length) call it.  is_zero
+    arrays, broadcasts, and evaluates s once; curve_length reads it on
+    arrays through FrameSpec.derivs.  jet(x, y) -> (s, s_x, s_y) is the
+    plain-float evaluator for one point, built from the math module;
+    pointwise loops (geodesic RK4, crossings) call it.  is_zero
     marks the identically-zero field so callers can take exact shortcuts.
 
     key is (constructor, args) for a field made by scalar_zero,
@@ -240,7 +241,7 @@ class FrameSpec:
 
     Two evaluators: derivs(x, y) -> (f, f_x, f_y, f_xx) broadcasts over
     numpy arrays, and fsq_jet(x, y) -> (f**2, f * f_x, f * f_y) takes one
-    point in plain floats for the geodesic and curve-length loops.
+    point in plain floats for the geodesic loops.
     fsq_jet is a closure resolved once per frame instance on first use;
     equality and hashing see only the three fields.
     """
@@ -502,31 +503,45 @@ def laplace_beltrami_coeffs(frame, p):
 # -- curve length -------------------------------------------------------
 
 
-def _adaptive_simpson(g, a, b, tol, depth=28):
-    fa, fm, fb = g(a), g(0.5 * (a + b)), g(b)
-    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    return _simpson_rec(g, a, b, fa, fm, fb, whole, tol, depth)
+# curve_length's Simpson tolerance per segment (times max(1, dt)) and its refinement depth
+_LENGTH_TOL = 1e-10
+_LENGTH_DEPTH = 28
 
 
-def _simpson_rec(g, a, b, fa, fm, fb, whole, tol, depth):
+def _simpson_levels(g, b, tol):
+    """Sum over k of the adaptive Simpson integrals of g(k, .) over [0, b[k]].
+
+    g(k, tau) evaluates integrand k[i] at tau[i] on arrays.  All intervals
+    refine together, level by level: level 0 evaluates the five nodes of
+    every interval in one call of g, and each later level the two quarter
+    points of every interval still open.  An interval stops when
+    |err| <= 15 tol, when err is not finite, or at depth _LENGTH_DEPTH, and
+    adds left + right + err/15; otherwise it splits, each half with tol/2.
+    """
+    k = np.arange(b.size)
+    a = np.zeros_like(b)
     m = 0.5 * (a + b)
     lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = g(lm), g(rm)
-    left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
-    right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
-    err = left + right - whole
-    # non-finite samples cannot refine away; stop rather than recurse
-    if depth <= 0 or abs(err) <= 15.0 * tol or not math.isfinite(err):
-        return left + right + err / 15.0
-    half = 0.5 * tol
-    return (
-        _simpson_rec(g, a, m, fa, flm, fm, left, half, depth - 1)
-        + _simpson_rec(g, m, b, fm, frm, fb, right, half, depth - 1)
-    )
-
-
-# curve_length's Simpson tolerance
-_LENGTH_TOL = 1e-10
+    fa, fm, fb, flm, frm = g(np.tile(k, 5), np.concatenate((a, m, b, lm, rm))).reshape(5, -1)
+    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
+    total = 0.0
+    for depth in range(_LENGTH_DEPTH, -1, -1):
+        left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
+        right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
+        err = left + right - whole
+        # non-finite samples cannot refine away; stop rather than split
+        done = (np.abs(err) <= 15.0 * tol) | ~np.isfinite(err) | (depth == 0)
+        total += float(np.sum((left + right + err / 15.0)[done]))
+        open_ = ~done
+        if not open_.any():
+            break
+        # the left halves [a, m], then the right halves [m, b]
+        k, tol = np.tile(k[open_], 2), np.tile(0.5 * tol[open_], 2)
+        a, m, b, fa, fm, fb, whole = (np.concatenate((u[open_], v[open_])) for u, v in (
+            (a, m), (lm, rm), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right)))
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = g(np.tile(k, 2), np.concatenate((lm, rm))).reshape(2, -1)
+    return total
 
 
 def curve_length(frame, t, x, y, *, strict=False):
@@ -543,66 +558,71 @@ def curve_length(frame, t, x, y, *, strict=False):
     integrand.  A segment that meets the line when order >= 1, or runs
     along it, has infinite length: math.inf is returned, or
     NotAdmissible is raised when strict=True.
+
+    All segments are integrated together by one adaptive Simpson rule on
+    arrays, which reads f through frame.derivs once per refinement level.
+    Raises ValueError unless t, x, y are finite 1-d samples of equal
+    length >= 2 with t non-decreasing.
     """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    t, x, y = (np.asarray(v, dtype=float) for v in (t, x, y))
     if not (t.ndim == 1 and t.shape == x.shape == y.shape and t.size >= 2):
         raise ValueError("curve_length: need 1-d samples t, x, y of equal length >= 2")
+    if not (np.isfinite(t).all() and np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("curve_length: need finite samples t, x, y")
     if np.any(np.diff(t) < 0):
         raise ValueError("curve_length: t must be non-decreasing")
 
-    def declare_infinite():
-        if strict:
-            raise NotAdmissible("curve_length: path crosses the singular line non-tangentially")
-        return math.inf
+    # a sample difference that overflows, or a segment that reaches f = 0,
+    # gives an inf or nan length, not a RuntimeWarning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dt = np.diff(t)
+        moving = dt != 0.0
+        dt, x0, y0 = dt[moving], x[:-1][moving], y[:-1][moving]
+        vx = (x[1:][moving] - x0) / dt
+        vy = (y[1:][moving] - y0) / dt
+        level = vy == 0.0
+        total = float(np.sum(np.abs(vx[level]) * dt[level]))
 
-    singular = frame.is_singular_variant
-    order = frame.alpha if frame.variant == VARIANT_ALPHA else 1.0
-    fsq_jet = frame.fsq_jet
-    t, x, y = t.tolist(), x.tolist(), y.tolist()
-    total = 0.0
-    for i in range(len(t) - 1):
-        dt = t[i + 1] - t[i]
-        if dt == 0.0:
-            continue
-        x0, y0 = x[i], y[i]
-        vx = (x[i + 1] - x[i]) / dt
-        vy = (y[i + 1] - y[i]) / dt
-        tol = _LENGTH_TOL * max(1.0, dt)
+        curved = ~level
+        crossing = np.zeros_like(curved)
+        if frame.is_singular_variant:
+            # f vanishes exactly where x(tau) = 0
+            order = frame.alpha if frame.variant == VARIANT_ALPHA else 1.0
+            along = curved & (x0 == 0.0) & (vx == 0.0)
+            tau_zero = -x0 / vx
+            crossing = curved & (vx != 0.0) & (0.0 <= tau_zero) & (tau_zero <= dt)
+            if along.any() or (order >= 1.0 and crossing.any()):
+                if strict:
+                    raise NotAdmissible(
+                        "curve_length: path crosses the singular line non-tangentially")
+                return math.inf
 
-        def speed(tau):
-            # tau measured from t[i]; the speed is infinite where f vanishes
-            fsq = fsq_jet(x0 + vx * tau, y0 + vy * tau)[0]
-            return math.sqrt(vx * vx + vy * vy / fsq) if fsq != 0.0 else math.inf
+        tol = _LENGTH_TOL * np.maximum(1.0, dt)
+        regular = curved & ~crossing
+        if regular.any():
+            xr, yr, vxr, vyr = (v[regular] for v in (x0, y0, vx, vy))
+            vx2, vy2 = vxr * vxr, vyr * vyr
 
-        if vy == 0.0:
-            total += abs(vx) * dt
-            continue
-        if not singular:
-            total += _adaptive_simpson(speed, 0.0, dt, tol)
-            continue
+            def speed(k, tau):
+                # tau measured from the segment's start; infinite where f vanishes
+                f = frame.derivs(xr[k] + vxr[k] * tau, yr[k] + vyr[k] * tau)[0]
+                return np.sqrt(vx2[k] + vy2[k] / (f * f))
 
-        # Singular variants: f vanishes exactly where x(tau) = 0.
-        if x0 == 0.0 and vx == 0.0:
-            return declare_infinite()  # runs along the singular line with vy != 0
-        tau_zero = -x0 / vx if vx != 0.0 else math.nan
-        if not 0.0 <= tau_zero <= dt:
-            total += _adaptive_simpson(speed, 0.0, dt, tol)
-            continue
-        if order >= 1.0:
-            return declare_infinite()
+            total += _simpson_levels(speed, dt[regular], tol[regular])
+        if crossing.any():
+            # Only alpha-grushin gets here, where f = |vx (tau - tau0)|**alpha on
+            # the segment, so speed * dtau/du = p * hypot(vx u**(p - 1), vy / |vx|**alpha),
+            # integrated on [0, tau0**(1/p)] and [0, (dt - tau0)**(1/p)]
+            p = 1.0 / (1.0 - order)
+            vx_c = np.tile(vx[crossing], 2)
+            c = np.tile(vy[crossing] / np.abs(vx[crossing]) ** order, 2)
+            tau0 = tau_zero[crossing]
 
-        # Only alpha-grushin gets here, where f = |vx (tau - tau0)|**alpha on
-        # the segment, so speed * dtau/du = p * hypot(vx u**(p - 1), vy / |vx|**alpha).
-        p = 1.0 / (1.0 - order)
-        c = vy / abs(vx) ** order
+            def smoothed(k, u):
+                return p * np.hypot(vx_c[k] * u ** (p - 1.0), c[k])
 
-        def smoothed(u):
-            return p * math.hypot(vx * u ** (p - 1.0), c)
-
-        for span in (tau_zero, dt - tau_zero):
-            total += _adaptive_simpson(smoothed, 0.0, span ** (1.0 / p), tol)
+            total += _simpson_levels(smoothed, np.concatenate((tau0, dt[crossing] - tau0))
+                                     ** (1.0 / p), np.tile(tol[crossing], 2))
     return total
 
 

@@ -128,11 +128,14 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
     Raises StepSizeTooLarge unless the energy drift, recomputed from the
     array evaluator f, is at most 100 * tol_H (a non-finite drift fails),
     and also when a float evaluation overflows or leaves its domain.
+    Raises ValueError unless dt > 0, T >= 0 and T / dt is finite.
     """
-    if dt <= 0:
-        raise ValueError("geodesic_flow: dt must be positive")
-    if T < 0:
-        raise ValueError("geodesic_flow: T must be non-negative")
+    if not dt > 0:
+        raise ValueError(f"geodesic_flow: dt must be positive, got {dt}")
+    if not T >= 0:
+        raise ValueError(f"geodesic_flow: T must be non-negative, got {T}")
+    if not T / dt < math.inf:
+        raise ValueError(f"geodesic_flow: T / dt = {T} / {dt} is not a finite step count")
     if not 0.0 < tol_H < math.inf:
         raise ValueError(f"geodesic_flow: need finite tol_H > 0, got {tol_H}")
     x, y, px, py = (float(v) for v in state0)
@@ -263,8 +266,8 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4):
     """
     if n < 8:
         raise ValueError("front: need n >= 8 parameters")
-    if T <= 0:
-        raise ValueError("front: need T > 0")
+    if not 0 < T < math.inf:
+        raise ValueError(f"front: need finite T > 0, got {T}")
     start = Point(float(start[0]), float(start[1]))
     closed = frame.is_exact_grushin
     singular = frame.is_singular_variant and start.x == 0.0

@@ -403,6 +403,45 @@ def test_evolve_rejects_bad_time_steps(tmp_path, capsys, argv):
 _FAST_EVOLVE = ["evolve", "--eps", "0.1", "--n-x", "20", "--n-y", "4"]
 
 
+@pytest.mark.parametrize("argv, key, value", [
+    (["metric", "--x", "-1e-3"], "x", -1e-3),
+    (["geodesic", "--x0", "-1e-1", "--t-final", "0.01"], "x0", -0.1),
+    ([*_FAST_EVOLVE, "--t-final", "0.01", "--bump-x", "-1e-0"], "bump_x", -1.0),
+])
+def test_negative_value_in_scientific_notation_is_a_value(tmp_path, capsys, argv, key, value):
+    code, err = cli([*argv, "--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
+    assert json.loads((tmp_path / "manifest.json").read_text())["config"][key] == value
+
+
+@pytest.mark.parametrize("text", ["-1e-3", "-2.5E+2", "-.5e1", "-7", "-inf", "-Infinity", "-nan"])
+def test_parser_reads_negative_numbers_as_values(text):
+    # repr compares nan with nan
+    assert repr(_build_parser().parse_args(["metric", "--x", text]).x) == repr(float(text))
+
+
+_BUMP_FRONT = ["front", "--variant", "f2", "--log-scale", "gaussian-bump(0.3,0.7)", "--n", "8"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["geodesic", "--t-final", "inf"], "geodesic_flow: T / dt = inf / 0.0001 is not a finite"),
+    (["geodesic", "--dt", "1e-320", "--t-final", "0.01"], "geodesic_flow: T / dt = 0.01 / 1e-320"),
+    (["geodesic", "--dt", "nan"], "geodesic_flow: dt must be positive, got nan"),
+    (["geodesic", "--t-final", "nan"], "geodesic_flow: T must be non-negative, got nan"),
+    ([*_BUMP_FRONT, "--t-final", "inf"], "front: need finite T > 0, got inf"),
+    ([*_BUMP_FRONT, "--t-final", "0.01", "--dt", "nan"], "geodesic_flow: dt must be positive"),
+    (["front", "--t-final", "nan"], "front: need finite T > 0, got nan"),
+    ([*_FAST_EVOLVE, "--t-final", "inf"], "run_heat: T / dt = inf / 0.001 is not a finite"),
+    ([*_FAST_EVOLVE, "--t-final", "1e300", "--dt", "1e-300"], "run_heat: T / dt"),
+    ([*_FAST_EVOLVE, "--equation", "schrodinger", "--t-final", "inf"], "run_schrodinger: T / dt"),
+])
+def test_step_count_that_is_not_finite_is_a_usage_error(tmp_path, capsys, argv, named):
+    code, err = cli([*argv, "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert named in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("argv, named", [
     (["metric", "--variant", "alpha-grushin", "--frame-alpha", "nan"], "finite alpha > 0"),
     (["metric", "--variant", "alpha-grushin", "--frame-alpha", "inf"], "finite alpha > 0"),

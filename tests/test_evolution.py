@@ -240,6 +240,15 @@ def test_run_heat_rejects_bad_time_steps(T, dt):
         run_heat(gen, state, T, dt)
 
 
+@pytest.mark.parametrize("run", [run_heat, run_schrodinger])
+@pytest.mark.parametrize("T, dt", [(math.inf, 1e-3), (0.01, 1e-320)])
+def test_runs_reject_a_step_count_that_is_not_finite(run, T, dt):
+    gen = _small_gen()
+    state = gaussian_bump_state(gen, (-1.0, math.pi), 0.3)
+    with pytest.raises(ValueError, match=f"{run.__name__}: T / dt = .* is not a finite step count"):
+        run(gen, state, T, dt)
+
+
 def test_run_heat_to_time_zero_keeps_the_field():
     gen = _small_gen()
     state = gaussian_bump_state(gen, (-1.0, math.pi), 0.3)

@@ -650,6 +650,141 @@ def test_length_input_validation():
         curve_length(GRUSHIN, [1.0, 0.0], [0.0, 1.0], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("which", ["t", "x", "y"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_length_rejects_samples_that_are_not_finite(which, bad):
+    samples = {"t": [0.0, 0.5, 1.0], "x": [1.0, 1.5, 2.0], "y": [0.0, 0.3, 0.1]}
+    samples[which][1] = bad
+    with pytest.raises(ValueError, match="curve_length: need finite samples"):
+        curve_length(GRUSHIN, samples["t"], samples["x"], samples["y"])
+
+
+def _reference_simpson(g, a, b, tol, depth=28):
+    """Recursive adaptive Simpson on one interval, in plain floats."""
+    def rec(a, b, fa, fm, fb, whole, tol, depth):
+        m = 0.5 * (a + b)
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = g(lm), g(rm)
+        left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
+        right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
+        err = left + right - whole
+        if depth <= 0 or abs(err) <= 15.0 * tol or not math.isfinite(err):
+            return left + right + err / 15.0
+        return (rec(a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
+                + rec(m, b, fm, frm, fb, right, 0.5 * tol, depth - 1))
+
+    fa, fm, fb = g(a), g(0.5 * (a + b)), g(b)
+    return rec(a, b, fa, fm, fb, (b - a) * (fa + 4.0 * fm + fb) / 6.0, tol, depth)
+
+
+def _reference_length(frame, t, x, y):
+    """curve_length one segment at a time, through the float evaluator fsq_jet."""
+    order = frame.alpha if frame.variant == "alpha-grushin" else 1.0
+    total = 0.0
+    for t0, t1, x0, x1, y0, y1 in zip(t[:-1], t[1:], x[:-1], x[1:], y[:-1], y[1:]):
+        dt = t1 - t0
+        if dt == 0.0:
+            continue
+        vx, vy = (x1 - x0) / dt, (y1 - y0) / dt
+        tol = 1e-10 * max(1.0, dt)
+        if vy == 0.0:
+            total += abs(vx) * dt
+            continue
+        if frame.is_singular_variant and x0 == 0.0 and vx == 0.0:
+            return math.inf
+        tau0 = -x0 / vx if vx != 0.0 else math.nan
+        if frame.is_singular_variant and 0.0 <= tau0 <= dt:
+            if order >= 1.0:
+                return math.inf
+            p = 1.0 / (1.0 - order)
+            c = vy / abs(vx) ** order
+            for span in (tau0, dt - tau0):
+                total += _reference_simpson(lambda u: p * math.hypot(vx * u ** (p - 1.0), c),
+                                            0.0, span ** (1.0 / p), tol)
+            continue
+
+        def speed(tau):
+            fsq = frame.fsq_jet(x0 + vx * tau, y0 + vy * tau)[0]
+            return math.sqrt(vx * vx + vy * vy / fsq) if fsq != 0.0 else math.inf
+
+        total += _reference_simpson(speed, 0.0, dt, tol)
+    return total
+
+
+_LENGTH_FRAMES = {
+    "grushin": GRUSHIN,
+    "f1-bump": _bump_frame("f1"),
+    "f2-bump": _bump_frame("f2"),
+    "f2-poly": FrameSpec.f2(polynomial_field([[0.1, 0.2], [-0.3, 0.05], [0.02, 0.0]])),
+    **{f"alpha-{a}": FrameSpec.alpha_grushin(a) for a in (0.5, 0.75, 0.95, 1.5)},
+}
+
+
+def _length_path(name, n):
+    s = np.linspace(0.0, 1.0, n)
+    if name == "arc":  # off the singular line
+        return s, 1.2 + 0.5 * np.cos(2 * np.pi * s), 0.8 * np.sin(2 * np.pi * s)
+    if name == "crossing":  # crosses x = 0 once, transversally
+        return s, s - 0.4 + 0.1 * np.sin(3 * s), 0.7 * s + 0.2 * s * s
+    if name == "steep":  # long segments near x = 0.2 that subdivide deeply
+        return s**2, 0.2 + 1.8 * s, -1.0 + 4.0 * s
+    # a repeated time, level segments and a crossing
+    t, y = s.copy(), np.sin(3 * s)
+    t[n // 2] = t[n // 2 - 1]
+    y[: n // 3] = 0.25
+    return t, -0.9 + 1.7 * s, y
+
+
+@pytest.mark.parametrize("n", [2, 7, 2000])
+@pytest.mark.parametrize("path", ["arc", "crossing", "steep", "mixed"])
+@pytest.mark.parametrize("name", sorted(_LENGTH_FRAMES))
+def test_length_matches_the_scalar_reference(name, path, n):
+    frame = _LENGTH_FRAMES[name]
+    t, x, y = _length_path(path, n)
+    want = _reference_length(frame, t.tolist(), x.tolist(), y.tolist())
+    got = curve_length(frame, t, x, y)
+    if math.isinf(want):
+        assert got == want
+        with pytest.raises(NotAdmissible):
+            curve_length(frame, t, x, y, strict=True)
+    else:
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _count_derivs(monkeypatch):
+    calls = []
+    derivs = FrameSpec.derivs
+
+    def counted(self, x, y):
+        calls.append(np.size(x))
+        return derivs(self, x, y)
+
+    monkeypatch.setattr(FrameSpec, "derivs", counted)
+    return calls
+
+
+@pytest.mark.parametrize("frame", [GRUSHIN, FrameSpec.alpha_grushin(0.5),
+                                   FrameSpec.f1(scalar_zero())],
+                         ids=["grushin", "alpha-0.5", "f1-zero"])
+def test_length_reads_derivs_once_per_level_whatever_the_sample_count(monkeypatch, frame):
+    calls = _count_derivs(monkeypatch)
+    # a vertical line off x = 0 has constant speed: every segment stops at level 0
+    for n in (2, 2000):
+        t = np.linspace(0.0, 1.0, n)
+        curve_length(frame, t, np.full(n, 0.7), 2.0 * t)
+    assert calls == [5, 5 * 1999]
+
+
+def test_length_refines_one_derivs_call_per_level(monkeypatch):
+    calls = _count_derivs(monkeypatch)
+    # one long segment near x = 0.2: level 0 evaluates its five nodes, each later
+    # level the two quarter points of every interval still open, to depth 28 at most
+    curve_length(GRUSHIN, *_length_path("steep", 2))
+    assert calls[0] == 5
+    assert 1 < len(calls) <= 29
+    assert all(c % 4 == 0 for c in calls[1:])
+
+
 # -- configuration ---------------------------------------------------------
 
 

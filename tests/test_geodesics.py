@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,18 @@ def test_flow_rejects_non_finite_starts_and_tolerances(state0, tol_H):
         geodesic_flow(GRUSHIN, state0, 0.01, tol_H=tol_H)
 
 
+@pytest.mark.parametrize("T, dt, named", [
+    (math.inf, 1e-4, "T / dt = inf / 0.0001 is not a finite step count"),
+    (0.01, 1e-320, "T / dt = 0.01 / 1e-320 is not a finite step count"),
+    (1e300, 1e-300, "T / dt = 1e+300 / 1e-300 is not a finite step count"),
+    (0.01, math.nan, "dt must be positive, got nan"),
+    (math.nan, 1e-4, "T must be non-negative, got nan"),
+])
+def test_flow_rejects_a_step_count_that_is_not_finite(T, dt, named):
+    with pytest.raises(ValueError, match=f"geodesic_flow: {re.escape(named)}"):
+        geodesic_flow(GRUSHIN, (0.0, 0.0, 1.0, 0.5), T, dt=dt)
+
+
 @pytest.mark.parametrize("frame", [GRUSHIN, FrameSpec.alpha_grushin(1.5)])
 def test_energy_gate_rejects_a_blown_up_trajectory(frame):
     # the trajectory overflows to inf and nan; a nan drift must not pass
@@ -184,3 +197,7 @@ def test_front_validation():
         front(GRUSHIN, (-1.0, 0.0), 1.0, 7)
     with pytest.raises(ValueError):
         front(GRUSHIN, (-1.0, 0.0), 0.0, 8)
+    # the closed forms too, which would give nan endpoints
+    for T in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="front: need finite T > 0"):
+            front(GRUSHIN, (-1.0, 0.0), T, 8)
