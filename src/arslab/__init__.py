@@ -69,7 +69,7 @@ _LAZY = {
         "richardson_extrapolate", "spectrum_2d"), "spectral"),
     "evolution": "evolution",
     **dict.fromkeys((
-        "EvolutionState", "Generator", "TransmissionReport", "WeightedGrid",
+        "EvolutionState", "Generator", "TransmissionReport",
         "assemble_generator", "eps_sweep", "gaussian_bump_state", "run_heat",
         "run_schrodinger", "step_heat", "step_schrodinger", "transmission_study",
         "transmission_verdict", "transmitted_fraction"), "evolution"),

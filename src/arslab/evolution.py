@@ -61,7 +61,6 @@ from scipy.linalg import lapack
 from .errors import BadGrid, Inconclusive, SolverDiverged
 
 __all__ = [
-    "WeightedGrid",
     "Generator",
     "EvolutionState",
     "TransmissionReport",
@@ -110,63 +109,9 @@ def _int_ycoupling(t, eps, alpha):
     return inside + outside
 
 
-def _odd(f, x, eps, alpha):
-    x = np.asarray(x, dtype=float)
-    return np.sign(x) * f(np.abs(x), eps, alpha)
-
-
-@dataclass
-class WeightedGrid:
-    """Tensor grid with exactly integrated degenerate weights."""
-
-    alpha: float
-    eps: float
-    x: np.ndarray        # n_x + 1 nodes, symmetric, includes 0
-    h: float
-    n_y: int
-    h_y: float
-    period: float
-    mass_x: np.ndarray   # per x-node: cell integral of w_eps
-    cond_x: np.ndarray   # per x-edge, per unit y-length
-    ycoef_x: np.ndarray  # per x-node: cell integral of f**2 w_eps
-
-    @property
-    def n_cells(self):
-        return self.x.size * self.n_y
-
-    def masses(self):
-        return np.repeat(self.mass_x * self.h_y, self.n_y)
-
-    def x_of_cells(self):
-        return np.repeat(self.x, self.n_y)
-
-    def y_of_cells(self):
-        return np.tile((np.arange(self.n_y)) * self.h_y, self.x.size)
-
-
-def _build_grid(alpha, eps, n_x, x_half, n_y, period):
-    if n_x < 4 or n_x % 2 != 0:
-        raise BadGrid(f"need even n_x >= 4, got {n_x}")
-    if n_y < 4:
-        raise BadGrid(f"need n_y >= 4, got {n_y}")
-    if not (eps > 0 and x_half > eps):
-        raise BadGrid(f"need 0 < eps < x_half, got eps={eps}, x_half={x_half}")
-    if not 0.0 < alpha < math.inf:
-        raise BadGrid(f"need finite alpha > 0, got {alpha}")
-    if not 0.0 < period < math.inf:
-        raise BadGrid(f"need finite period > 0, got {period}")
-    h = 2.0 * x_half / n_x
-    x = np.linspace(-x_half, x_half, n_x + 1)
-    x[n_x // 2] = 0.0
-    cell_lo = np.maximum(x - 0.5 * h, -x_half)
-    cell_hi = np.minimum(x + 0.5 * h, x_half)
-    mass_x = _odd(_int_weight, cell_hi, eps, alpha) - _odd(_int_weight, cell_lo, eps, alpha)
-    flux = _odd(_int_inverse_weight, x[1:], eps, alpha) - _odd(_int_inverse_weight, x[:-1], eps, alpha)
-    cond_x = 1.0 / flux
-    ycoef_x = _odd(_int_ycoupling, cell_hi, eps, alpha) - _odd(_int_ycoupling, cell_lo, eps, alpha)
-    return WeightedGrid(alpha=float(alpha), eps=float(eps), x=x, h=h, n_y=int(n_y),
-                        h_y=period / n_y, period=float(period), mass_x=mass_x,
-                        cond_x=cond_x, ycoef_x=ycoef_x)
+def _integral(f, lo, hi, eps, alpha):
+    """Integral on [lo, hi] of the even integrand whose integral on [0, t] is f(t)."""
+    return np.sign(hi) * f(np.abs(hi), eps, alpha) - np.sign(lo) * f(np.abs(lo), eps, alpha)
 
 
 @dataclass
@@ -175,20 +120,36 @@ class Generator:
 
     C = kron(C_x, I) + kron(diag(y_coef), R) and M = kron(diag(m_x), I),
     where C_x is tridiagonal with diagonal x_diag and off-diagonal x_off
-    and R is the periodic second difference in y.  Cells are ordered
-    x-major, so a field reshapes to (n_x + 1, n_y).
+    and R is the periodic second difference in y.  Cells, the nodes x times
+    n_y periodic y-nodes, are ordered x-major: a field reshapes to (x.size, n_y).
     """
 
-    grid: WeightedGrid
-    m: np.ndarray
-    m_x: np.ndarray     # mass_x * h_y
+    alpha: float
+    eps: float
+    x: np.ndarray       # n_x + 1 nodes, symmetric, includes 0
+    h: float
+    n_y: int
+    period: float
+    m: np.ndarray       # per cell: m_x repeated over y
+    m_x: np.ndarray     # per x-node: cell integral of w_eps, times h_y
     x_diag: np.ndarray  # -(x-edge conductances at each node)
-    x_off: np.ndarray   # cond_x * h_y
-    y_coef: np.ndarray  # ycoef_x / h_y
+    x_off: np.ndarray   # per x-edge: 1 / integral of 1/w_eps, times h_y
+    y_coef: np.ndarray  # per x-node: cell integral of f**2 w_eps, over h_y
+
+    @property
+    def h_y(self):
+        return self.period / self.n_y
+
+    @property
+    def n_cells(self):
+        return self.x.size * self.n_y
+
+    def x_of_cells(self):
+        return np.repeat(self.x, self.n_y)
 
     def apply(self, u):
         """A u = M^{-1} C u, matrix-free from the 1-D pieces."""
-        v = np.reshape(u, (self.grid.x.size, self.grid.n_y))
+        v = np.reshape(u, (self.x.size, self.n_y))
         ring = np.roll(v, 1, axis=1) + np.roll(v, -1, axis=1) - 2.0 * v
         cu = _tridiagonal_dot(self.x_diag, self.x_off, v.T).T + self.y_coef[:, None] * ring
         return cu.reshape(-1) / self.m
@@ -204,14 +165,42 @@ class Generator:
 
 
 def assemble_generator(alpha, eps, *, n_x=400, x_half=3.0, n_y=64, period=_TWO_PI):
-    """Finite-volume generator of the regularized flow on the cylinder."""
-    grid = _build_grid(alpha, eps, n_x, x_half, n_y, period)
-    x_off = grid.cond_x * grid.h_y
-    x_diag = np.zeros(grid.x.size)
-    x_diag[:-1] -= x_off
-    x_diag[1:] -= x_off
-    return Generator(grid=grid, m=grid.masses(), m_x=grid.mass_x * grid.h_y,
-                     x_diag=x_diag, x_off=x_off, y_coef=grid.ycoef_x / grid.h_y)
+    """Finite-volume generator of the regularized flow on the cylinder.
+
+    Raises BadGrid unless n_x >= 4 is even, n_y >= 4, 0 < eps < x_half,
+    alpha and period are finite and positive, and the cell width
+    2 x_half / n_x and every weight are finite.
+    """
+    if n_x < 4 or n_x % 2 != 0:
+        raise BadGrid(f"need even n_x >= 4, got {n_x}")
+    if n_y < 4:
+        raise BadGrid(f"need n_y >= 4, got {n_y}")
+    if not (eps > 0 and x_half > eps):
+        raise BadGrid(f"need 0 < eps < x_half, got eps={eps}, x_half={x_half}")
+    if not 0.0 < alpha < math.inf:
+        raise BadGrid(f"need finite alpha > 0, got {alpha}")
+    if not 0.0 < period < math.inf:
+        raise BadGrid(f"need finite period > 0, got {period}")
+    h = 2.0 * x_half / n_x
+    if not h < math.inf:
+        raise BadGrid(f"assemble_generator: need a finite cell width 2 x_half / n_x, "
+                      f"got x_half={x_half}")
+    x = np.linspace(-x_half, x_half, n_x + 1)
+    x[n_x // 2] = 0.0
+    h_y = period / n_y
+    cell_lo = np.maximum(x - 0.5 * h, -x_half)
+    cell_hi = np.minimum(x + 0.5 * h, x_half)
+    with np.errstate(all="ignore"):  # a weight that leaves the floats is rejected below
+        m_x = _integral(_int_weight, cell_lo, cell_hi, eps, alpha) * h_y
+        x_off = (1.0 / _integral(_int_inverse_weight, x[:-1], x[1:], eps, alpha)) * h_y
+        y_coef = _integral(_int_ycoupling, cell_lo, cell_hi, eps, alpha) / h_y
+    if not np.all(np.isfinite(np.concatenate((m_x, x_off, y_coef)))):
+        raise BadGrid(f"assemble_generator: the weights on |x| <= x_half = {x_half} "
+                      f"leave the floats at eps={eps}, alpha={alpha}")
+    x_diag = -np.append(x_off, 0.0) - np.append(0.0, x_off)
+    return Generator(alpha=float(alpha), eps=float(eps), x=x, h=h, n_y=int(n_y),
+                     period=float(period), m=np.repeat(m_x, n_y), m_x=m_x, x_diag=x_diag,
+                     x_off=x_off, y_coef=y_coef)
 
 
 @dataclass
@@ -229,22 +218,21 @@ def gaussian_bump_state(gen, center, sigma):
     2 sigma**2 under- or overflows, and when no mass of the profile is
     left on the grid.
     """
-    grid = gen.grid
     xc, yc = float(center[0]), float(center[1])
     if xc >= 0:
         raise ValueError("gaussian_bump_state: need center x < 0")
     if not (sigma > 0.0 and sigma * sigma > 0.0 and 2.0 * sigma * sigma < math.inf):
         raise ValueError(f"gaussian_bump_state: need finite sigma > 0 with 2 sigma**2 "
                          f"neither underflowing nor overflowing, got {sigma}")
-    x = grid.x_of_cells()
-    y = grid.y_of_cells()
+    x = gen.x_of_cells()
+    y = np.tile(np.arange(gen.n_y) * gen.h_y, gen.x.size)
     dy = np.abs(y - yc)
-    dy = np.minimum(dy, grid.period - dy)
+    dy = np.minimum(dy, gen.period - dy)
     # an exponent that overflows to -inf is a tail below the 1e-12 cut anyway
     with np.errstate(over="ignore"):
         u = np.exp(-((x - xc) ** 2 + dy**2) / (2.0 * sigma**2))
     u[u < 1e-12] = 0.0
-    u[x >= -grid.h] = 0.0
+    u[x >= -gen.h] = 0.0
     if not gen.total_mass(u) > 0.0:
         raise ValueError(f"gaussian_bump_state: no mass of the bump at {center} "
                          f"with sigma {sigma} is left on the grid")
@@ -322,7 +310,7 @@ class _ModeSystem:
 
 def _mode_system(gen, c):
     """The mode system of (M - c C), factored by LAPACK; _evolve makes one per run."""
-    n_y = gen.grid.n_y
+    n_y = gen.n_y
     real = isinstance(c, float)
     q = np.r_[:n_y // 2 + 1, 1:(n_y + 1) // 2] if real else np.arange(n_y)  # cosines, then sines
     mu = 2.0 * np.cos(_TWO_PI * q / n_y) - 2.0
@@ -338,7 +326,7 @@ def _mode_system(gen, c):
     # a real mode 0 < q < n_y / 2 stands for q and n_y - q
     parseval = np.where(real & (q > 0) & (2 * q < n_y), 2.0, 1.0)
     energy = (parseval[:, None] / n_y * gen.m_x).reshape(-1)
-    x = gen.grid.x
+    x = gen.x
     if real:
         # heat masses are linear in u: m_x times the q = 0 cosine coefficient,
         # which is the sum of u over y
@@ -441,7 +429,7 @@ def run_schrodinger(gen, state, T, dt, *, record_every=0):
 
 def transmitted_fraction(gen, u):
     """sum_{x > 0} m u  /  sum m u."""
-    right = gen.grid.x_of_cells() > 0.0
+    right = gen.x_of_cells() > 0.0
     return float(np.dot(gen.m[right], u[right])) / float(np.dot(gen.m, u))
 
 

@@ -432,7 +432,12 @@ def frame_vectors(frame, p):
 
 
 def _regular_derivs(frame, p, who):
-    """frame.derivs at p as floats; SingularPoint where f vanishes."""
+    """frame.derivs at p as floats; SingularPoint where f vanishes.
+
+    Raises ValueError, naming who, unless p is finite.
+    """
+    if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+        raise ValueError(f"{who}: need a finite point, got {tuple(p)}")
     fv, fx, fy, fxx = (float(d) for d in frame.derivs(p[0], p[1]))
     if fv == 0.0:
         raise SingularPoint(f"{who}: frame degenerates at {tuple(p)}")

@@ -262,12 +262,15 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4):
     momentum px = +-1.
 
     Endpoints come from the closed forms exactly when the frame is the
-    exact Grushin plane, otherwise from RK4 integration.
+    exact Grushin plane, otherwise from RK4 integration.  Raises
+    ValueError unless n >= 8 and T and param_max are finite and positive.
     """
     if n < 8:
         raise ValueError("front: need n >= 8 parameters")
     if not 0 < T < math.inf:
         raise ValueError(f"front: need finite T > 0, got {T}")
+    if not 0 < param_max < math.inf:
+        raise ValueError(f"front: need finite param_max > 0, got {param_max}")
     start = Point(float(start[0]), float(start[1]))
     closed = frame.is_exact_grushin
     singular = frame.is_singular_variant and start.x == 0.0

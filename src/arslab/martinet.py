@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularPoint
-from .spectral import assemble_staggered
-from .tridiag import lowest_eigenpairs
+from .spectral import assemble_staggered, eigen_solve
 
 __all__ = [
     "frame_field_1",
@@ -127,7 +126,7 @@ def martinet_mode_solve(k, l, n, y_max=None, m=4):
     l = int(l)
     if y_max is None:
         y_max = 10.0 / max(abs(l), 1) ** 0.25
-    y, diag, off, h = assemble_staggered(lambda t: mode_potential(k, l, t), n, y_max)
-    res = lowest_eigenpairs(diag, off, m)
+    op = assemble_staggered(lambda t: mode_potential(k, l, t), n, y_max)
+    res = eigen_solve(op, m)
     return MartinetModeResult(k=k, l=l, n=int(n), y_max=float(y_max),
                               values=res.values, residuals=res.residuals)

@@ -120,10 +120,10 @@ def gauge_transform(frame):
 
 @dataclass(frozen=True)
 class ModeOperator:
-    """Half-line Schrodinger operator on a staggered grid.
+    """Half-line operator -d2/dx2 + potential: tridiagonal diag, off at nodes x.
 
-    Nodes x_j = (j + 1/2) h keep the stencil away from the singular
-    endpoint; the outer boundary is a hard Dirichlet cut at x_max.
+    Nodes x_j = (j + 1/2) h keep the stencil off the singular endpoint, and
+    x_max is a hard Dirichlet cut; spectrum_2d and martinet_mode_solve call eigen_solve.
     """
 
     x_max: float
@@ -134,16 +134,27 @@ class ModeOperator:
 
 
 def assemble_staggered(potential, n, x_max):
-    """Tridiagonal discretization of -d2/dx2 + potential(x) on (0, x_max)."""
+    """ModeOperator of -d2/dx2 + potential(x) on (0, x_max) with n nodes.
+
+    Raises BadGrid unless n >= 16, x_max is finite and positive, and the
+    diagonal 2/h**2 + potential(x) is finite.
+    """
     if n < 16:
         raise BadGrid(f"assemble_staggered: need n >= 16, got {n}")
-    if not x_max > 0:
-        raise BadGrid(f"assemble_staggered: need x_max > 0, got {x_max}")
+    if not 0 < x_max < math.inf:
+        raise BadGrid(f"assemble_staggered: need finite x_max > 0, got {x_max}")
     h = x_max / n
     x = (np.arange(n) + 0.5) * h
-    diag = 2.0 / h**2 + np.asarray(potential(x), dtype=float)
-    off = np.full(n - 1, -1.0 / h**2)
-    return x, diag, off, h
+    try:
+        stencil = 2.0 / h**2, -1.0 / h**2
+    except ArithmeticError:  # h**2 overflows, or underflows to 0
+        stencil = math.inf, math.inf
+    with np.errstate(all="ignore"):  # a diagonal that leaves the floats is rejected below
+        diag = stencil[0] + np.asarray(potential(x), dtype=float)
+    if not np.all(np.isfinite(diag)):
+        raise BadGrid(f"assemble_staggered: the stencil 2/h**2 + potential(x) on (0, {x_max}) "
+                      f"with n = {n} is not finite")
+    return ModeOperator(x_max=float(x_max), h=h, x=x, diag=diag, off=np.full(n - 1, stencil[1]))
 
 
 def assemble_mode_operator(k, alpha, n, x_max=None):
@@ -163,8 +174,7 @@ def assemble_mode_operator(k, alpha, n, x_max=None):
     def potential(x):
         return (k * k) * x ** (2.0 * alpha) + c / x**2
 
-    x, diag, off, h = assemble_staggered(potential, n, x_max)
-    return ModeOperator(x_max=float(x_max), h=h, x=x, diag=diag, off=off)
+    return assemble_staggered(potential, n, x_max)
 
 
 def eigen_solve(op, m):

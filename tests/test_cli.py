@@ -380,6 +380,22 @@ def test_schrodinger_evolve_matches_golden_bytes(tmp_path, capsys):
     assert hashlib.sha256(data).hexdigest() == _SCHRODINGER_CSV_GOLDEN
 
 
+# sha256 of the default spectrum and martinet data files, recorded while
+# assemble_staggered still returned a bare (x, diag, off, h) tuple
+_MODE_CSV_GOLDEN = {
+    "spectrum": "dff32ce2c79f5e1ce46d2c0409dbac0a2e5e8bbcb504caf5b2a2665f056c853f",
+    "martinet": "7ac54322a72e084fbe09781ca7970ceba8120804f48b35ddf79cae60f7d20c9e",
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_MODE_CSV_GOLDEN))
+def test_default_mode_spectra_match_golden_bytes(tmp_path, capsys, sub):
+    code, err = cli([sub, "--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
+    data = (tmp_path / f"{sub}.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _MODE_CSV_GOLDEN[sub]
+
+
 @pytest.mark.parametrize("argv, named", [
     (["--alpha", "-3"], "alpha > 0"),
     (["--alpha", "0"], "alpha > 0"),
@@ -511,6 +527,48 @@ def test_front_csv_has_family_column(tmp_path, capsys):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["summary"]["kind"] == "singular"
     assert manifest["summary"]["provenance"] == "closed-form"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--x-max", "1e-160"],  # h**2 underflows to 0
+    ["spectrum", "--x-max", "1e200"],   # h**2 overflows
+    ["spectrum", "--x-max", "inf"],
+    ["martinet", "--y-max", "1e-300"],
+    ["martinet", "--y-max", "inf"],
+], ids=["spectrum-tiny", "spectrum-huge", "spectrum-inf", "martinet-tiny", "martinet-inf"])
+def test_mode_box_whose_stencil_is_not_finite_is_a_usage_error(tmp_path, capsys, argv):
+    # in this process a RuntimeWarning is an error: none may escape main
+    code, err = cli([*argv, "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "arslab: assemble_staggered: " in err and "finite" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("x_half", ["inf", "1e300", "1.7e308"])
+def test_evolve_box_whose_weights_are_not_finite_is_a_usage_error(tmp_path, capsys, x_half):
+    code, err = cli([*_FAST_EVOLVE, "--x-half", x_half, "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "arslab: assemble_generator: " in err and "bump" not in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["--x", "nan"], ["--x", "inf"], ["--y", "-inf"]],
+                         ids=["x-nan", "x-inf", "y-minus-inf"])
+def test_metric_at_a_point_that_is_not_finite_is_a_usage_error(tmp_path, capsys, argv):
+    code, err = cli(["metric", *argv, "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "arslab: metric_at: need a finite point" in err
+    assert not (tmp_path / "metric.csv").exists()
+
+
+@pytest.mark.parametrize("param_max", ["nan", "inf", "0", "-1"])
+def test_front_param_max_that_is_not_finite_and_positive_is_a_usage_error(tmp_path, capsys,
+                                                                         param_max):
+    code, err = cli(["front", "--x0", "0", "--n", "8", "--param-max", param_max,
+                     "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "arslab: front: need finite param_max > 0" in err
+    assert not (tmp_path / "front.csv").exists()
 
 
 def test_evolve_schrodinger_norm_column_is_constant(tmp_path, capsys):
@@ -738,7 +796,7 @@ _PUBLIC_NAMES = {
                  "assemble_mode_operator", "classify_self_adjoint", "deficiency_index_numeric",
                  "eigen_solve", "gauge_transform", "inverse_square_coefficient",
                  "richardson_extrapolate", "spectrum_2d"],
-    "evolution": ["EvolutionState", "Generator", "TransmissionReport", "WeightedGrid",
+    "evolution": ["EvolutionState", "Generator", "TransmissionReport",
                   "assemble_generator", "eps_sweep", "gaussian_bump_state", "run_heat",
                   "run_schrodinger", "step_heat", "step_schrodinger", "transmission_study",
                   "transmission_verdict", "transmitted_fraction"],

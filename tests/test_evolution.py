@@ -61,7 +61,7 @@ def test_uniform_weight_gives_standard_laplacian():
     """With eps at the box edge the weight is constant, so rows in x reduce
     to the plain second difference and the eps powers cancel."""
     gen = assemble_generator(1.0, 2.999999, n_x=200, n_y=4)
-    x = gen.grid.x_of_cells()
+    x = gen.x_of_cells()
     u = np.cos(x)
     got = gen.apply(u)
     interior = np.abs(x) < 2.5
@@ -70,18 +70,18 @@ def test_uniform_weight_gives_standard_laplacian():
 
 def test_generator_annihilates_constants():
     gen = _small_gen()
-    ones = np.ones(gen.grid.n_cells)
+    ones = np.ones(gen.n_cells)
     assert np.max(np.abs(gen.apply(ones))) <= 1e-10
 
 
 def test_generator_symmetric_and_nonpositive_in_mass_inner_product():
     gen = _small_gen()
     rng = np.random.default_rng(23)
-    _, degree = _loop_assembled(gen.grid)
+    _, degree = _loop_assembled(gen)
     scale = float(np.max(np.abs(degree / gen.m)))
     for _ in range(10):
-        u = rng.standard_normal(gen.grid.n_cells)
-        v = rng.standard_normal(gen.grid.n_cells)
+        u = rng.standard_normal(gen.n_cells)
+        v = rng.standard_normal(gen.n_cells)
         a = gen.inner(u, gen.apply(v))
         b = gen.inner(gen.apply(u), v)
         assert a == pytest.approx(b, abs=1e-11 * scale * gen.m_norm(u) * gen.m_norm(v))
@@ -92,7 +92,7 @@ def test_heat_conserves_mass_and_contracts():
     gen = _small_gen()
     state = gaussian_bump_state(gen, (-1.0, math.pi), 0.3)
     mass0 = gen.total_mass(state.u)
-    mean = mass0 / gen.total_mass(np.ones(gen.grid.n_cells))
+    mean = mass0 / gen.total_mass(np.ones(gen.n_cells))
     fluct_prev = gen.m_norm(state.u - mean)
     for _ in range(50):
         state = step_heat(gen, state, 1e-3)
@@ -125,7 +125,7 @@ def test_schrodinger_ballistic_transport():
     group velocity (2/h) sin(k h)."""
     k = 2.0
     gen = assemble_generator(1.0, 2.999999, n_x=300, n_y=4)
-    x = gen.grid.x_of_cells()
+    x = gen.x_of_cells()
     # y-uniform profile, so the x**2-weighted y coupling stays inert
     u0 = np.exp(-((x + 1.0) ** 2) / (2.0 * 0.5**2)) * np.exp(1j * k * x)
     state = EvolutionState(u=u0, t=0.0)
@@ -139,7 +139,7 @@ def test_schrodinger_ballistic_transport():
     for _ in range(int(round(T / dt))):
         state = step_schrodinger(gen, state, dt)
     v_measured = (centroid(state.u) - c0) / T
-    h = gen.grid.h
+    h = gen.h
     v_lattice = (2.0 / h) * math.sin(k * h)
     assert v_measured == pytest.approx(v_lattice, rel=0.02)
 
@@ -147,14 +147,14 @@ def test_schrodinger_ballistic_transport():
 def test_evolution_respects_mirror_symmetry():
     # reflecting the field across x = 0 commutes with the flow
     gen = _small_gen()
-    nx1 = gen.grid.x.size
-    n_y = gen.grid.n_y
+    nx1 = gen.x.size
+    n_y = gen.n_y
 
     def reflect(u):
         return u.reshape(nx1, n_y)[::-1, :].reshape(-1)
 
     rng = np.random.default_rng(41)
-    u = rng.uniform(0.0, 1.0, gen.grid.n_cells)
+    u = rng.uniform(0.0, 1.0, gen.n_cells)
     sa = step_heat(gen, EvolutionState(u=u, t=0.0), 1e-3).u
     sb = reflect(step_heat(gen, EvolutionState(u=reflect(u), t=0.0), 1e-3).u)
     assert np.max(np.abs(sa - sb)) <= 1e-10
@@ -166,7 +166,7 @@ def test_transmitted_fraction_independent_of_y_resolution():
         gen = assemble_generator(1.0, 0.05, n_x=200, n_y=n_y)
         state = gaussian_bump_state(gen, (-1.0, math.pi), 0.3)
         state, _ = run_heat(gen, state, 0.05, 1e-3)
-        x = gen.grid.x_of_cells()
+        x = gen.x_of_cells()
         return float(np.dot(gen.m[x > 0], state.u[x > 0]) / np.dot(gen.m, state.u))
 
     assert frac(4) == pytest.approx(frac(16), abs=1e-8)
@@ -177,7 +177,7 @@ def test_transmitted_fraction_stable_under_x_refinement():
         gen = assemble_generator(1.0, 0.05, n_x=n_x, n_y=8)
         state = gaussian_bump_state(gen, (-1.0, math.pi), 0.3)
         state, _ = run_heat(gen, state, 0.1, 1e-3)
-        x = gen.grid.x_of_cells()
+        x = gen.x_of_cells()
         return float(np.dot(gen.m[x > 0], state.u[x > 0]) / np.dot(gen.m, state.u))
 
     f400, f800 = frac(400), frac(800)
@@ -226,6 +226,11 @@ def test_validation_errors():
         assemble_generator(1.0, 5.0, n_x=100, n_y=8)  # eps beyond the box
     with pytest.raises(BadGrid):
         assemble_generator(-1.0, 0.05, n_x=100, n_y=8)
+    for x_half in (math.inf, 1e300, 1.7e308):  # weights or cell width leave the floats
+        with pytest.raises(BadGrid, match="assemble_generator: "):
+            assemble_generator(1.0, 0.05, n_x=20, x_half=x_half, n_y=4)
+    with pytest.raises(BadGrid, match="assemble_generator: the weights"):
+        assemble_generator(1.0, 1e-301, n_x=20, x_half=1e-300, n_y=4)  # conductance overflows
     gen = _small_gen()
     with pytest.raises(ValueError):
         gaussian_bump_state(gen, (0.5, math.pi), 0.3)  # right of the line
@@ -257,24 +262,24 @@ def test_run_heat_to_time_zero_keeps_the_field():
     np.testing.assert_allclose(still.u, state.u, rtol=0.0, atol=1e-14)
 
 
-def _loop_assembled(grid):
+def _loop_assembled(gen):
     """Reference assembly of C, edge by edge, with the degree on the diagonal.
 
     Returns C as a sparse matrix and the degree vector.
     """
-    nx1, n_y = grid.x.size, grid.n_y
+    nx1, n_y = gen.x.size, gen.n_y
     rows, cols, vals = [], [], []
     j_all = np.arange(n_y)
     for i in range(nx1 - 1):  # x edges: conductance per unit y times the cell height
         a, b = i * n_y + j_all, (i + 1) * n_y + j_all
         rows += [a, b]
         cols += [b, a]
-        vals += [np.full(n_y, grid.cond_x[i] * grid.h_y)] * 2
+        vals += [np.full(n_y, gen.x_off[i])] * 2
     for i in range(nx1):  # y edges: periodic ring in each x cell
         a, b = i * n_y + j_all, i * n_y + (j_all + 1) % n_y
         rows += [a, b]
         cols += [b, a]
-        vals += [np.full(n_y, grid.ycoef_x[i] / grid.h_y)] * 2
+        vals += [np.full(n_y, gen.y_coef[i])] * 2
     n = nx1 * n_y
     off = sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                             shape=(n, n)).tocsr()
@@ -289,9 +294,9 @@ def test_kron_assembly_matches_loop_assembly():
         eps = float(rng.uniform(1e-3, 0.5))
         period = float(rng.uniform(1.0, 8.0))
         gen = assemble_generator(alpha, eps, n_x=n_x, n_y=n_y, period=period)
-        C, _ = _loop_assembled(gen.grid)
+        C, _ = _loop_assembled(gen)
         want = C.toarray() / gen.m[:, None]
-        got = np.column_stack([gen.apply(e) for e in np.eye(gen.grid.n_cells)])
+        got = np.column_stack([gen.apply(e) for e in np.eye(gen.n_cells)])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -301,9 +306,9 @@ def test_kron_assembly_matches_loop_assembly():
 def test_steps_match_sparse_direct_solve(alpha, eps, half_n_x, n_y, dt, seed):
     gen = assemble_generator(alpha, eps, n_x=2 * half_n_x, n_y=n_y)
     rng = np.random.default_rng(seed)
-    n = gen.grid.n_cells
+    n = gen.n_cells
     M = sparse.diags(gen.m)
-    C, _ = _loop_assembled(gen.grid)
+    C, _ = _loop_assembled(gen)
     u = rng.standard_normal(n)
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for step, c, v in ((step_heat, 0.5 * dt, u), (step_schrodinger, 0.5j * dt, z)):
@@ -373,7 +378,7 @@ def test_series_rows_match_real_space_recomputation(run, step, density, n_y, rec
     _, series = run(gen, state, n * dt, dt, record_every=record_every)
     recorded = [k for k in range(n + 1) if k % record_every == 0 or k == n]
     assert [row[0] for row in series] == pytest.approx([k * dt for k in recorded], abs=1e-15)
-    x = gen.grid.x_of_cells()
+    x = gen.x_of_cells()
     k, want = 0, state
     for row, k_row in zip(series, recorded):
         while k < k_row:  # each step's state is the inverse FFT of its modes
@@ -388,11 +393,11 @@ def test_series_rows_match_real_space_recomputation(run, step, density, n_y, rec
 @pytest.mark.parametrize("n_y", [7, 8, 9])
 def test_mode_systems_hold_n_y_blocks_and_round_trip_a_real_field(n_y):
     gen = assemble_generator(0.8, 0.05, n_x=20, n_y=n_y)
-    u = np.random.default_rng(n_y).uniform(-1.0, 1.0, gen.grid.n_cells)
+    u = np.random.default_rng(n_y).uniform(-1.0, 1.0, gen.n_cells)
     for c in (5e-4, 5e-4j):  # heat: real modes; Schrodinger: complex modes
         system = evolution._mode_system(gen, c)
         w = system.to_modes(u)
-        assert w.shape == system.diag.shape == (n_y * gen.grid.x.size,)
+        assert w.shape == system.diag.shape == (n_y * gen.x.size,)
         assert np.max(np.abs(system.from_modes(w) - u)) <= 1e-15
 
 

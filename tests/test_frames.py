@@ -108,6 +108,17 @@ def test_singular_point_rejected():
     assert v2 == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("p", [Point(math.nan, 1.0), Point(math.inf, 1.0), Point(1.0, -math.inf)])
+def test_point_that_is_not_finite_rejected(p):
+    # checked before the frame is evaluated, so no RuntimeWarning comes first
+    with pytest.raises(ValueError, match="metric_at: need a finite point"):
+        metric_at(GRUSHIN, p)
+    with pytest.raises(ValueError, match="divergence: need a finite point"):
+        divergence(GRUSHIN, p, (1.0, 0.0), (0.0, 0.0))
+    with pytest.raises(ValueError, match="laplace_beltrami_coeffs: need a finite point"):
+        laplace_beltrami_coeffs(_bump_frame("f2"), p)
+
+
 def test_gradient_degenerates_along_x():
     g = gradient(GRUSHIN, Point(2.0, 1.0), (3.0, 5.0))
     assert g == (3.0, 20.0)

@@ -131,9 +131,14 @@ def test_assemble_staggered_validation():
         assemble_staggered(lambda x: x, 8, 1.0)
     with pytest.raises(BadGrid):
         assemble_staggered(lambda x: x, 32, 0.0)
-    x, diag, off, h = assemble_staggered(lambda x: np.zeros_like(x), 32, 1.0)
-    assert x[0] == pytest.approx(h / 2.0, rel=1e-15)
-    assert x[-1] == pytest.approx(1.0 - h / 2.0, rel=1e-15)
+    for x_max in (1e-160, 1e200, math.inf, math.nan):  # h**2 underflows, overflows; no box
+        with pytest.raises(BadGrid, match="assemble_staggered: "):
+            assemble_staggered(lambda x: 0.75 / x**2, 32, x_max)
+    with pytest.raises(BadGrid, match="is not finite"):
+        assemble_staggered(lambda x: 1e300 * x ** 300, 32, 1e3)  # the potential overflows
+    op = assemble_staggered(lambda x: np.zeros_like(x), 32, 1.0)
+    assert op.x[0] == pytest.approx(op.h / 2.0, rel=1e-15)
+    assert op.x[-1] == pytest.approx(1.0 - op.h / 2.0, rel=1e-15)
 
 
 def test_mode_operator_default_box():
