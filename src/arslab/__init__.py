@@ -16,46 +16,10 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ArslabError,
-    BadGrid,
-    ConvergenceFailure,
-    FitIllConditioned,
-    Inconclusive,
-    NotAdmissible,
-    OutOfRange,
-    SingularPoint,
-    SolverDiverged,
-    StepSizeTooLarge,
-    UnsupportedFrame,
-)
-from .frames import (
-    FrameSpec,
-    MetricData,
-    Point,
-    ScalarField,
-    curve_length,
-    divergence,
-    frame_from_config,
-    frame_vectors,
-    gaussian_bump,
-    gradient,
-    laplace_beltrami_coeffs,
-    metric_at,
-    polynomial_field,
-    scalar_zero,
-)
-from .geodesics import (
-    CotangentState,
-    Front,
-    Trajectory,
-    crossing_report,
-    front,
-    geodesic_flow,
-    grushin_geodesic_origin,
-    grushin_geodesic_riemannian,
-    hamiltonian,
-)
+# each layer's __all__ (for errors, its exception classes) lists its names once
+from .errors import *
+from .frames import *
+from .geodesics import *
 
 # public name -> the submodule that defines it (a submodule maps to
 # itself); __getattr__ imports it on first access

@@ -98,7 +98,6 @@ DEFAULTS = {
         "bump_y": math.pi,
         "bump_sigma": 0.3,
         "record_every": 1,
-        "tol": 1e-10,
     },
     "martinet": {
         "k": [0, 1],
@@ -247,6 +246,8 @@ def _cmd_evolve(cfg, out_dir):
     """regularized heat/Schrodinger evolution"""
     from .evolution import eps_sweep
 
+    if cfg["record_every"] < 1:
+        raise ConfigError(f"evolve: record_every must be at least 1, got {cfg['record_every']}")
     equation = cfg["equation"]
     eps_list = [float(e) for e in cfg["eps"]]
     series, report = eps_sweep(
@@ -254,8 +255,7 @@ def _cmd_evolve(cfg, out_dir):
         dt=float(cfg["dt"]), n_x=int(cfg["n_x"]), x_half=float(cfg["x_half"]),
         n_y=int(cfg["n_y"]), period=float(cfg["period"]),
         bump_center=(float(cfg["bump_x"]), float(cfg["bump_y"])),
-        bump_sigma=float(cfg["bump_sigma"]), tol=float(cfg["tol"]),
-        record_every=max(1, int(cfg["record_every"])))
+        bump_sigma=float(cfg["bump_sigma"]), record_every=int(cfg["record_every"]))
     outputs = {}
     for eps, rows in zip(eps_list, series):
         name = f"evolve_eps_{eps!r}.csv"
@@ -369,6 +369,29 @@ def _build_parser():
     return ap
 
 
+def _fits(val, default):
+    """Whether a config value has the JSON kind of its DEFAULTS entry.
+
+    A float takes a number, an int an integral number, a bool or a string
+    its own kind, a list a list of its entries' kind, and None a number
+    or null; a bool is no number.
+    """
+    if isinstance(default, list):
+        return isinstance(val, list) and all(_fits(v, default[0]) for v in val)
+    if isinstance(default, (bool, str)) or val is None:
+        return isinstance(val, type(default))
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and (not isinstance(default, int) or isinstance(val, int) or val.is_integer()))
+
+
+def _kind(default):
+    """The values _fits accepts for this default, in words."""
+    if isinstance(default, list):
+        return "a list of " + ("integers" if isinstance(default[0], int) else "numbers")
+    return {bool: "true or false", str: "a string", int: "an integer", float: "a number",
+            type(None): "a number or null"}[type(default)]
+
+
 def _apply_file_config(sub, cfg, overrides):
     for key, val in overrides.items():
         if key == "subcommand":
@@ -380,6 +403,10 @@ def _apply_file_config(sub, cfg, overrides):
                 raise ConfigError("frame config must be a dict")
             cfg["frame"].update(val)
         elif key in cfg:
+            default = DEFAULTS[sub][key]
+            if not _fits(val, default):
+                raise ConfigError(f"{sub}: config key {key!r} takes {_kind(default)}, "
+                                  f"got {json.dumps(val)}")
             cfg[key] = val
         else:
             raise ConfigError(f"{sub}: unknown config key {key!r}")
@@ -404,7 +431,7 @@ def run(argv=None):
         sub = file_cfg.get("subcommand", sub)
     if sub is None:
         sub = "metric"  # all-defaults run
-    if sub not in _HANDLERS:
+    if not isinstance(sub, str) or sub not in _HANDLERS:
         raise ConfigError(f"unknown subcommand {sub!r}")
 
     frame = {_FRAME_FLAGS[flag][0]: args.pop(flag)

@@ -81,37 +81,26 @@ _TWO_PI = 2.0 * math.pi
 _SOLVE_TOL = 1e-10
 
 
-def _int_weight(t, eps, alpha):
-    """integral of max(s, eps)**(-alpha) ds on [0, t], t >= 0."""
+def _int_power(t, eps, p, q):
+    """integral of s**p * max(s, eps)**q ds on [0, t], t >= 0, p > -1.
+
+    Cell mass, x-conductance and y-coupling are (p, q) = (0, -alpha),
+    (0, alpha) and (2 alpha, -alpha).
+    """
     t = np.asarray(t, dtype=float)
-    inside = np.minimum(t, eps) * eps ** (-alpha)
-    if alpha == 1.0:
+    inside = eps**q * np.minimum(t, eps) ** (p + 1) / (p + 1)
+    e = p + q + 1
+    if e == 0:
         outside = np.log(np.maximum(t, eps) / eps)
     else:
-        outside = (np.maximum(t, eps) ** (1.0 - alpha) - eps ** (1.0 - alpha)) / (1.0 - alpha)
+        outside = (np.maximum(t, eps) ** e - eps**e) / e
     return inside + outside
 
 
-def _int_inverse_weight(t, eps, alpha):
-    """integral of max(s, eps)**(+alpha) ds on [0, t], t >= 0."""
-    t = np.asarray(t, dtype=float)
-    inside = np.minimum(t, eps) * eps**alpha
-    outside = (np.maximum(t, eps) ** (1.0 + alpha) - eps ** (1.0 + alpha)) / (1.0 + alpha)
-    return inside + outside
-
-
-def _int_ycoupling(t, eps, alpha):
-    """integral of s**(2 alpha) * max(s, eps)**(-alpha) ds on [0, t], t >= 0."""
-    t = np.asarray(t, dtype=float)
-    tin = np.minimum(t, eps)
-    inside = eps ** (-alpha) * tin ** (2.0 * alpha + 1.0) / (2.0 * alpha + 1.0)
-    outside = (np.maximum(t, eps) ** (1.0 + alpha) - eps ** (1.0 + alpha)) / (1.0 + alpha)
-    return inside + outside
-
-
-def _integral(f, lo, hi, eps, alpha):
-    """Integral on [lo, hi] of the even integrand whose integral on [0, t] is f(t)."""
-    return np.sign(hi) * f(np.abs(hi), eps, alpha) - np.sign(lo) * f(np.abs(lo), eps, alpha)
+def _integral(lo, hi, eps, p, q):
+    """Integral on [lo, hi] of the even integrand |s|**p * max(|s|, eps)**q."""
+    return (np.sign(hi) * _int_power(np.abs(hi), eps, p, q)
+            - np.sign(lo) * _int_power(np.abs(lo), eps, p, q))
 
 
 @dataclass
@@ -191,9 +180,9 @@ def assemble_generator(alpha, eps, *, n_x=400, x_half=3.0, n_y=64, period=_TWO_P
     cell_lo = np.maximum(x - 0.5 * h, -x_half)
     cell_hi = np.minimum(x + 0.5 * h, x_half)
     with np.errstate(all="ignore"):  # a weight that leaves the floats is rejected below
-        m_x = _integral(_int_weight, cell_lo, cell_hi, eps, alpha) * h_y
-        x_off = (1.0 / _integral(_int_inverse_weight, x[:-1], x[1:], eps, alpha)) * h_y
-        y_coef = _integral(_int_ycoupling, cell_lo, cell_hi, eps, alpha) / h_y
+        m_x = _integral(cell_lo, cell_hi, eps, 0.0, -alpha) * h_y
+        x_off = (1.0 / _integral(x[:-1], x[1:], eps, 0.0, alpha)) * h_y
+        y_coef = _integral(cell_lo, cell_hi, eps, 2.0 * alpha, -alpha) / h_y
     if not np.all(np.isfinite(np.concatenate((m_x, x_off, y_coef)))):
         raise BadGrid(f"assemble_generator: the weights on |x| <= x_half = {x_half} "
                       f"leave the floats at eps={eps}, alpha={alpha}")
@@ -343,7 +332,7 @@ def _mode_system(gen, c):
                        trs=lapack.dpttrs if real else lapack.zgttrs)
 
 
-def _evolve(gen, state, T, dt, half, tol, who, record_every=0):
+def _evolve(gen, state, T, dt, half, who, record_every=0):
     """Steps (M - c C) u+ = (M + c C) u to time T, in mode space throughout.
 
     The n = round(T / dt) steps (at least one) have c = half * T / n, with
@@ -352,7 +341,7 @@ def _evolve(gen, state, T, dt, half, tol, who, record_every=0):
     Each step makes one banded product L w with L = M - c C: the residual
     check r = L w+ - rhs uses it, and the next right-hand side
     rhs = 2 M w - L w reuses it.  Raises SolverDiverged unless every
-    step's relative residual in the mass norm is at most tol.  With
+    step's relative residual in the mass norm is at most _SOLVE_TOL.  With
     record_every, the (t, mass_left, mass_right, norm) rows of the start,
     of every record_every-th step and of the last step are returned too.
     Raises ValueError, naming who, unless dt > 0, T >= 0 and T / dt is finite.
@@ -375,9 +364,9 @@ def _evolve(gen, state, T, dt, half, tol, who, record_every=0):
         lw = system.apply(w)
         residual = system.norm(lw - rhs)
         b_norm = system.norm(rhs)
-        if not residual <= tol * b_norm:
+        if not residual <= _SOLVE_TOL * b_norm:
             raise SolverDiverged(f"{who}: relative residual {residual / max(b_norm, 1e-300):.3g} "
-                                 f"exceeds tol={tol}")
+                                 f"exceeds tol={_SOLVE_TOL}")
         t = t + dt
         if record_every and ((k + 1) % record_every == 0 or k == n - 1):
             series.append(system.record(t, w))
@@ -393,7 +382,7 @@ def step_heat(gen, state, dt):
     anew: to take many steps, call run_heat.  Raises SolverDiverged unless
     the relative residual in the mass norm is at most 1e-10.
     """
-    return _evolve(gen, state, dt, dt, 0.5, _SOLVE_TOL, "step_heat")[0]
+    return _evolve(gen, state, dt, dt, 0.5, "step_heat")[0]
 
 
 def step_schrodinger(gen, state, dt):
@@ -405,17 +394,17 @@ def step_schrodinger(gen, state, dt):
     unitary in the mass inner product up to roundoff; it raises
     SolverDiverged unless the relative residual is at most 1e-10.
     """
-    return _evolve(gen, state, dt, dt, 0.5j, _SOLVE_TOL, "step_schrodinger")[0]
+    return _evolve(gen, state, dt, dt, 0.5j, "step_schrodinger")[0]
 
 
-def run_heat(gen, state, T, dt, *, tol=_SOLVE_TOL, record_every=0):
+def run_heat(gen, state, T, dt, *, record_every=0):
     """Evolve the heat flow to time T; optionally record a time series.
 
     The series rows are (t, mass_left, mass_right, norm) with mass_left
     and mass_right the weighted content strictly left/right of the
     singular line and norm the mass-inner-product norm.
     """
-    return _evolve(gen, state, T, dt, 0.5, tol, "run_heat", record_every)
+    return _evolve(gen, state, T, dt, 0.5, "run_heat", record_every)
 
 
 def run_schrodinger(gen, state, T, dt, *, record_every=0):
@@ -424,7 +413,7 @@ def run_schrodinger(gen, state, T, dt, *, record_every=0):
     As run_heat, with the weighted content of the density |u|**2 in
     place of u; the state comes back complex.
     """
-    return _evolve(gen, state, T, dt, 0.5j, _SOLVE_TOL, "run_schrodinger", record_every)
+    return _evolve(gen, state, T, dt, 0.5j, "run_schrodinger", record_every)
 
 
 def transmitted_fraction(gen, u):
@@ -466,7 +455,7 @@ class TransmissionReport:
 
 def eps_sweep(alpha, eps_list, T, *, equation="heat", dt=1e-3, n_x=400, x_half=3.0,
               n_y=64, period=_TWO_PI, bump_center=(-1.0, math.pi), bump_sigma=0.3,
-              tol=1e-10, record_every=0):
+              record_every=0):
     """Evolve the same left-started bump once per eps of a decreasing sweep.
 
     equation is "heat" or "schrodinger".  Returns (series, report): the
@@ -487,7 +476,7 @@ def eps_sweep(alpha, eps_list, T, *, equation="heat", dt=1e-3, n_x=400, x_half=3
         gen = assemble_generator(alpha, eps, n_x=n_x, x_half=x_half, n_y=n_y, period=period)
         state = gaussian_bump_state(gen, bump_center, bump_sigma)
         if equation == "heat":
-            state, rows = run_heat(gen, state, T, dt, tol=tol, record_every=record_every)
+            state, rows = run_heat(gen, state, T, dt, record_every=record_every)
             fractions.append(transmitted_fraction(gen, state.u))
         else:
             state, rows = run_schrodinger(gen, state, T, dt, record_every=record_every)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import re
 import sys
 from dataclasses import dataclass, field
@@ -195,7 +196,7 @@ def _polyder2d(c, axis):
 
 
 def _horner2d(cols, x, y):
-    """sum_ij cols[j][i] x**i y**j in polyval2d's order: Horner in x, then in y."""
+    """sum_ij cols[j][i] x**i y**j, Horner in x, then in y; floats or arrays."""
     out = 0.0
     for col in reversed(cols):
         acc = 0.0
@@ -206,22 +207,26 @@ def _horner2d(cols, x, y):
 
 
 def polynomial_field(coeffs):
-    """Polynomial scalar field sum_ij c[i][j] x**i y**j."""
-    # imported here: nothing else needs numpy.polynomial, and importing it costs ~14 ms
-    from numpy.polynomial import polynomial as npoly
+    """Polynomial scalar field sum_ij c[i][j] x**i y**j.
 
+    Raises ValueError unless the coefficients are a non-empty 2-D table
+    (or one row) of finite numbers.
+    """
     c = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    if c.ndim != 2 or c.size == 0 or not np.all(np.isfinite(c)):
+        raise ValueError(f"polynomial_field: need a non-empty 2-D table of finite "
+                         f"coefficients, got {coeffs!r}")
     cx = _polyder2d(c, 0)
     cy = _polyder2d(c, 1)
     cxx = _polyder2d(cx, 0)
     cyy = _polyder2d(cy, 1)
     is_zero = not np.any(c)
+    cols = [cc.T.tolist() for cc in (c, cx, cy, cxx, cyy)]
+    c_cols, cx_cols, cy_cols = cols[:3]
 
     def derivs(x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return tuple(npoly.polyval2d(x, y, cc) for cc in (c, cx, cy, cxx, cyy))
-
-    c_cols, cx_cols, cy_cols = (cc.T.tolist() for cc in (c, cx, cy))
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return tuple(_horner2d(cc, x, y) for cc in cols)
 
     def jet(x, y):
         return _horner2d(c_cols, x, y), _horner2d(cx_cols, x, y), _horner2d(cy_cols, x, y)
@@ -676,7 +681,8 @@ def frame_from_config(cfg):
     if variant == "grushin":
         return FrameSpec.grushin()
     if variant == VARIANT_ALPHA:
-        if "alpha" not in cfg:
-            raise ValueError("alpha-grushin needs key 'alpha'")
-        return FrameSpec.alpha_grushin(float(cfg["alpha"]))
+        alpha = cfg.get("alpha")
+        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+            raise ValueError(f"alpha-grushin needs a number for key 'alpha', got {alpha!r}")
+        return FrameSpec.alpha_grushin(float(alpha))
     return FrameSpec(variant, log_scale=_scale_from_config(cfg.get("log_scale")))

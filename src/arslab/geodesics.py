@@ -26,7 +26,6 @@ from .frames import Point
 
 __all__ = [
     "CotangentState",
-    "CrossingEvent",
     "Trajectory",
     "Front",
     "hamiltonian",

@@ -117,7 +117,9 @@ def lowest_eigenpairs(diag, off, m):
     vectors = vectors / np.linalg.norm(vectors, axis=0)
     av = _matvec(diag, off, vectors)
     values = np.sum(vectors * av, axis=0)
-    residuals = np.linalg.norm(av - vectors * values, axis=0)
+    # scaled by a power of two near 1 / ||A||, exactly, so the squares cannot overflow
+    scale = 2.0 ** -np.frexp(norm_bound)[1]
+    residuals = np.linalg.norm((av - vectors * values) * scale, axis=0) / scale
     worst = int(np.argmax(residuals))
     if not residuals[worst] <= _RESIDUAL_TOL * norm_bound:
         raise ConvergenceFailure(

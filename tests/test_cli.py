@@ -761,7 +761,35 @@ def test_gaussian_bump_out_of_range_is_a_usage_error(tmp_path, capsys, bump, nam
     ({"subcommand": "metric", "frame": "grushin"}, "frame config must be a dict"),
     ({"subcommand": "orbit"}, "unknown subcommand 'orbit'"),
     ([1, 2], "config file must hold a JSON object"),
-], ids=["dict-bump", "dict-polynomial", "frame-not-dict", "subcommand", "not-object"])
+    ({"subcommand": [1]}, "unknown subcommand [1]"),
+    # a value of the wrong JSON kind for its key
+    ({"subcommand": "evolve", "eps": 0.1}, "'eps' takes a list of numbers, got 0.1"),
+    ({"subcommand": "martinet", "k": 1}, "'k' takes a list of integers, got 1"),
+    ({"subcommand": "martinet", "l": [1.5]}, "'l' takes a list of integers, got [1.5]"),
+    ({"subcommand": "metric", "x": None}, "'x' takes a number, got null"),
+    ({"subcommand": "spectrum", "n": None}, "'n' takes an integer, got null"),
+    ({"subcommand": "geodesic", "t_final": [1]}, "'t_final' takes a number, got [1]"),
+    ({"subcommand": "metric", "frame": {"variant": "alpha-grushin", "alpha": None}},
+     "needs a number for key 'alpha', got None"),
+    ({"subcommand": "metric", "frame": {"variant": "alpha-grushin", "alpha": True}},
+     "needs a number for key 'alpha', got True"),
+    ({"subcommand": "classify", "numeric_check": "no"},
+     "'numeric_check' takes true or false, got \"no\""),
+    ({"subcommand": "classify", "alpha": True}, "'alpha' takes a number or null, got true"),
+    ({"subcommand": "spectrum", "n": 2000.7}, "'n' takes an integer, got 2000.7"),
+    ({"subcommand": "evolve", "record_every": True}, "'record_every' takes an integer, got true"),
+    ({"subcommand": "evolve", "equation": 1}, "'equation' takes a string, got 1"),
+    # polynomial log_scale tables that are empty, not 2-D or not finite
+    ({"subcommand": "metric", "frame": {"variant": "f2", "log_scale": [[]]}}, "polynomial_field"),
+    ({"subcommand": "metric", "frame": {"variant": "f2", "log_scale": [[[1]]]}},
+     "polynomial_field"),
+    ({"subcommand": "metric", "frame": {"variant": "f2", "log_scale": [[None]]}},
+     "polynomial_field"),
+], ids=["dict-bump", "dict-polynomial", "frame-not-dict", "subcommand", "not-object",
+        "subcommand-list", "eps-number", "k-number", "l-float", "x-null", "n-null",
+        "t-final-list", "frame-alpha-null", "frame-alpha-bool", "numeric-check-str",
+        "classify-alpha-bool", "n-fraction", "record-every-bool", "equation-number",
+        "poly-empty", "poly-3d", "poly-null"])
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys, cfg, named):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(cfg))
@@ -769,6 +797,48 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys, cfg, named):
     assert code == 2
     assert named in err
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_config_values_of_their_default_kind_run(tmp_path, capsys):
+    # an int stands for a float, an integral float for an int, null for a null default
+    cfg_file = tmp_path / "cfg.json"
+    for cfg in ({"subcommand": "metric", "x": 1, "y": -2},
+                {"subcommand": "spectrum", "n": 200.0, "k_max": 1, "m_per_mode": 2},
+                {"subcommand": "classify", "alpha": None, "c": 1}):
+        cfg_file.write_text(json.dumps(cfg))
+        code, err = cli(["--config", str(cfg_file), "--out-dir", str(tmp_path)], capsys)
+        assert code == 0, err
+
+
+def test_removed_tol_is_a_usage_error(tmp_path, capsys):
+    # every heat and Schrodinger step is certified against one fixed tolerance
+    with pytest.raises(SystemExit) as info:
+        main([*_FAST_EVOLVE, "--tol", "1e-3", "--out-dir", str(tmp_path)])
+    assert info.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"subcommand": "evolve", "tol": 1e-10}))
+    code, err = cli(["--config", str(cfg_file), "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "unknown config key 'tol'" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("every", ["0", "-3"])
+def test_record_every_below_one_is_a_usage_error(tmp_path, capsys, every):
+    code, err = cli([*_FAST_EVOLVE, "--record-every", every, "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert f"record_every must be at least 1, got {every}" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("x_max", ["1e-150", "1e-100"])
+def test_spectrum_of_a_tiny_box_certifies_finite_residuals(tmp_path, capsys, x_max):
+    # ||A|| passes 1e154 here, where squared unscaled residuals would overflow
+    code, err = cli(["spectrum", "--x-max", x_max, "--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
+    table = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(table)) and np.all(table[:, 3] >= 0.0)
 
 
 def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
@@ -831,6 +901,25 @@ def test_geometry_subcommands_load_neither_scipy_nor_numpy_polynomial(tmp_path):
     """
     got = _fresh_python(code, tmp_path, str(tmp_path))
     assert got == {"codes": [0, 0, 0], "loaded": []}
+
+
+def test_polynomial_frame_runs_load_no_numpy_polynomial(tmp_path):
+    frame = {"variant": "f2", "log_scale": [[0.1, 0.2], [0.3, -0.1]]}
+    configs = []
+    for sub, extra in (("metric", {"x": 0.7}), ("geodesic", {"t_final": 0.01})):
+        path = tmp_path / f"{sub}.json"
+        path.write_text(json.dumps({"subcommand": sub, "frame": frame, **extra}))
+        configs.append(str(path))
+    code = """if True:
+        import json, sys
+        import arslab.cli
+        out, *configs = sys.argv[1:]
+        codes = [arslab.cli.main(["--config", c, "--out-dir", out]) for c in configs]
+        loaded = sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))
+        print(json.dumps({"codes": codes, "loaded": loaded}))
+    """
+    got = _fresh_python(code, tmp_path, str(tmp_path), *configs)
+    assert got == {"codes": [0, 0], "loaded": []}
 
 
 def test_lazy_names_resolve_to_their_defining_objects(tmp_path):

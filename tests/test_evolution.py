@@ -24,7 +24,7 @@ from arslab import (
     transmission_study,
 )
 from arslab import evolution
-from arslab.evolution import _int_inverse_weight, _int_weight, _int_ycoupling
+from arslab.evolution import _int_power
 
 
 def _small_gen(alpha=1.0, eps=0.05, n_x=100, n_y=8):
@@ -36,22 +36,22 @@ def test_weight_antiderivatives_match_quadrature():
     for alpha in (0.5, 1.0, 1.7):
         for t in (0.05, 0.1, 0.3, 2.0):
             want, _ = quad(lambda s: max(s, eps) ** (-alpha), 0.0, t, points=[eps])
-            assert float(_int_weight(t, eps, alpha)) == pytest.approx(want, rel=1e-10)
+            assert float(_int_power(t, eps, 0.0, -alpha)) == pytest.approx(want, rel=1e-10)
             want, _ = quad(lambda s: max(s, eps) ** alpha, 0.0, t, points=[eps])
-            assert float(_int_inverse_weight(t, eps, alpha)) == pytest.approx(want, rel=1e-10)
+            assert float(_int_power(t, eps, 0.0, alpha)) == pytest.approx(want, rel=1e-10)
             want, _ = quad(lambda s: s ** (2 * alpha) * max(s, eps) ** (-alpha),
                            0.0, t, points=[eps])
-            assert float(_int_ycoupling(t, eps, alpha)) == pytest.approx(want, rel=1e-10)
+            assert float(_int_power(t, eps, 2.0 * alpha, -alpha)) == pytest.approx(want, rel=1e-10)
 
 
 def test_trap_mass_grows_for_alpha_one_converges_below():
     # weighted mass of |x| <= 1/2: log-divergent at alpha = 1, finite limit below
-    masses = [2.0 * float(_int_weight(0.5, eps, 1.0)) for eps in (0.1, 0.05, 0.025)]
+    masses = [2.0 * float(_int_power(0.5, eps, 0.0, -1.0)) for eps in (0.1, 0.05, 0.025)]
     assert masses[0] < masses[1] < masses[2]
     alpha = 0.5
     limit = 2.0 * 0.5 ** (1.0 - alpha) / (1.0 - alpha)
     for eps in (0.1, 0.01, 1e-6):
-        mass = 2.0 * float(_int_weight(0.5, eps, alpha))
+        mass = 2.0 * float(_int_power(0.5, eps, 0.0, -alpha))
         # deficit closes like eps^(1-alpha), with an explicit constant
         deficit = 2.0 * alpha / (1.0 - alpha) * eps ** (1.0 - alpha)
         assert limit - mass == pytest.approx(deficit, rel=1e-10)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from scipy.integrate import quad
 
-from arslab.frames import _bump_fsq_jet
+from arslab.frames import _bump_fsq_jet, _polyder2d
 
 from arslab import (
     FrameSpec,
@@ -249,6 +249,24 @@ def test_polynomial_field_exact():
         assert s_y == pytest.approx(3 + x, rel=1e-14)
         assert s_xx == 0.0
         assert s_yy == 0.0
+
+
+def test_polynomial_derivs_match_polyval2d_bit_for_bit():
+    from numpy.polynomial.polynomial import polyval2d
+
+    rng = np.random.default_rng(20)
+    x = np.array([-0.0, 0.0, -1.7, 0.3, 2.5, -3.1])[:, None]
+    y = np.array([0.0, -0.0, 1.1, -2.2])[None, :]
+    grid = np.broadcast_arrays(x, y)
+    for _ in range(100):
+        c = rng.normal(size=tuple(rng.integers(1, 5, size=2)))
+        c[rng.random(c.shape) < 0.2] = 0.0
+        c[rng.random(c.shape) < 0.2] = -0.0
+        cx, cy = _polyder2d(c, 0), _polyder2d(c, 1)
+        want = [polyval2d(*grid, cc) for cc in (c, cx, cy, _polyder2d(cx, 0), _polyder2d(cy, 1))]
+        for got, ref in zip(polynomial_field(c).derivs(x, y), want):
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def _close(got, want, rel=1e-14):

@@ -28,6 +28,16 @@ def test_free_laplacian_exact_eigenvalues():
     assert np.max(np.abs(got - exact)) <= 1e-10 * (4.0 / h**2)
 
 
+def test_residuals_of_a_huge_matrix_do_not_overflow():
+    # ||A|| is about 2**709 here, so the squared unscaled residuals would
+    # overflow; scaling by a power of two moves no bit
+    diag, off = _free_laplacian(50, 0.1)
+    res = lowest_eigenpairs(diag, off, 4)
+    big = lowest_eigenpairs(diag * 2.0**700, off * 2.0**700, 4)
+    assert np.array_equal(big.values, res.values * 2.0**700)
+    assert np.array_equal(big.residuals, res.residuals * 2.0**700)
+
+
 def test_matches_library_solver_on_random_matrices():
     rng = np.random.default_rng(314)
     for n in (40, 300):
