@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -374,13 +375,15 @@ def _fits(val, default):
 
     A float takes a number, an int an integral number, a bool or a string
     its own kind, a list a list of its entries' kind, and None a number
-    or null; a bool is no number.
+    or null; a bool is no number, and an int beyond the float range is none
+    either, since every handler computes in floats.
     """
     if isinstance(default, list):
         return isinstance(val, list) and all(_fits(v, default[0]) for v in val)
     if isinstance(default, (bool, str)) or val is None:
         return isinstance(val, type(default))
     return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and (isinstance(val, float) or abs(val) <= sys.float_info.max)
             and (not isinstance(default, int) or isinstance(val, int) or val.is_integer()))
 
 
@@ -412,6 +415,21 @@ def _apply_file_config(sub, cfg, overrides):
             raise ConfigError(f"{sub}: unknown config key {key!r}")
 
 
+# per subcommand, the size keys whose product is a lower bound on the float64
+# entries of the largest array its handler makes
+_SIZE_KEYS = {"front": ("n",), "spectrum": ("n",), "martinet": ("n",), "evolve": ("n_x", "n_y")}
+
+
+def _check_sizes(sub, cfg):
+    """Refuse sizes whose largest array alone outgrows this machine's memory."""
+    keys = _SIZE_KEYS.get(sub, ())
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * math.prod(max(int(cfg[key]), 0) for key in keys) > memory:
+        sizes = " and ".join(f"{key} = {cfg[key]!r}" for key in keys)
+        raise ConfigError(f"{sub}: the array sized by {sizes} is larger than this "
+                          f"machine's {memory / 2**30:.1f} GiB of memory")
+
+
 def run(argv=None):
     ap = _build_parser()
     args = vars(ap.parse_args(argv))
@@ -441,6 +459,7 @@ def run(argv=None):
     cfg = copy.deepcopy(DEFAULTS[sub])
     for overrides in (args, file_cfg):
         _apply_file_config(sub, cfg, overrides)
+    _check_sizes(sub, cfg)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()

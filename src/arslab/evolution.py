@@ -98,9 +98,19 @@ def _int_power(t, eps, p, q):
 
 
 def _integral(lo, hi, eps, p, q):
-    """Integral on [lo, hi] of the even integrand |s|**p * max(|s|, eps)**q."""
-    return (np.sign(hi) * _int_power(np.abs(hi), eps, p, q)
-            - np.sign(lo) * _int_power(np.abs(lo), eps, p, q))
+    """Integral on [lo, hi] of the even integrand |s|**p * max(|s|, eps)**q.
+
+    For e = p + q + 1 < 0 both antiderivatives carry the large eps**e, so a
+    cell beyond eps on one side takes the difference of its ends' powers.
+    """
+    total = (np.sign(hi) * _int_power(np.abs(hi), eps, p, q)
+             - np.sign(lo) * _int_power(np.abs(lo), eps, p, q))
+    e = p + q + 1
+    if e < 0:
+        a, b = np.abs(lo), np.abs(hi)
+        beyond = (np.minimum(a, b) >= eps) & (np.sign(lo) == np.sign(hi))
+        total = np.where(beyond, np.sign(hi) * (b**e - a**e) / e, total)
+    return total
 
 
 @dataclass

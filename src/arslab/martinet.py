@@ -13,8 +13,12 @@ Fourier transform in (x, z) into half-line mode operators
     -d2/dy2 + (k + l y**2 / 2)**2 + (3/4) / y**2,
 
 reusing the staggered discretization and eigensolver of the
-two-dimensional spectral module.  Each mode eigenvalue carries
-multiplicity 2, once per side of the singular surface.
+two-dimensional spectral module.  Only the half-line operator is solved:
+the multiplicity 2 reported with each mode eigenvalue, one copy per side
+of the singular surface, is the dataclass default of MartinetModeResult
+and is never measured.  A two-sided operator regularized at scale eps
+pairs its eigenvalues only in the limit eps -> 0, with a splitting that
+closes at a logarithmic rate in eps.
 """
 
 from __future__ import annotations
@@ -119,8 +123,10 @@ def martinet_mode_solve(k, l, n, y_max=None, m=4):
 
     For l != 0 the quartic well confines and the default box shrinks
     like |l|**(-1/4); for l = 0 there is no well and the Dirichlet box
-    at y_max is part of the reported model.  Every eigenvalue has
-    multiplicity 2 in the full operator (two sides of y = 0).
+    at y_max is part of the reported model.  The result's multiplicity
+    is the default 2 (two sides of y = 0), not a computed count: the two
+    sides decouple only in the eps -> 0 limit of a regularized two-sided
+    operator, where the pairs close at a logarithmic rate.
     """
     k = int(k)
     l = int(l)

@@ -255,17 +255,26 @@ def deficiency_index_numeric(c, eps=1e-3, x_far=10.0):
     if not 0 < 4 * eps < x_far:
         raise ValueError("deficiency_index_numeric: need 0 < 4*eps < x_far")
 
-    # realified system for u = u_r + i u_i, u'' = (c/x**2) u - i u
+    # realified system for u = u_r + i u_i, u'' = (c/x**2) u - i u.  The
+    # callback, not LSODA, is most of the probe's time, so it reads the state
+    # once, computes on Python floats and fills one reused array
+    dw = np.empty(4)
+
     def rhs(t, w):
+        u_r, u_i, du_r, du_i = w.tolist()
         pot = c / (t * t)
-        return (w[2], w[3], pot * w[0] + w[1], pot * w[1] - w[0])
+        dw[0] = du_r
+        dw[1] = du_i
+        dw[2] = pot * u_r + u_i
+        dw[3] = pot * u_i - u_r
+        return dw
 
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     w0 = (1.0, 0.0, -inv_sqrt2, inv_sqrt2)  # u = 1, u' = -sqrt(-i)
     t_eval = np.geomspace(4.0 * eps, eps, 48)
     # odeint reports a failed integration only as a warning; an overflowing
     # state is caught by the finiteness check below
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
+    with warnings.catch_warnings():
         warnings.simplefilter("error", ODEintWarning)
         try:
             states = odeint(rhs, w0, np.concatenate(([x_far], t_eval)), tfirst=True,

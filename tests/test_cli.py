@@ -259,6 +259,7 @@ def test_classify_subcommand(tmp_path, capsys):
 @pytest.mark.parametrize("argv, named", [
     (["--x-far", "1e4"], "solution overflowed"),
     (["--eps", "1e-160"], "integration failed"),
+    (["--c", "1e300"], "Illegal input detected"),
 ])
 def test_classify_failed_integration_exits_3(tmp_path, capsys, argv, named):
     code, err = cli(["classify", "--c", "0.5", "--numeric-check", *argv,
@@ -552,6 +553,15 @@ def test_evolve_box_whose_weights_are_not_finite_is_a_usage_error(tmp_path, caps
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_evolve_at_a_steep_weight_keeps_the_bump_mass(tmp_path, capsys):
+    # both antiderivatives of a cell beyond eps hold eps**(1 - alpha) / (alpha - 1),
+    # about 3e296 here, and their difference would lose the whole bump
+    code, err = cli([*_FAST_EVOLVE, "--alpha", "300", "--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
+    table = np.loadtxt(tmp_path / "evolve_eps_0.1.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(table)) and table[0, 1] > 0.0
+
+
 @pytest.mark.parametrize("argv", [["--x", "nan"], ["--x", "inf"], ["--y", "-inf"]],
                          ids=["x-nan", "x-inf", "y-minus-inf"])
 def test_metric_at_a_point_that_is_not_finite_is_a_usage_error(tmp_path, capsys, argv):
@@ -779,6 +789,12 @@ def test_gaussian_bump_out_of_range_is_a_usage_error(tmp_path, capsys, bump, nam
     ({"subcommand": "spectrum", "n": 2000.7}, "'n' takes an integer, got 2000.7"),
     ({"subcommand": "evolve", "record_every": True}, "'record_every' takes an integer, got true"),
     ({"subcommand": "evolve", "equation": 1}, "'equation' takes a string, got 1"),
+    # numbers a handler cannot use: an int beyond the float range, an array
+    # size beyond any memory
+    ({"subcommand": "metric", "x": 10**400}, "'x' takes a number, got 1000"),
+    ({"subcommand": "martinet", "k": [10**400]}, "'k' takes a list of integers, got [1000"),
+    ({"subcommand": "classify", "c": -(10**400)}, "'c' takes a number or null, got -1000"),
+    ({"subcommand": "spectrum", "n": 1e300}, "the array sized by n = 1e+300 is larger"),
     # polynomial log_scale tables that are empty, not 2-D or not finite
     ({"subcommand": "metric", "frame": {"variant": "f2", "log_scale": [[]]}}, "polynomial_field"),
     ({"subcommand": "metric", "frame": {"variant": "f2", "log_scale": [[[1]]]}},
@@ -789,7 +805,8 @@ def test_gaussian_bump_out_of_range_is_a_usage_error(tmp_path, capsys, bump, nam
         "subcommand-list", "eps-number", "k-number", "l-float", "x-null", "n-null",
         "t-final-list", "frame-alpha-null", "frame-alpha-bool", "numeric-check-str",
         "classify-alpha-bool", "n-fraction", "record-every-bool", "equation-number",
-        "poly-empty", "poly-3d", "poly-null"])
+        "x-huge-int", "k-huge-int", "c-huge-int", "n-huge", "poly-empty", "poly-3d",
+        "poly-null"])
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys, cfg, named):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(cfg))
@@ -797,6 +814,18 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys, cfg, named):
     assert code == 2
     assert named in err
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["evolve", "--n-y", "1000000000000"], "the array sized by n_x = 400 and n_y = 1000000000000"),
+    (["spectrum", "--n", "100000000000"], "the array sized by n = 100000000000"),
+], ids=["evolve-n-y", "spectrum-n"])
+def test_size_beyond_memory_is_a_usage_error(tmp_path, capsys, argv, named):
+    # refused before any array is made: these ask for 2.85 PiB and 745 GiB
+    code, err = cli([*argv, "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert named in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_values_of_their_default_kind_run(tmp_path, capsys):

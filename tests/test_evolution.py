@@ -44,6 +44,19 @@ def test_weight_antiderivatives_match_quadrature():
             assert float(_int_power(t, eps, 2.0 * alpha, -alpha)) == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("alpha", [3.0, 10.0, 20.0])
+def test_cell_mass_beyond_eps_at_steep_weights_matches_quadrature(alpha):
+    # at alpha > 1 both antiderivatives of the cell at x = -2.1 hold
+    # eps**(1 - alpha) / (alpha - 1), far above its mass, which their difference loses
+    eps = 0.0125
+    gen = assemble_generator(alpha, eps, n_x=20, n_y=4)
+    i = 3
+    assert gen.x[i] == pytest.approx(-2.1)
+    want, _ = quad(lambda s: max(abs(s), eps) ** -alpha, gen.x[i] - 0.5 * gen.h,
+                   gen.x[i] + 0.5 * gen.h, epsabs=0.0, epsrel=1e-13)
+    assert gen.m_x[i] / gen.h_y == pytest.approx(want, rel=1e-13)
+
+
 def test_trap_mass_grows_for_alpha_one_converges_below():
     # weighted mass of |x| <= 1/2: log-divergent at alpha = 1, finite limit below
     masses = [2.0 * float(_int_power(0.5, eps, 0.0, -1.0)) for eps in (0.1, 0.05, 0.025)]
