@@ -17,6 +17,7 @@ failure (the message names the failing operation).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import functools
@@ -415,19 +416,49 @@ def _apply_file_config(sub, cfg, overrides):
             raise ConfigError(f"{sub}: unknown config key {key!r}")
 
 
-# per subcommand, the size keys whose product is a lower bound on the float64
-# entries of the largest array its handler makes
-_SIZE_KEYS = {"front": ("n",), "spectrum": ("n",), "martinet": ("n",), "evolve": ("n_x", "n_y")}
+def _step_count(cfg):
+    """max(1, round(t_final / dt)) as geodesic_flow and the evolution runs take
+    it, or None for a step count they refuse themselves."""
+    t_final, dt = float(cfg["t_final"]), float(cfg["dt"])
+    if not (dt > 0 and t_final >= 0 and t_final / dt < math.inf):
+        return None
+    return max(1, round(t_final / dt))
+
+
+def _array_sizes(sub, cfg):
+    """The keys sizing each large array of a run -> a lower bound on its float64 entries."""
+    def count(key):
+        return max(int(cfg[key]), 0)
+
+    sizes = {("n",): count("n")} if sub in ("front", "spectrum", "martinet") else {}
+    if sub == "spectrum":  # a row (k, n, lambda, residual) per line
+        sizes[("k_max", "m_per_mode")] = 4 * (2 * count("k_max") + 1) * count("m_per_mode")
+    if sub == "evolve":
+        sizes[("n_x", "n_y")] = count("n_x") * count("n_y")
+    steps = _step_count(cfg) if sub in ("geodesic", "front", "evolve") else None
+    if steps is None:
+        return sizes
+    if sub == "geodesic":  # the table t, x, y, px, py of every step
+        sizes[("t_final", "dt")] = 5 * (steps + 1)
+    elif sub == "evolve" and cfg["record_every"] >= 1:  # the series of each eps value
+        sizes[("t_final", "dt", "record_every")] = 4 * (steps // cfg["record_every"] + 2)
+    elif sub == "front":
+        # the states of each integrated ray; the exact Grushin fan is closed-form,
+        # and a frame that frame_from_config rejects is the handler's to refuse
+        with contextlib.suppress(ValueError):
+            if not frame_from_config(cfg["frame"]).is_exact_grushin:
+                sizes[("t_final", "dt")] = 4 * (steps + 1)
+    return sizes
 
 
 def _check_sizes(sub, cfg):
     """Refuse sizes whose largest array alone outgrows this machine's memory."""
-    keys = _SIZE_KEYS.get(sub, ())
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 8 * math.prod(max(int(cfg[key]), 0) for key in keys) > memory:
-        sizes = " and ".join(f"{key} = {cfg[key]!r}" for key in keys)
-        raise ConfigError(f"{sub}: the array sized by {sizes} is larger than this "
-                          f"machine's {memory / 2**30:.1f} GiB of memory")
+    for keys, entries in _array_sizes(sub, cfg).items():
+        if 8 * entries > memory:
+            sizes = " and ".join(f"{key} = {cfg[key]!r}" for key in keys)
+            raise ConfigError(f"{sub}: the array sized by {sizes} is larger than this "
+                              f"machine's {memory / 2**30:.1f} GiB of memory")
 
 
 def run(argv=None):

@@ -15,10 +15,6 @@ class SingularPoint(ArslabError):
     it leaves the range of the floats."""
 
 
-class NotAdmissible(ArslabError):
-    """A curve has infinite length and strict mode was requested."""
-
-
 class StepSizeTooLarge(ArslabError):
     """Energy drift along an integrated trajectory exceeded its budget."""
 

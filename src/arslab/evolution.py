@@ -146,16 +146,6 @@ class Generator:
     def x_of_cells(self):
         return np.repeat(self.x, self.n_y)
 
-    def apply(self, u):
-        """A u = M^{-1} C u, matrix-free from the 1-D pieces."""
-        v = np.reshape(u, (self.x.size, self.n_y))
-        ring = np.roll(v, 1, axis=1) + np.roll(v, -1, axis=1) - 2.0 * v
-        cu = _tridiagonal_dot(self.x_diag, self.x_off, v.T).T + self.y_coef[:, None] * ring
-        return cu.reshape(-1) / self.m
-
-    def inner(self, u, v):
-        return float(np.real(np.dot(self.m * np.conj(u), v)))
-
     def m_norm(self, u):
         return math.sqrt(float(np.dot(self.m, np.abs(u) ** 2)))
 
@@ -238,14 +228,6 @@ def gaussian_bump_state(gen, center, sigma):
     return EvolutionState(u=u, t=0.0)
 
 
-def _tridiagonal_dot(diag, off, v):
-    """Apply the tridiagonal blocks (diag, off) along the last axis of v."""
-    out = diag * v
-    out[..., 1:] += off * v[..., :-1]
-    out[..., :-1] += off * v[..., 1:]
-    return out
-
-
 @dataclass
 class _ModeSystem:
     """L = M_x - c (C_x + mu_q diag(y_coef)) for n_y y-modes, stacked.
@@ -288,7 +270,10 @@ class _ModeSystem:
         return np.fft.irfft(f.T, n=self.n_y, axis=1).reshape(-1)
 
     def apply(self, w):
-        return _tridiagonal_dot(self.diag, self.coupling, w)
+        out = self.diag * w
+        out[1:] += self.coupling * w[:-1]
+        out[:-1] += self.coupling * w[1:]
+        return out
 
     def solve(self, rhs):
         x, info = self.trs(*self.lu, rhs)

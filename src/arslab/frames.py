@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NotAdmissible, SingularPoint
+from .errors import SingularPoint
 
 __all__ = [
     "ScalarField",
@@ -80,12 +80,10 @@ class ScalarField:
     derivs: Callable
     jet: Callable
     is_zero: bool = False
-    label: str = "custom"
     key: Optional[tuple] = field(default=None, init=False)
 
     def _identity(self):
-        return self.key if self.key is not None else (self.derivs, self.jet, self.is_zero,
-                                                      self.label)
+        return self.key if self.key is not None else (self.derivs, self.jet, self.is_zero)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -132,8 +130,8 @@ def scalar_zero():
         z = np.zeros_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
         return z, z, z, z, z
 
-    return _keyed(ScalarField(derivs=derivs, jet=lambda x, y: (0.0, 0.0, 0.0), is_zero=True,
-                              label="zero"), scalar_zero)
+    return _keyed(ScalarField(derivs=derivs, jet=lambda x, y: (0.0, 0.0, 0.0), is_zero=True),
+                  scalar_zero)
 
 
 def gaussian_bump(amplitude, sigma):
@@ -181,8 +179,7 @@ def gaussian_bump(amplitude, sigma):
         v = a * exp(-(x * x) / two_s2) * exp((cos(u) - 1.0) / s2)
         return v, -(x / s2) * v, -(sin(u) / s2) * v
 
-    return _keyed(ScalarField(derivs=derivs, jet=jet, is_zero=(a == 0.0),
-                              label=f"gaussian-bump({a},{sg})"), gaussian_bump, a, sg)
+    return _keyed(ScalarField(derivs=derivs, jet=jet, is_zero=(a == 0.0)), gaussian_bump, a, sg)
 
 
 def _polyder2d(c, axis):
@@ -231,8 +228,8 @@ def polynomial_field(coeffs):
     def jet(x, y):
         return _horner2d(c_cols, x, y), _horner2d(cx_cols, x, y), _horner2d(cy_cols, x, y)
 
-    return _keyed(ScalarField(derivs=derivs, jet=jet, is_zero=is_zero, label="polynomial"),
-                  polynomial_field, tuple(map(tuple, c.tolist())))
+    return _keyed(ScalarField(derivs=derivs, jet=jet, is_zero=is_zero), polynomial_field,
+                  tuple(map(tuple, c.tolist())))
 
 
 class Point(NamedTuple):
@@ -554,7 +551,7 @@ def _simpson_levels(g, b, tol):
     return total
 
 
-def curve_length(frame, t, x, y, *, strict=False):
+def curve_length(frame, t, x, y):
     """Length of a sampled path under the almost-Riemannian metric.
 
     The path is the piecewise-linear interpolant of the samples
@@ -566,8 +563,7 @@ def curve_length(frame, t, x, y, *, strict=False):
     on each side of its crossing time tau0 after the substitution
     |tau - tau0| = u**p, p = 1 / (1 - order), which leaves a bounded
     integrand.  A segment that meets the line when order >= 1, or runs
-    along it, has infinite length: math.inf is returned, or
-    NotAdmissible is raised when strict=True.
+    along it, has infinite length: math.inf is returned.
 
     All segments are integrated together by one adaptive Simpson rule on
     arrays, which reads f through frame.derivs once per refinement level.
@@ -602,9 +598,6 @@ def curve_length(frame, t, x, y, *, strict=False):
             tau_zero = -x0 / vx
             crossing = curved & (vx != 0.0) & (0.0 <= tau_zero) & (tau_zero <= dt)
             if along.any() or (order >= 1.0 and crossing.any()):
-                if strict:
-                    raise NotAdmissible(
-                        "curve_length: path crosses the singular line non-tangentially")
                 return math.inf
 
         tol = _LENGTH_TOL * np.maximum(1.0, dt)
@@ -642,7 +635,7 @@ _BUMP_RE = re.compile(r"^gaussian-bump\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)$")
 
 
 def _scale_from_config(spec):
-    if spec is None or spec == "zero" or spec == {"preset": "zero"}:
+    if spec is None or spec == "zero":
         return scalar_zero()
     if isinstance(spec, str):
         m = _BUMP_RE.match(spec)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .errors import StepSizeTooLarge
 from .frames import Point
 
 __all__ = [
-    "CotangentState",
     "Trajectory",
     "Front",
     "hamiltonian",
@@ -35,13 +34,6 @@ __all__ = [
     "front",
     "crossing_report",
 ]
-
-
-class CotangentState(NamedTuple):
-    x: float
-    y: float
-    px: float
-    py: float
 
 
 class CrossingEvent(NamedTuple):
@@ -62,9 +54,6 @@ class Trajectory:
     crossings: list
     dt: float
     energy_drift: float
-
-    def state(self, i):
-        return CotangentState(*self.states[i])
 
 
 @dataclass

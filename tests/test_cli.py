@@ -768,6 +768,8 @@ def test_gaussian_bump_out_of_range_is_a_usage_error(tmp_path, capsys, bump, nam
         "preset": "gaussian-bump", "amplitude": 0.3, "sigma": 0.7}}}, "cannot parse log_scale"),
     ({"subcommand": "metric", "frame": {"variant": "f1", "log_scale": {
         "preset": "polynomial", "coeffs": [[0.1]]}}}, "cannot parse log_scale"),
+    ({"subcommand": "metric", "frame": {"variant": "f2", "log_scale": {"preset": "zero"}}},
+     "cannot parse log_scale"),
     ({"subcommand": "metric", "frame": "grushin"}, "frame config must be a dict"),
     ({"subcommand": "orbit"}, "unknown subcommand 'orbit'"),
     ([1, 2], "config file must hold a JSON object"),
@@ -795,17 +797,19 @@ def test_gaussian_bump_out_of_range_is_a_usage_error(tmp_path, capsys, bump, nam
     ({"subcommand": "martinet", "k": [10**400]}, "'k' takes a list of integers, got [1000"),
     ({"subcommand": "classify", "c": -(10**400)}, "'c' takes a number or null, got -1000"),
     ({"subcommand": "spectrum", "n": 1e300}, "the array sized by n = 1e+300 is larger"),
+    ({"subcommand": "spectrum", "k_max": 10**23, "n": 200},
+     "the array sized by k_max = 100000000000000000000000 and m_per_mode = 4 is larger"),
     # polynomial log_scale tables that are empty, not 2-D or not finite
     ({"subcommand": "metric", "frame": {"variant": "f2", "log_scale": [[]]}}, "polynomial_field"),
     ({"subcommand": "metric", "frame": {"variant": "f2", "log_scale": [[[1]]]}},
      "polynomial_field"),
     ({"subcommand": "metric", "frame": {"variant": "f2", "log_scale": [[None]]}},
      "polynomial_field"),
-], ids=["dict-bump", "dict-polynomial", "frame-not-dict", "subcommand", "not-object",
+], ids=["dict-bump", "dict-polynomial", "dict-zero", "frame-not-dict", "subcommand", "not-object",
         "subcommand-list", "eps-number", "k-number", "l-float", "x-null", "n-null",
         "t-final-list", "frame-alpha-null", "frame-alpha-bool", "numeric-check-str",
         "classify-alpha-bool", "n-fraction", "record-every-bool", "equation-number",
-        "x-huge-int", "k-huge-int", "c-huge-int", "n-huge", "poly-empty", "poly-3d",
+        "x-huge-int", "k-huge-int", "c-huge-int", "n-huge", "k-max-huge", "poly-empty", "poly-3d",
         "poly-null"])
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys, cfg, named):
     cfg_file = tmp_path / "cfg.json"
@@ -819,13 +823,26 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys, cfg, named):
 @pytest.mark.parametrize("argv, named", [
     (["evolve", "--n-y", "1000000000000"], "the array sized by n_x = 400 and n_y = 1000000000000"),
     (["spectrum", "--n", "100000000000"], "the array sized by n = 100000000000"),
-], ids=["evolve-n-y", "spectrum-n"])
+    # sizes set by a step count t_final / dt
+    (["evolve", "--eps", "0.1", "--n-x", "20", "--n-y", "4", "--dt", "1e-300"],
+     "the array sized by t_final = 0.5 and dt = 1e-300 and record_every = 1"),
+    (["geodesic", "--t-final", "1e300"], "the array sized by t_final = 1e+300 and dt = 0.0001"),
+    (["front", "--variant", "f2", "--log-scale", "gaussian-bump(0.3,0.7)", "--t-final", "1e300"],
+     "the array sized by t_final = 1e+300 and dt = 0.0001"),
+], ids=["evolve-n-y", "spectrum-n", "evolve-steps", "geodesic-steps", "front-steps"])
 def test_size_beyond_memory_is_a_usage_error(tmp_path, capsys, argv, named):
-    # refused before any array is made: these ask for 2.85 PiB and 745 GiB
+    # refused before any array is made: the first two ask for 2.85 PiB and 745 GiB
     code, err = cli([*argv, "--out-dir", str(tmp_path / "out")], capsys)
     assert code == 2
     assert named in err
     assert not (tmp_path / "out").exists()
+
+
+def test_closed_form_grushin_front_takes_no_steps(tmp_path, capsys):
+    # the exact Grushin fan is evaluated in closed form, so no step count sizes it
+    code, err = cli(["front", "--t-final", "1e300", "--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
+    assert (tmp_path / "front.csv").exists()
 
 
 def test_config_values_of_their_default_kind_run(tmp_path, capsys):
@@ -883,14 +900,13 @@ def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
 # submodule that defines it; the submodules themselves are names too
 _PUBLIC_NAMES = {
     "errors": ["ArslabError", "BadGrid", "ConvergenceFailure", "FitIllConditioned",
-               "Inconclusive", "NotAdmissible", "OutOfRange", "SingularPoint",
-               "SolverDiverged", "StepSizeTooLarge", "UnsupportedFrame"],
+               "Inconclusive", "OutOfRange", "SingularPoint", "SolverDiverged",
+               "StepSizeTooLarge", "UnsupportedFrame"],
     "frames": ["FrameSpec", "MetricData", "Point", "ScalarField", "curve_length", "divergence",
                "frame_from_config", "frame_vectors", "gaussian_bump", "gradient",
                "laplace_beltrami_coeffs", "metric_at", "polynomial_field", "scalar_zero"],
-    "geodesics": ["CotangentState", "Front", "Trajectory", "crossing_report", "front",
-                  "geodesic_flow", "grushin_geodesic_origin", "grushin_geodesic_riemannian",
-                  "hamiltonian"],
+    "geodesics": ["Front", "Trajectory", "crossing_report", "front", "geodesic_flow",
+                  "grushin_geodesic_origin", "grushin_geodesic_riemannian", "hamiltonian"],
     "spectral": ["GaugePotential", "ModeOperator", "SelfAdjointnessReport", "SpectrumLine",
                  "assemble_mode_operator", "classify_self_adjoint", "deficiency_index_numeric",
                  "eigen_solve", "gauge_transform", "inverse_square_coefficient",

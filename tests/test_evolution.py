@@ -70,35 +70,55 @@ def test_trap_mass_grows_for_alpha_one_converges_below():
         assert limit - mass == pytest.approx(deficit, rel=1e-10)
 
 
+def _mode_product(gen, c, u):
+    """(M - c C) u on the cells, by the banded product of _mode_system's y-modes."""
+    system = evolution._mode_system(gen, c)
+    return system.from_modes(system.apply(system.to_modes(u)))
+
+
+def _generator_product(gen, u):
+    """A u = M^{-1} C u, read off the real mode system at c = 1."""
+    return (gen.m * u - _mode_product(gen, 1.0, u)) / gen.m
+
+
 def test_uniform_weight_gives_standard_laplacian():
     """With eps at the box edge the weight is constant, so rows in x reduce
     to the plain second difference and the eps powers cancel."""
     gen = assemble_generator(1.0, 2.999999, n_x=200, n_y=4)
     x = gen.x_of_cells()
     u = np.cos(x)
-    got = gen.apply(u)
+    got = _generator_product(gen, u)
     interior = np.abs(x) < 2.5
     assert np.max(np.abs(got[interior] + np.cos(x[interior]))) <= 1e-3
 
 
 def test_generator_annihilates_constants():
+    # a constant field is a fixed point of both flows' steps
     gen = _small_gen()
     ones = np.ones(gen.n_cells)
-    assert np.max(np.abs(gen.apply(ones))) <= 1e-10
+    for step in (step_heat, step_schrodinger):
+        got = step(gen, EvolutionState(u=ones, t=0.0), 0.1).u
+        assert np.max(np.abs(got - 1.0)) <= 1e-10
 
 
 def test_generator_symmetric_and_nonpositive_in_mass_inner_product():
+    """<u, A v>_M is symmetric and at most 0, and 0 on the constants."""
     gen = _small_gen()
     rng = np.random.default_rng(23)
     _, degree = _loop_assembled(gen)
     scale = float(np.max(np.abs(degree / gen.m)))
+
+    def form(u, v):
+        return float(np.dot(gen.m * u, _generator_product(gen, v)))
+
     for _ in range(10):
         u = rng.standard_normal(gen.n_cells)
         v = rng.standard_normal(gen.n_cells)
-        a = gen.inner(u, gen.apply(v))
-        b = gen.inner(gen.apply(u), v)
-        assert a == pytest.approx(b, abs=1e-11 * scale * gen.m_norm(u) * gen.m_norm(v))
-        assert gen.inner(u, gen.apply(u)) <= 1e-12 * scale * gen.m_norm(u) ** 2
+        assert form(u, v) == pytest.approx(
+            form(v, u), abs=1e-11 * scale * gen.m_norm(u) * gen.m_norm(v))
+        assert form(u, u) <= 1e-12 * scale * gen.m_norm(u) ** 2
+    ones = np.ones(gen.n_cells)
+    assert abs(form(ones, ones)) <= 1e-12 * scale * gen.m_norm(ones) ** 2
 
 
 def test_heat_conserves_mass_and_contracts():
@@ -308,9 +328,10 @@ def test_kron_assembly_matches_loop_assembly():
         period = float(rng.uniform(1.0, 8.0))
         gen = assemble_generator(alpha, eps, n_x=n_x, n_y=n_y, period=period)
         C, _ = _loop_assembled(gen)
-        want = C.toarray() / gen.m[:, None]
-        got = np.column_stack([gen.apply(e) for e in np.eye(gen.n_cells)])
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for c in (0.5, 0.5j):  # the heat and the Schrodinger system
+            want = np.diag(gen.m) - c * C.toarray()
+            got = np.column_stack([_mode_product(gen, c, e) for e in np.eye(gen.n_cells)])
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @settings(max_examples=40, deadline=None)

@@ -67,7 +67,7 @@ def test_energy_is_conserved():
     traj = geodesic_flow(GRUSHIN, (-1.0, 0.0, math.cos(1.1), math.sin(1.1)), 3.0)
     assert traj.energy_drift <= 1e-8
     for i in (0, len(traj.t) // 2, -1):
-        assert hamiltonian(GRUSHIN, traj.state(i)) == pytest.approx(0.5, abs=1e-8)
+        assert hamiltonian(GRUSHIN, traj.states[i]) == pytest.approx(0.5, abs=1e-8)
 
 
 def test_py_conserved_exactly_for_y_independent_frames():
