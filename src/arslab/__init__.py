@@ -35,8 +35,8 @@ _LAZY = {
     **dict.fromkeys((
         "EvolutionState", "Generator", "TransmissionReport",
         "assemble_generator", "eps_sweep", "gaussian_bump_state", "run_heat",
-        "run_schrodinger", "step_heat", "step_schrodinger", "transmission_study",
-        "transmission_verdict", "transmitted_fraction"), "evolution"),
+        "run_schrodinger", "transmission_study", "transmission_verdict",
+        "transmitted_fraction"), "evolution"),
     "martinet": "martinet",
     **dict.fromkeys((
         "MartinetCoeffs", "MartinetModeResult", "martinet_laplacian_coeffs",

@@ -452,7 +452,12 @@ def _array_sizes(sub, cfg):
 
 
 def _check_sizes(sub, cfg):
-    """Refuse sizes whose largest array alone outgrows this machine's memory."""
+    """Refuse an empty martinet request, as spectrum and evolve refuse theirs,
+    and sizes whose largest array alone outgrows this machine's memory."""
+    if sub == "martinet":
+        for key in ("k", "l"):
+            if not cfg[key]:
+                raise ConfigError(f"martinet: {key!r} is empty; need at least one value")
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     for keys, entries in _array_sizes(sub, cfg).items():
         if 8 * entries > memory:

@@ -42,7 +42,7 @@ L w+ - rhs, in the mass norm) and gives the next right-hand side
 raises SolverDiverged.  Recorded series rows are read off the mode
 coefficients by Parseval.  The Schrodinger (Cayley) step is unitary in
 the mass inner product, and the heat step conserves mass, both to
-roundoff.  step_heat and step_schrodinger are the one-step case.
+roundoff.  One step is the run to T = dt.
 
 eps_sweep runs the same experiment over a shrinking eps sweep for the
 CLI and transmission_study, and transmission_verdict says whether the
@@ -66,8 +66,6 @@ __all__ = [
     "TransmissionReport",
     "assemble_generator",
     "gaussian_bump_state",
-    "step_heat",
-    "step_schrodinger",
     "run_heat",
     "run_schrodinger",
     "transmitted_fraction",
@@ -368,33 +366,11 @@ def _evolve(gen, state, T, dt, half, who, record_every=0):
     return EvolutionState(u=system.from_modes(w), t=t), series
 
 
-def step_heat(gen, state, dt):
-    """One Crank-Nicolson step of du/dt = A u.
-
-    Solves (I - dt/2 A) u+ = (I + dt/2 A) u as one symmetric positive
-    definite tridiagonal system per real y-mode (the n_y cosine and sine
-    modes of the real field), factored once per run, so each call factors
-    anew: to take many steps, call run_heat.  Raises SolverDiverged unless
-    the relative residual in the mass norm is at most 1e-10.
-    """
-    return _evolve(gen, state, dt, dt, 0.5, "step_heat")[0]
-
-
-def step_schrodinger(gen, state, dt):
-    """One Cayley (Crank-Nicolson) unitary step of i du/dt = -A u.
-
-    Solves (M - i dt/2 C) u+ = (M + i dt/2 C) u as one complex
-    tridiagonal system per y-mode, factored once per run, so each call
-    factors anew: to take many steps, call run_schrodinger.  The step is
-    unitary in the mass inner product up to roundoff; it raises
-    SolverDiverged unless the relative residual is at most 1e-10.
-    """
-    return _evolve(gen, state, dt, dt, 0.5j, "step_schrodinger")[0]
-
-
 def run_heat(gen, state, T, dt, *, record_every=0):
     """Evolve the heat flow to time T; optionally record a time series.
 
+    Takes round(T / dt) Crank-Nicolson steps of du/dt = A u, at least one,
+    with one factorization, so one step is run_heat(gen, state, dt, dt)[0].
     The series rows are (t, mass_left, mass_right, norm) with mass_left
     and mass_right the weighted content strictly left/right of the
     singular line and norm the mass-inner-product norm.

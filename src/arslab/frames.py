@@ -434,7 +434,7 @@ def frame_vectors(frame, p):
 
 
 def _regular_derivs(frame, p, who):
-    """frame.derivs at p as floats; SingularPoint where f vanishes.
+    """frame.derivs at p as floats; SingularPoint where f vanishes or is not finite.
 
     Raises ValueError, naming who, unless p is finite.
     """
@@ -443,6 +443,8 @@ def _regular_derivs(frame, p, who):
     fv, fx, fy, fxx = (float(d) for d in frame.derivs(p[0], p[1]))
     if fv == 0.0:
         raise SingularPoint(f"{who}: frame degenerates at {tuple(p)}")
+    if not math.isfinite(fv):
+        raise SingularPoint(f"{who}: f = {fv} is not finite at {tuple(p)}")
     return fv, fx, fy, fxx
 
 
@@ -454,9 +456,9 @@ def metric_at(frame, p):
 
         K = (f * f_xx - 2 * f_x**2) / f**2.
 
-    SingularPoint where f vanishes, where f**2 overflows the floats, or
-    where it underflows: to 0, or to a subnormal float whose reciprocal
-    1/f**2 overflows.
+    SingularPoint where f vanishes or is not finite, where f**2
+    overflows the floats, or where it underflows: to 0, or to a
+    subnormal float whose reciprocal 1/f**2 overflows.
     """
     fv, fx, _, fxx = _regular_derivs(frame, p, "metric_at")
     try:
@@ -675,7 +677,9 @@ def frame_from_config(cfg):
         return FrameSpec.grushin()
     if variant == VARIANT_ALPHA:
         alpha = cfg.get("alpha")
-        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+        # an int beyond the float range is no number, as for the top-level keys
+        if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
+                or isinstance(alpha, int) and abs(alpha) > sys.float_info.max):
             raise ValueError(f"alpha-grushin needs a number for key 'alpha', got {alpha!r}")
         return FrameSpec.alpha_grushin(float(alpha))
     return FrameSpec(variant, log_scale=_scale_from_config(cfg.get("log_scale")))

@@ -22,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StepSizeTooLarge
-from .frames import Point
 
 __all__ = [
     "Trajectory",
@@ -52,7 +51,6 @@ class Trajectory:
     t: np.ndarray
     states: np.ndarray  # shape (n+1, 4): columns x, y, px, py
     crossings: list
-    dt: float
     energy_drift: float
 
 
@@ -61,8 +59,6 @@ class Front:
     """Endpoints of the time-T geodesic fan out of one start point."""
 
     kind: str  # "riemannian" or "singular"
-    start: Point
-    time: float
     params: np.ndarray      # angle theta, or initial py
     families: np.ndarray    # +-1 for the two singular families, 0 otherwise
     endpoints: np.ndarray   # shape (m, 2)
@@ -181,8 +177,7 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
         raise StepSizeTooLarge(
             f"geodesic_flow: energy drift {drift:.3e} exceeds {100.0 * tol_H:.3e}; "
             f"reduce dt below {dt_eff:.3e}")
-    return Trajectory(t=t_grid, states=states, crossings=crossings,
-                      dt=dt_eff, energy_drift=drift)
+    return Trajectory(t=t_grid, states=states, crossings=crossings, energy_drift=drift)
 
 
 def grushin_geodesic_origin(py0, sign, t):
@@ -259,30 +254,30 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4):
         raise ValueError(f"front: need finite T > 0, got {T}")
     if not 0 < param_max < math.inf:
         raise ValueError(f"front: need finite param_max > 0, got {param_max}")
-    start = Point(float(start[0]), float(start[1]))
+    x0, y0 = float(start[0]), float(start[1])
     closed = frame.is_exact_grushin
-    singular = frame.is_singular_variant and start.x == 0.0
+    singular = frame.is_singular_variant and x0 == 0.0
     if singular:
         params = np.tile(np.linspace(-param_max, param_max, n), 2)
         families = np.repeat([1, -1], n)
     else:
         params = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         families = np.zeros(n, dtype=int)
-        f0 = abs(float(frame.derivs(start.x, start.y)[0]))
+        f0 = abs(float(frame.derivs(x0, y0)[0]))
 
     endpoints = np.empty((params.size, 2))
     for row, (a, sgn) in enumerate(zip(params, families)):
         if closed and singular:
             xe, ye = grushin_geodesic_origin(a, int(sgn), T)
-            endpoints[row] = (float(xe), start.y + float(ye))
+            endpoints[row] = (float(xe), y0 + float(ye))
         elif closed:
-            endpoints[row] = _closed_form_endpoint(start, a, T)
+            endpoints[row] = _closed_form_endpoint((x0, y0), a, T)
         else:
             covector = (float(sgn), a) if singular else (math.cos(a), math.sin(a) / f0)
-            traj = geodesic_flow(frame, (start.x, start.y, *covector), T, dt=dt)
+            traj = geodesic_flow(frame, (x0, y0, *covector), T, dt=dt)
             endpoints[row] = traj.states[-1, :2]
-    return Front(kind="singular" if singular else "riemannian", start=start, time=T,
-                 params=params, families=families, endpoints=endpoints,
+    return Front(kind="singular" if singular else "riemannian", params=params,
+                 families=families, endpoints=endpoints,
                  provenance="closed-form" if closed else "integrated")
 
 

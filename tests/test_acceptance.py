@@ -33,8 +33,8 @@ from arslab import (
     martinet_mode_solve,
     mode_potential,
     richardson_extrapolate,
-    step_heat,
-    step_schrodinger,
+    run_heat,
+    run_schrodinger,
     transmission_study,
 )
 
@@ -168,7 +168,7 @@ def test_criterion_8_conservation_per_step():
     norm0 = gen.m_norm(state.u)
     worst_norm = 0.0
     for _ in range(steps):
-        state = step_schrodinger(gen, state, dt)
+        state = run_schrodinger(gen, state, dt, dt)[0]
         worst_norm = max(worst_norm, abs(gen.m_norm(state.u) - norm0))
     norm_rate = worst_norm / (steps * norm0)
 
@@ -176,7 +176,7 @@ def test_criterion_8_conservation_per_step():
     mass0 = gen.total_mass(state.u)
     worst_mass = 0.0
     for _ in range(steps):
-        state = step_heat(gen, state, dt)
+        state = run_heat(gen, state, dt, dt)[0]
         worst_mass = max(worst_mass, abs(gen.total_mass(state.u) - mass0))
     mass_rate = worst_mass / (steps * abs(mass0))
 

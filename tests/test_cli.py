@@ -209,8 +209,10 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     (["--variant", "f2", "--log-scale", "gaussian-bump(0.3,0.7)", "--x", "1e200"],
      "f**2 overflows"),
     (["--x", "1e200"], "f**2 overflows"),
+    # f itself overflows to inf, and inf**2 raises no OverflowError
+    (["--variant", "alpha-grushin", "--frame-alpha", "2000", "--x", "2"], "f = inf is not finite"),
 ], ids=["grushin-tiny", "f2-zero-tiny", "f2-bump-tiny", "alpha-0.7-tiny", "f2-bump-huge",
-        "grushin-huge"])
+        "grushin-huge", "alpha-2000-inf"])
 def test_metric_where_f_squared_leaves_the_floats_exits_3(tmp_path, argv, named):
     # a fresh interpreter, as a user runs it: numpy's overflow warnings on the
     # way are fine, a traceback is not
@@ -228,7 +230,8 @@ def test_metric_where_f_squared_leaves_the_floats_exits_3(tmp_path, argv, named)
      "f**2 overflows"),
     # f**2 = 1e-320 is subnormal, not 0, and 1/f**2 overflows
     (["--x", "1e-160"], "f**2 underflows to 0"),
-], ids=["alpha-0.7-tiny", "f2-bump-huge", "grushin-subnormal"])
+    (["--variant", "alpha-grushin", "--frame-alpha", "2000", "--x", "2"], "f = inf is not finite"),
+], ids=["alpha-0.7-tiny", "f2-bump-huge", "grushin-subnormal", "alpha-2000-inf"])
 def test_metric_where_f_squared_leaves_the_floats_exits_3_in_process(tmp_path, capsys, argv,
                                                                     named):
     # in this process a RuntimeWarning is an error: none may escape main
@@ -622,6 +625,15 @@ def test_martinet_subcommand(tmp_path, capsys):
     assert rows[1].split(",")[5] == "2"
 
 
+@pytest.mark.parametrize("argv, key", [(["--k", ""], "'k'"), (["--l", ","], "'l'")])
+def test_martinet_rejects_an_empty_request(tmp_path, capsys, argv, key):
+    # spectrum and evolve refuse an empty request too; no header-only csv
+    code, err = cli(["martinet", *argv, "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert f"martinet: {key} is empty" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _reference_cell(v):
     """The per-cell CSV formatter that _write_csv must reproduce."""
     if isinstance(v, (int, np.integer)):
@@ -778,6 +790,7 @@ def test_gaussian_bump_out_of_range_is_a_usage_error(tmp_path, capsys, bump, nam
     ({"subcommand": "evolve", "eps": 0.1}, "'eps' takes a list of numbers, got 0.1"),
     ({"subcommand": "martinet", "k": 1}, "'k' takes a list of integers, got 1"),
     ({"subcommand": "martinet", "l": [1.5]}, "'l' takes a list of integers, got [1.5]"),
+    ({"subcommand": "martinet", "k": []}, "martinet: 'k' is empty"),
     ({"subcommand": "metric", "x": None}, "'x' takes a number, got null"),
     ({"subcommand": "spectrum", "n": None}, "'n' takes an integer, got null"),
     ({"subcommand": "geodesic", "t_final": [1]}, "'t_final' takes a number, got [1]"),
@@ -796,6 +809,10 @@ def test_gaussian_bump_out_of_range_is_a_usage_error(tmp_path, capsys, bump, nam
     ({"subcommand": "metric", "x": 10**400}, "'x' takes a number, got 1000"),
     ({"subcommand": "martinet", "k": [10**400]}, "'k' takes a list of integers, got [1000"),
     ({"subcommand": "classify", "c": -(10**400)}, "'c' takes a number or null, got -1000"),
+    ({"subcommand": "metric", "frame": {"variant": "alpha-grushin", "alpha": 10**400}},
+     "needs a number for key 'alpha', got 1000"),
+    ({"subcommand": "front", "frame": {"variant": "alpha-grushin", "alpha": -(10**400)}},
+     "needs a number for key 'alpha', got -1000"),
     ({"subcommand": "spectrum", "n": 1e300}, "the array sized by n = 1e+300 is larger"),
     ({"subcommand": "spectrum", "k_max": 10**23, "n": 200},
      "the array sized by k_max = 100000000000000000000000 and m_per_mode = 4 is larger"),
@@ -806,10 +823,11 @@ def test_gaussian_bump_out_of_range_is_a_usage_error(tmp_path, capsys, bump, nam
     ({"subcommand": "metric", "frame": {"variant": "f2", "log_scale": [[None]]}},
      "polynomial_field"),
 ], ids=["dict-bump", "dict-polynomial", "dict-zero", "frame-not-dict", "subcommand", "not-object",
-        "subcommand-list", "eps-number", "k-number", "l-float", "x-null", "n-null",
+        "subcommand-list", "eps-number", "k-number", "l-float", "k-empty", "x-null", "n-null",
         "t-final-list", "frame-alpha-null", "frame-alpha-bool", "numeric-check-str",
         "classify-alpha-bool", "n-fraction", "record-every-bool", "equation-number",
-        "x-huge-int", "k-huge-int", "c-huge-int", "n-huge", "k-max-huge", "poly-empty", "poly-3d",
+        "x-huge-int", "k-huge-int", "c-huge-int", "metric-frame-alpha-huge-int",
+        "front-frame-alpha-huge-int", "n-huge", "k-max-huge", "poly-empty", "poly-3d",
         "poly-null"])
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys, cfg, named):
     cfg_file = tmp_path / "cfg.json"
@@ -913,8 +931,8 @@ _PUBLIC_NAMES = {
                  "richardson_extrapolate", "spectrum_2d"],
     "evolution": ["EvolutionState", "Generator", "TransmissionReport",
                   "assemble_generator", "eps_sweep", "gaussian_bump_state", "run_heat",
-                  "run_schrodinger", "step_heat", "step_schrodinger", "transmission_study",
-                  "transmission_verdict", "transmitted_fraction"],
+                  "run_schrodinger", "transmission_study", "transmission_verdict",
+                  "transmitted_fraction"],
     "martinet": ["MartinetCoeffs", "MartinetModeResult", "martinet_laplacian_coeffs",
                  "martinet_mode_solve", "mode_potential", "popp_density"],
     "tridiag": [],

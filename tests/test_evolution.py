@@ -19,8 +19,6 @@ from arslab import (
     gaussian_bump_state,
     run_heat,
     run_schrodinger,
-    step_heat,
-    step_schrodinger,
     transmission_study,
 )
 from arslab import evolution
@@ -96,8 +94,8 @@ def test_generator_annihilates_constants():
     # a constant field is a fixed point of both flows' steps
     gen = _small_gen()
     ones = np.ones(gen.n_cells)
-    for step in (step_heat, step_schrodinger):
-        got = step(gen, EvolutionState(u=ones, t=0.0), 0.1).u
+    for run in (run_heat, run_schrodinger):
+        got = run(gen, EvolutionState(u=ones, t=0.0), 0.1, 0.1)[0].u
         assert np.max(np.abs(got - 1.0)) <= 1e-10
 
 
@@ -128,7 +126,7 @@ def test_heat_conserves_mass_and_contracts():
     mean = mass0 / gen.total_mass(np.ones(gen.n_cells))
     fluct_prev = gen.m_norm(state.u - mean)
     for _ in range(50):
-        state = step_heat(gen, state, 1e-3)
+        state = run_heat(gen, state, 1e-3, 1e-3)[0]
         fluct = gen.m_norm(state.u - mean)
         assert fluct <= fluct_prev * (1.0 + 1e-12)
         fluct_prev = fluct
@@ -139,7 +137,7 @@ def test_heat_preserves_positivity_at_small_steps():
     gen = _small_gen()
     state = gaussian_bump_state(gen, (-1.0, math.pi), 0.3)
     for _ in range(25):
-        state = step_heat(gen, state, 2e-4)
+        state = run_heat(gen, state, 2e-4, 2e-4)[0]
     assert float(np.min(state.u)) >= -1e-12
 
 
@@ -149,7 +147,7 @@ def test_schrodinger_is_unitary():
     state.u = state.u.astype(complex)
     norm0 = gen.m_norm(state.u)
     for _ in range(100):
-        state = step_schrodinger(gen, state, 1e-3)
+        state = run_schrodinger(gen, state, 1e-3, 1e-3)[0]
     assert gen.m_norm(state.u) == pytest.approx(norm0, abs=1e-9 * norm0)
 
 
@@ -170,7 +168,7 @@ def test_schrodinger_ballistic_transport():
     c0 = centroid(state.u)
     T, dt = 0.25, 5e-4
     for _ in range(int(round(T / dt))):
-        state = step_schrodinger(gen, state, dt)
+        state = run_schrodinger(gen, state, dt, dt)[0]
     v_measured = (centroid(state.u) - c0) / T
     h = gen.h
     v_lattice = (2.0 / h) * math.sin(k * h)
@@ -188,8 +186,8 @@ def test_evolution_respects_mirror_symmetry():
 
     rng = np.random.default_rng(41)
     u = rng.uniform(0.0, 1.0, gen.n_cells)
-    sa = step_heat(gen, EvolutionState(u=u, t=0.0), 1e-3).u
-    sb = reflect(step_heat(gen, EvolutionState(u=reflect(u), t=0.0), 1e-3).u)
+    sa = run_heat(gen, EvolutionState(u=u, t=0.0), 1e-3, 1e-3)[0].u
+    sb = reflect(run_heat(gen, EvolutionState(u=reflect(u), t=0.0), 1e-3, 1e-3)[0].u)
     assert np.max(np.abs(sa - sb)) <= 1e-10
 
 
@@ -345,9 +343,9 @@ def test_steps_match_sparse_direct_solve(alpha, eps, half_n_x, n_y, dt, seed):
     C, _ = _loop_assembled(gen)
     u = rng.standard_normal(n)
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    for step, c, v in ((step_heat, 0.5 * dt, u), (step_schrodinger, 0.5j * dt, z)):
+    for run, c, v in ((run_heat, 0.5 * dt, u), (run_schrodinger, 0.5j * dt, z)):
         want = spsolve((M - c * C).tocsc(), (M + c * C) @ v)
-        got = step(gen, EvolutionState(u=v, t=0.0), dt).u
+        got = run(gen, EvolutionState(u=v, t=0.0), dt, dt)[0].u
         assert gen.m_norm(got - want) <= 1e-10 * gen.m_norm(want)
 
 
@@ -364,28 +362,29 @@ def _corrupt_factor(name, index, fail):
     return corrupted
 
 
-@pytest.mark.parametrize("step, factor, index", [
-    (step_heat, "dpttrf", 0), (step_schrodinger, "zgttrf", 1),
-    (run_heat, "dpttrf", 0), (run_schrodinger, "zgttrf", 1)])
+# T = dt is one step of the time loop, T = 5 dt five
+@pytest.mark.parametrize("run, factor, index, T", [
+    (run_heat, "dpttrf", 0, 1e-3), (run_schrodinger, "zgttrf", 1, 1e-3),
+    (run_heat, "dpttrf", 0, 5e-3), (run_schrodinger, "zgttrf", 1, 5e-3)],
+    ids=["run_heat-one-step-dpttrf-0", "run_schrodinger-one-step-zgttrf-1",
+         "run_heat-dpttrf-0", "run_schrodinger-zgttrf-1"])
 @pytest.mark.parametrize("fail", [False, True])
-def test_corrupted_factor_raises(monkeypatch, step, factor, index, fail):
+def test_corrupted_factor_raises(monkeypatch, run, factor, index, T, fail):
     gen = _small_gen()
     state = gaussian_bump_state(gen, (-1.0, math.pi), 0.3)
     monkeypatch.setattr(evolution.lapack, factor, _corrupt_factor(factor, index, fail))
-    # run_* take (T, dt): five steps of the time loop
-    times = (1e-3,) if step.__name__.startswith("step_") else (5e-3, 1e-3)
     with pytest.raises(SolverDiverged, match="info=1" if fail else "relative residual"):
-        step(gen, state, *times)
+        run(gen, state, T, 1e-3)
 
 
-_FLOWS = pytest.mark.parametrize("run, step, density", [
-    (run_heat, step_heat, lambda u: u),
-    (run_schrodinger, step_schrodinger, lambda u: np.abs(u) ** 2)], ids=["heat", "schrodinger"])
+_FLOWS = pytest.mark.parametrize("run, density", [
+    (run_heat, lambda u: u),
+    (run_schrodinger, lambda u: np.abs(u) ** 2)], ids=["heat", "schrodinger"])
 
 
 @_FLOWS
 @pytest.mark.parametrize("n_y", [7, 8])
-def test_run_matches_chained_steps(run, step, density, n_y):
+def test_run_matches_chained_steps(run, density, n_y):
     gen = assemble_generator(1.2, 0.05, n_x=80, n_y=n_y)
     rng = np.random.default_rng(n_y)
     state = gaussian_bump_state(gen, (-1.0, 2.0), 0.4)
@@ -394,7 +393,7 @@ def test_run_matches_chained_steps(run, step, density, n_y):
     got, _ = run(gen, state, n * dt, dt)
     want = state
     for _ in range(n):
-        want = step(gen, want, dt)
+        want = run(gen, want, dt, dt)[0]
     assert got.t == want.t
     assert got.u.dtype == want.u.dtype
     assert gen.m_norm(got.u - want.u) <= 1e-12 * gen.m_norm(want.u)
@@ -402,7 +401,7 @@ def test_run_matches_chained_steps(run, step, density, n_y):
 
 @_FLOWS
 @pytest.mark.parametrize("n_y, record_every", [(7, 1), (7, 3), (8, 3), (9, 1)])
-def test_series_rows_match_real_space_recomputation(run, step, density, n_y, record_every):
+def test_series_rows_match_real_space_recomputation(run, density, n_y, record_every):
     gen = assemble_generator(0.8, 0.05, n_x=60, n_y=n_y)
     rng = np.random.default_rng(3 * n_y + record_every)
     state = gaussian_bump_state(gen, (-1.0, 2.0), 0.4)
@@ -416,7 +415,7 @@ def test_series_rows_match_real_space_recomputation(run, step, density, n_y, rec
     k, want = 0, state
     for row, k_row in zip(series, recorded):
         while k < k_row:  # each step's state is the inverse FFT of its modes
-            want, k = step(gen, want, dt), k + 1
+            want, k = run(gen, want, dt, dt)[0], k + 1
         d = density(want.u)
         expected = (float(np.dot(gen.m[x < 0], d[x < 0])),
                     float(np.dot(gen.m[x > 0], d[x > 0])), gen.m_norm(want.u))

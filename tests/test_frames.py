@@ -107,6 +107,16 @@ def test_singular_point_rejected():
     assert v2 == (0.0, 0.0)
 
 
+def test_point_where_f_is_not_finite_is_singular():
+    # |x|**2000 overflows to inf at x = 2, and inf**2 raises no OverflowError
+    fr, p = FrameSpec.alpha_grushin(2000.0), Point(2.0, 0.0)
+    for who, call in (("metric_at", lambda: metric_at(fr, p)),
+                      ("divergence", lambda: divergence(fr, p, (1.0, 0.0), (0.0, 0.0))),
+                      ("laplace_beltrami_coeffs", lambda: laplace_beltrami_coeffs(fr, p))):
+        with pytest.raises(SingularPoint, match=f"{who}: f = inf is not finite at"):
+            call()
+
+
 @pytest.mark.parametrize("p", [Point(math.nan, 1.0), Point(math.inf, 1.0), Point(1.0, -math.inf)])
 def test_point_that_is_not_finite_rejected(p):
     # checked before the frame is evaluated, so no RuntimeWarning comes first
