@@ -121,8 +121,6 @@ class Generator:
     n_y periodic y-nodes, are ordered x-major: a field reshapes to (x.size, n_y).
     """
 
-    alpha: float
-    eps: float
     x: np.ndarray       # n_x + 1 nodes, symmetric, includes 0
     h: float
     n_y: int
@@ -185,9 +183,8 @@ def assemble_generator(alpha, eps, *, n_x=400, x_half=3.0, n_y=64, period=_TWO_P
         raise BadGrid(f"assemble_generator: the weights on |x| <= x_half = {x_half} "
                       f"leave the floats at eps={eps}, alpha={alpha}")
     x_diag = -np.append(x_off, 0.0) - np.append(0.0, x_off)
-    return Generator(alpha=float(alpha), eps=float(eps), x=x, h=h, n_y=int(n_y),
-                     period=float(period), m=np.repeat(m_x, n_y), m_x=m_x, x_diag=x_diag,
-                     x_off=x_off, y_coef=y_coef)
+    return Generator(x=x, h=h, n_y=int(n_y), period=float(period), m=np.repeat(m_x, n_y),
+                     m_x=m_x, x_diag=x_diag, x_off=x_off, y_coef=y_coef)
 
 
 @dataclass

@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StepSizeTooLarge
+from .frames import _regular_derivs
 
 __all__ = [
     "Trajectory",
@@ -246,7 +247,9 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4):
 
     Endpoints come from the closed forms exactly when the frame is the
     exact Grushin plane, otherwise from RK4 integration.  Raises
-    ValueError unless n >= 8 and T and param_max are finite and positive.
+    ValueError unless n >= 8, the start is finite and T and param_max
+    are finite and positive; SingularPoint at a Riemannian start where f
+    is 0 or not finite.
     """
     if n < 8:
         raise ValueError("front: need n >= 8 parameters")
@@ -255,6 +258,8 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4):
     if not 0 < param_max < math.inf:
         raise ValueError(f"front: need finite param_max > 0, got {param_max}")
     x0, y0 = float(start[0]), float(start[1])
+    if not (math.isfinite(x0) and math.isfinite(y0)):
+        raise ValueError(f"front: need a finite start, got {(x0, y0)}")
     closed = frame.is_exact_grushin
     singular = frame.is_singular_variant and x0 == 0.0
     if singular:
@@ -263,7 +268,7 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4):
     else:
         params = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         families = np.zeros(n, dtype=int)
-        f0 = abs(float(frame.derivs(x0, y0)[0]))
+        f0 = abs(_regular_derivs(frame, (x0, y0), "front")[0])
 
     endpoints = np.empty((params.size, 2))
     for row, (a, sgn) in enumerate(zip(params, families)):

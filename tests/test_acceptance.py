@@ -17,25 +17,28 @@ import pytest
 from arslab import (
     FrameSpec,
     Inconclusive,
-    assemble_generator,
-    assemble_mode_operator,
-    classify_self_adjoint,
     curve_length,
-    deficiency_index_numeric,
-    eigen_solve,
-    gauge_transform,
     gaussian_bump,
-    gaussian_bump_state,
     geodesic_flow,
     grushin_geodesic_origin,
     grushin_geodesic_riemannian,
-    inverse_square_coefficient,
-    martinet_mode_solve,
-    mode_potential,
-    richardson_extrapolate,
+)
+from arslab.evolution import (
+    assemble_generator,
+    gaussian_bump_state,
     run_heat,
     run_schrodinger,
     transmission_study,
+)
+from arslab.martinet import martinet_mode_solve, mode_potential
+from arslab.spectral import (
+    assemble_mode_operator,
+    classify_self_adjoint,
+    deficiency_index_numeric,
+    eigen_solve,
+    gauge_transform,
+    inverse_square_coefficient,
+    richardson_extrapolate,
 )
 
 from test_spectral import _conjugation_error

@@ -241,6 +241,26 @@ def test_metric_where_f_squared_leaves_the_floats_exits_3_in_process(tmp_path, c
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    # f underflows to 0 off the singular line: 0.5**2000, exp(-800)
+    (["--variant", "alpha-grushin", "--frame-alpha", "2000", "--x0", "-0.5"],
+     "frame degenerates at (-0.5, 0.0)"),
+    (["--variant", "f2", "--log-scale", "gaussian-bump(-800,1)", "--x0", "-0.1",
+      "--y0", "3.14159"], "frame degenerates at (-0.1, 3.14159)"),
+    # f overflows to inf, where no dt can help
+    (["--variant", "alpha-grushin", "--frame-alpha", "2000", "--x0", "-2"],
+     "f = inf is not finite at (-2.0, 0.0)"),
+], ids=["alpha-2000-zero", "f2-bump-zero", "alpha-2000-inf"])
+def test_front_from_a_start_where_f_is_zero_or_not_finite_exits_3(tmp_path, capsys, argv,
+                                                                  named):
+    # in this process a RuntimeWarning is an error: none may escape main
+    code, err = cli(["front", *argv, "--n", "8", "--t-final", "0.01",
+                     "--out-dir", str(tmp_path)], capsys)
+    assert code == 3, err
+    assert f"arslab: front: {named}" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_classify_subcommand(tmp_path, capsys):
     code, err = cli(["classify", "--alpha", "0.9", "--numeric-check",
                      "--out-dir", str(tmp_path)], capsys)
@@ -473,6 +493,11 @@ def test_step_count_that_is_not_finite_is_a_usage_error(tmp_path, capsys, argv, 
     (_FAST_EVOLVE + ["--alpha", "inf"], "finite alpha > 0"),
     (_FAST_EVOLVE + ["--period", "nan"], "finite period > 0"),
     (_FAST_EVOLVE + ["--period", "inf"], "finite period > 0"),
+    # a front start, checked before any ray
+    (["front", "--x0", "inf", "--n", "8"], "front: need a finite start, got (inf, 0.0)"),
+    (["front", "--x0", "nan", "--n", "8"], "front: need a finite start, got (nan, 0.0)"),
+    (["front", "--x0", "0", "--y0", "inf", "--n", "8"],
+     "front: need a finite start, got (0.0, inf)"),
 ])
 def test_non_finite_exponents_and_periods_are_usage_errors(tmp_path, capsys, argv, named):
     code, err = cli([*argv, "--out-dir", str(tmp_path)], capsys)
@@ -914,8 +939,9 @@ def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
 
 # -- cold start: what `import arslab` and the geometry subcommands load ----
 
-# every public name of `import arslab` before its names became lazy, by the
-# submodule that defines it; the submodules themselves are names too
+# every public name of `import arslab`, by the geometry layer that defines
+# it; the three layers themselves are names too.  The layers that need scipy
+# (spectral, evolution, martinet, tridiag) are submodules, imported by name.
 _PUBLIC_NAMES = {
     "errors": ["ArslabError", "BadGrid", "ConvergenceFailure", "FitIllConditioned",
                "Inconclusive", "OutOfRange", "SingularPoint", "SolverDiverged",
@@ -925,18 +951,8 @@ _PUBLIC_NAMES = {
                "laplace_beltrami_coeffs", "metric_at", "polynomial_field", "scalar_zero"],
     "geodesics": ["Front", "Trajectory", "crossing_report", "front", "geodesic_flow",
                   "grushin_geodesic_origin", "grushin_geodesic_riemannian", "hamiltonian"],
-    "spectral": ["GaugePotential", "ModeOperator", "SelfAdjointnessReport", "SpectrumLine",
-                 "assemble_mode_operator", "classify_self_adjoint", "deficiency_index_numeric",
-                 "eigen_solve", "gauge_transform", "inverse_square_coefficient",
-                 "richardson_extrapolate", "spectrum_2d"],
-    "evolution": ["EvolutionState", "Generator", "TransmissionReport",
-                  "assemble_generator", "eps_sweep", "gaussian_bump_state", "run_heat",
-                  "run_schrodinger", "transmission_study", "transmission_verdict",
-                  "transmitted_fraction"],
-    "martinet": ["MartinetCoeffs", "MartinetModeResult", "martinet_laplacian_coeffs",
-                 "martinet_mode_solve", "mode_potential", "popp_density"],
-    "tridiag": [],
 }
+_SCIPY_LAYERS = ["spectral", "evolution", "martinet", "tridiag"]
 _DUNDERS = ["__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__",
             "__package__", "__path__", "__spec__", "__version__"]
 
@@ -985,26 +1001,31 @@ def test_polynomial_frame_runs_load_no_numpy_polynomial(tmp_path):
     assert got == {"codes": [0, 0], "loaded": []}
 
 
-def test_lazy_names_resolve_to_their_defining_objects(tmp_path):
+def test_import_arslab_exports_the_geometry_layers_only(tmp_path):
     code = """if True:
         import importlib, json, sys
         import arslab
-        owners = json.loads(sys.argv[1])
+        owners, scipy_layers = json.loads(sys.argv[1]), sys.argv[2:]
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         bare_dir = dir(arslab)
         star = {}
         exec("from arslab import *", star)
-        resolved = {n: getattr(arslab, n) for mod, names in owners.items() for n in [mod, *names]}
-        wrong = []
-        for mod, names in owners.items():
-            owner = importlib.import_module("arslab." + mod)
-            wrong += [mod] if resolved[mod] is not owner else []
-            wrong += [n for n in names if resolved[n] is not getattr(owner, n)]
-        print(json.dumps({"dir": bare_dir, "wrong": wrong,
-                          "star": sorted(n for n in star if n != "__builtins__")}))
+        wrong = [n for mod, names in owners.items() for n in names
+                 if getattr(arslab, n) is not getattr(getattr(arslab, mod), n)]
+        # importing a scipy layer binds it on arslab, so look at these first
+        layer_names = {m: getattr(importlib.import_module("arslab." + m), "__all__", [])
+                       for m in [*owners, *scipy_layers]}
+        leaked = [n for m in scipy_layers for n in [m, *layer_names[m]] if n in bare_dir]
+        missing = [m + "." + n for m, names in layer_names.items() for n in names
+                   if not hasattr(sys.modules["arslab." + m], n)]
+        print(json.dumps({"scipy": loaded, "all": sorted(arslab.__all__), "dir": bare_dir,
+                          "star": sorted(n for n in star if n != "__builtins__"),
+                          "wrong": wrong, "leaked": leaked, "missing": missing}))
     """
-    got = _fresh_python(code, tmp_path, json.dumps(_PUBLIC_NAMES))
+    got = _fresh_python(code, tmp_path, json.dumps(_PUBLIC_NAMES), *_SCIPY_LAYERS)
     public = sorted(n for mod, names in _PUBLIC_NAMES.items() for n in [mod, *names])
-    assert got["wrong"] == []
-    assert got["star"] == public
+    assert got["scipy"] == []
+    assert got["all"] == got["star"] == public
     assert sorted(n for n in got["dir"] if not n.startswith("_")) == public
     assert set(_DUNDERS) <= set(got["dir"])
+    assert got["wrong"] == got["leaked"] == got["missing"] == []

@@ -9,11 +9,11 @@ from scipy import sparse
 from scipy.integrate import quad
 from scipy.sparse.linalg import spsolve
 
-from arslab import (
-    BadGrid,
+from arslab import BadGrid, Inconclusive, SolverDiverged
+from arslab import evolution
+from arslab.evolution import (
     EvolutionState,
-    Inconclusive,
-    SolverDiverged,
+    _int_power,
     assemble_generator,
     eps_sweep,
     gaussian_bump_state,
@@ -21,8 +21,6 @@ from arslab import (
     run_schrodinger,
     transmission_study,
 )
-from arslab import evolution
-from arslab.evolution import _int_power
 
 
 def _small_gen(alpha=1.0, eps=0.05, n_x=100, n_y=8):

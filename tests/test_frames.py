@@ -20,7 +20,6 @@ from arslab import (
     divergence,
     frame_from_config,
     frame_vectors,
-    gauge_transform,
     gaussian_bump,
     geodesic_flow,
     gradient,
@@ -29,6 +28,7 @@ from arslab import (
     polynomial_field,
     scalar_zero,
 )
+from arslab.spectral import gauge_transform
 
 GRUSHIN = FrameSpec.grushin()
 

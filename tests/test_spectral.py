@@ -9,20 +9,22 @@ from arslab import (
     FrameSpec,
     OutOfRange,
     UnsupportedFrame,
+    gaussian_bump,
+    laplace_beltrami_coeffs,
+    polynomial_field,
+    scalar_zero,
+)
+from arslab.spectral import (
     assemble_mode_operator,
+    assemble_staggered,
     classify_self_adjoint,
     deficiency_index_numeric,
     eigen_solve,
     gauge_transform,
-    gaussian_bump,
     inverse_square_coefficient,
-    laplace_beltrami_coeffs,
-    polynomial_field,
     richardson_extrapolate,
-    scalar_zero,
     spectrum_2d,
 )
-from arslab.spectral import assemble_staggered
 
 GRUSHIN = FrameSpec.grushin()
 
