@@ -65,7 +65,7 @@ class ScalarField:
 
     derivs(x, y) -> (s, s_x, s_y, s_xx, s_yy) accepts floats or numpy
     arrays, broadcasts, and evaluates s once; curve_length reads it on
-    arrays through FrameSpec.derivs.  jet(x, y) -> (s, s_x, s_y) is the
+    arrays through FrameSpec.f.  jet(x, y) -> (s, s_x, s_y) is the
     plain-float evaluator for one point, built from the math module;
     pointwise loops (geodesic RK4, crossings) call it.  is_zero
     marks the identically-zero field so callers can take exact shortcuts.
@@ -241,9 +241,11 @@ class Point(NamedTuple):
 class FrameSpec:
     """Everything needed to evaluate a frame and its derivatives.
 
-    Two evaluators: derivs(x, y) -> (f, f_x, f_y, f_xx) broadcasts over
-    numpy arrays, and fsq_jet(x, y) -> (f**2, f * f_x, f * f_y) takes one
-    point in plain floats for the geodesic loops.
+    Three evaluators: f(x, y) -> f serves the readers of f alone and
+    derivs(x, y) -> (f, f_x, f_y, f_xx) those of its derivatives, both
+    broadcasting over numpy arrays, f as derivs' first component bit for
+    bit; fsq_jet(x, y) -> (f**2, f * f_x, f * f_y) takes one point in
+    plain floats for the geodesic loops.
     fsq_jet is a closure resolved once per frame instance on first use;
     equality and hashing see only the three fields.
     """
@@ -290,6 +292,24 @@ class FrameSpec:
     def is_singular_variant(self):
         """True when the frame degenerates on the line x = 0."""
         return self.variant in (VARIANT_F2, VARIANT_ALPHA)
+
+    def f(self, x, y):
+        """f at float or array points: derivs(x, y)[0]'s floats, broadcast alike.
+
+        Over scalar_zero, f = x * exp(0) (f2) or exp(0) (f1), and
+        exp(0) = 1 exactly, so the field is not evaluated.
+        """
+        if self.variant == VARIANT_ALPHA:
+            x = np.broadcast_arrays(np.asarray(x, dtype=float), y)[0]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                return np.abs(x) ** self.alpha
+        x = np.asarray(x, dtype=float)
+        if self.log_scale.key == (scalar_zero, ()):
+            x = np.broadcast_arrays(x, y)[0]
+            # x * 1.0 is x, in a fresh array as derivs returns
+            return x * 1.0 if self.variant == VARIANT_F2 else np.ones_like(x)
+        e = np.exp(self.log_scale.derivs(x, y)[0])
+        return e if self.variant == VARIANT_F1 else x * e
 
     def derivs(self, x, y):
         """(f, f_x, f_y, f_xx) at float or array points, broadcasting x against y.
@@ -429,22 +449,26 @@ class MetricData:
 
 def frame_vectors(frame, p):
     """The orthonormal frame at p; defined everywhere, including x = 0."""
-    fv = float(frame.derivs(p[0], p[1])[0])
+    fv = float(frame.f(p[0], p[1]))
     return ((1.0, 0.0), (0.0, fv))
 
 
 def _regular_derivs(frame, p, who):
-    """frame.derivs at p as floats; SingularPoint where f vanishes or is not finite.
+    """frame.derivs at p as floats; SingularPoint where f or 1/f is 0 or not finite.
 
     Raises ValueError, naming who, unless p is finite.
     """
     if not (math.isfinite(p[0]) and math.isfinite(p[1])):
         raise ValueError(f"{who}: need a finite point, got {tuple(p)}")
-    fv, fx, fy, fxx = (float(d) for d in frame.derivs(p[0], p[1]))
+    # where exp(s) overflows, f_x and f_xx meet inf * 0; f = inf is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        fv, fx, fy, fxx = (float(d) for d in frame.derivs(p[0], p[1]))
     if fv == 0.0:
         raise SingularPoint(f"{who}: frame degenerates at {tuple(p)}")
     if not math.isfinite(fv):
         raise SingularPoint(f"{who}: f = {fv} is not finite at {tuple(p)}")
+    if math.isinf(1.0 / fv):
+        raise SingularPoint(f"{who}: 1/f overflows at {tuple(p)}")
     return fv, fx, fy, fxx
 
 
@@ -484,7 +508,7 @@ def gradient(frame, p, dvalue):
     Equals (d/dx, f**2 * d/dy); well defined on the singular line, where
     it degenerates to a multiple of (1, 0).
     """
-    fv = float(frame.derivs(p[0], p[1])[0])
+    fv = float(frame.f(p[0], p[1]))
     return (float(dvalue[0]), fv * fv * float(dvalue[1]))
 
 
@@ -520,7 +544,9 @@ _LENGTH_DEPTH = 28
 def _simpson_levels(g, b, tol):
     """Sum over k of the adaptive Simpson integrals of g(k, .) over [0, b[k]].
 
-    g(k, tau) evaluates integrand k[i] at tau[i] on arrays.  All intervals
+    g(k, tau) evaluates integrand k[j] at tau[:, j] on arrays: k holds one
+    index per interval, and tau the nodes, of shape (nodes, intervals), so
+    an integrand gathers its coefficients once per interval.  All intervals
     refine together, level by level: level 0 evaluates the five nodes of
     every interval in one call of g, and each later level the two quarter
     points of every interval still open.  An interval stops when
@@ -531,7 +557,7 @@ def _simpson_levels(g, b, tol):
     a = np.zeros_like(b)
     m = 0.5 * (a + b)
     lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    fa, fm, fb, flm, frm = g(np.tile(k, 5), np.concatenate((a, m, b, lm, rm))).reshape(5, -1)
+    fa, fm, fb, flm, frm = g(k, np.stack((a, m, b, lm, rm)))
     whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
     total = 0.0
     for depth in range(_LENGTH_DEPTH, -1, -1):
@@ -549,7 +575,7 @@ def _simpson_levels(g, b, tol):
         a, m, b, fa, fm, fb, whole = (np.concatenate((u[open_], v[open_])) for u, v in (
             (a, m), (lm, rm), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right)))
         lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = g(np.tile(k, 2), np.concatenate((lm, rm))).reshape(2, -1)
+        flm, frm = g(k, np.stack((lm, rm)))
     return total
 
 
@@ -568,7 +594,7 @@ def curve_length(frame, t, x, y):
     along it, has infinite length: math.inf is returned.
 
     All segments are integrated together by one adaptive Simpson rule on
-    arrays, which reads f through frame.derivs once per refinement level.
+    arrays, which reads f through frame.f once per refinement level.
     Raises ValueError unless t, x, y are finite 1-d samples of equal
     length >= 2 with t non-decreasing.
     """
@@ -610,7 +636,7 @@ def curve_length(frame, t, x, y):
 
             def speed(k, tau):
                 # tau measured from the segment's start; infinite where f vanishes
-                f = frame.derivs(xr[k] + vxr[k] * tau, yr[k] + vyr[k] * tau)[0]
+                f = frame.f(xr[k] + vxr[k] * tau, yr[k] + vyr[k] * tau)
                 return np.sqrt(vx2[k] + vy2[k] / (f * f))
 
             total += _simpson_levels(speed, dt[regular], tol[regular])

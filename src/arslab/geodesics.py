@@ -111,9 +111,11 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
     four stages of a step run inline on plain floats, one call of the
     frame's fsq_jet each, and the states collect in a flat float buffer.
     Raises StepSizeTooLarge unless the energy drift, recomputed from the
-    array evaluator f, is at most 100 * tol_H (a non-finite drift fails),
-    and also when a float evaluation overflows or leaves its domain.
-    Raises ValueError unless dt > 0, T >= 0 and T / dt is finite.
+    array evaluator frame.f, is at most 100 * tol_H (a non-finite drift
+    fails), and also when a float evaluation overflows or leaves its domain.
+    Raises ValueError unless dt > 0, T >= 0 and T / dt is finite;
+    SingularPoint where f or 1/f is 0 or not finite at the start, unless
+    the start is on the singular line x = 0 of a singular variant.
     """
     if not dt > 0:
         raise ValueError(f"geodesic_flow: dt must be positive, got {dt}")
@@ -126,6 +128,8 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
     x, y, px, py = (float(v) for v in state0)
     if not all(map(math.isfinite, (x, y, px, py))):
         raise ValueError(f"geodesic_flow: need a finite start state, got {tuple(state0)}")
+    if not (frame.is_singular_variant and x == 0.0):
+        _regular_derivs(frame, (x, y), "geodesic_flow")
     n = max(1, int(round(T / dt)))
     dt_eff = T / n
     jet = frame.fsq_jet
@@ -171,7 +175,7 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
     t_grid = np.linspace(0.0, T, n + 1)
     # a blown-up trajectory makes the drift inf or nan, which the gate rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        fsq = frame.derivs(states[:, 0], states[:, 1])[0] ** 2
+        fsq = frame.f(states[:, 0], states[:, 1]) ** 2
         energies = 0.5 * (states[:, 2] ** 2 + fsq * states[:, 3] ** 2)
         drift = float(np.max(np.abs(energies - energies[0])))
     if not drift <= 100.0 * tol_H:
@@ -249,7 +253,7 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4):
     exact Grushin plane, otherwise from RK4 integration.  Raises
     ValueError unless n >= 8, the start is finite and T and param_max
     are finite and positive; SingularPoint at a Riemannian start where f
-    is 0 or not finite.
+    or 1/f is 0 or not finite.
     """
     if n < 8:
         raise ValueError("front: need n >= 8 parameters")

@@ -241,23 +241,38 @@ def test_metric_where_f_squared_leaves_the_floats_exits_3_in_process(tmp_path, c
     assert not (tmp_path / "manifest.json").exists()
 
 
+_ALPHA_2000 = ["--variant", "alpha-grushin", "--frame-alpha", "2000"]
+_BUMP_MINUS_800 = ["--variant", "f2", "--log-scale", "gaussian-bump(-800,1)", "--x0", "-0.1",
+                   "--y0", "3.14159"]
+
+
 @pytest.mark.parametrize("argv, named", [
     # f underflows to 0 off the singular line: 0.5**2000, exp(-800)
-    (["--variant", "alpha-grushin", "--frame-alpha", "2000", "--x0", "-0.5"],
-     "frame degenerates at (-0.5, 0.0)"),
-    (["--variant", "f2", "--log-scale", "gaussian-bump(-800,1)", "--x0", "-0.1",
-      "--y0", "3.14159"], "frame degenerates at (-0.1, 3.14159)"),
+    (["front", "--n", "8", *_ALPHA_2000, "--x0", "-0.5"],
+     "front: frame degenerates at (-0.5, 0.0)"),
+    (["front", "--n", "8", *_BUMP_MINUS_800], "front: frame degenerates at (-0.1, 3.14159)"),
+    (["geodesic", *_ALPHA_2000, "--x0", "-0.5"],
+     "geodesic_flow: frame degenerates at (-0.5, 0.0)"),
+    (["geodesic", *_BUMP_MINUS_800], "geodesic_flow: frame degenerates at (-0.1, 3.14159)"),
     # f overflows to inf, where no dt can help
-    (["--variant", "alpha-grushin", "--frame-alpha", "2000", "--x0", "-2"],
-     "f = inf is not finite at (-2.0, 0.0)"),
-], ids=["alpha-2000-zero", "f2-bump-zero", "alpha-2000-inf"])
-def test_front_from_a_start_where_f_is_zero_or_not_finite_exits_3(tmp_path, capsys, argv,
-                                                                  named):
+    (["front", "--n", "8", *_ALPHA_2000, "--x0", "-2"],
+     "front: f = inf is not finite at (-2.0, 0.0)"),
+    (["geodesic", *_ALPHA_2000, "--x0", "-2"],
+     "geodesic_flow: f = inf is not finite at (-2.0, 0.0)"),
+    (["geodesic", "--variant", "alpha-grushin", "--frame-alpha", "3", "--x0", "1e200"],
+     "geodesic_flow: f = inf is not finite at (1e+200, 0.0)"),
+    # f is finite and not 0, but 1/f overflows: front's covector sin(theta) / f
+    (["front", "--n", "8", "--variant", "f2", "--log-scale", "gaussian-bump(0.3,0.7)",
+      "--x0", "1e-320"], "front: 1/f overflows at (1e-320, 0.0)"),
+    (["geodesic", "--x0", "1e-320"], "geodesic_flow: 1/f overflows at (1e-320, 0.0)"),
+], ids=["front-alpha-2000-zero", "front-f2-bump-zero", "geodesic-alpha-2000-zero",
+        "geodesic-f2-bump-zero", "front-alpha-2000-inf", "geodesic-alpha-2000-inf",
+        "geodesic-alpha-3-inf", "front-f2-bump-tiny", "geodesic-grushin-tiny"])
+def test_a_start_where_f_is_zero_or_not_finite_exits_3(tmp_path, capsys, argv, named):
     # in this process a RuntimeWarning is an error: none may escape main
-    code, err = cli(["front", *argv, "--n", "8", "--t-final", "0.01",
-                     "--out-dir", str(tmp_path)], capsys)
+    code, err = cli([*argv, "--t-final", "0.01", "--out-dir", str(tmp_path)], capsys)
     assert code == 3, err
-    assert f"arslab: front: {named}" in err
+    assert f"arslab: {named}" in err
     assert not (tmp_path / "manifest.json").exists()
 
 
@@ -514,7 +529,7 @@ def test_non_finite_exponents_and_periods_are_usage_errors(tmp_path, capsys, arg
     (["--tol-h", "inf"], 2, "finite tol_H > 0"),
     (["--py0", "1e200"], 3, "energy drift nan"),
     # blow-ups that overflow or leave the domain of a float jet
-    (["--variant", "alpha-grushin", "--frame-alpha", "3", "--x0", "1e200"], 3,
+    (["--variant", "alpha-grushin", "--frame-alpha", "3", "--x0", "1e60"], 3,
      "left the floats"),
     (["--variant", "alpha-grushin", "--frame-alpha", "1.5", "--x0", "1e200"], 3,
      "energy drift nan"),

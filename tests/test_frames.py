@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -486,7 +487,7 @@ def test_fused_bump_jet_raises_where_the_chain_raises(variant, x, y, amplitude, 
         try:
             geodesic_flow(frame, (x, 3.0, 0.5, 2.0), 0.1, dt=0.01, tol_H=1.0)
             runs.append(None)
-        except (StepSizeTooLarge, ValueError) as exc:
+        except (StepSizeTooLarge, ValueError, SingularPoint) as exc:
             runs.append((type(exc), str(exc)))
     assert runs[0] == runs[1]
 
@@ -785,13 +786,13 @@ def test_length_matches_the_scalar_reference(name, path, n):
 
 def _count_derivs(monkeypatch):
     calls = []
-    derivs = FrameSpec.derivs
+    f = FrameSpec.f
 
     def counted(self, x, y):
         calls.append(np.size(x))
-        return derivs(self, x, y)
+        return f(self, x, y)
 
-    monkeypatch.setattr(FrameSpec, "derivs", counted)
+    monkeypatch.setattr(FrameSpec, "f", counted)
     return calls
 
 
@@ -815,6 +816,35 @@ def test_length_refines_one_derivs_call_per_level(monkeypatch):
     assert calls[0] == 5
     assert 1 < len(calls) <= 29
     assert all(c % 4 == 0 for c in calls[1:])
+
+
+_F_FRAMES = {
+    **_LENGTH_FRAMES,  # "grushin" is f2 over scalar_zero
+    "f1-zero": FrameSpec.f1(scalar_zero()),
+    # a zero field that is not scalar_zero: 0 * inf makes s nan at x = +-inf
+    "f2-poly-zero": FrameSpec.f2(polynomial_field([[0.0]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_F_FRAMES))
+def test_f_is_the_first_component_of_derivs_bit_for_bit(name):
+    frame = _F_FRAMES[name]
+    xs = np.array([0.0, -0.0, 0.4, -1.7, 5e-324, math.inf, -math.inf, math.nan])
+    ys = np.array([0.0, 1.1, 3.0])
+    cases = [(float(x), float(y)) for x in xs for y in ys]  # floats
+    cases += [(xs, np.full_like(xs, 1.1)), (xs[:, None], ys)]  # arrays, broadcast
+    cases += [(float(x), ys) for x in xs]  # a float x against an array y
+    for x, y in cases:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            got = frame.f(x, y)
+        # derivs also forms f_x and f_xx, which meet inf * 0 at x = +-inf
+        with np.errstate(all="ignore"):
+            want = frame.derivs(x, y)[0]
+        assert np.shape(got) == np.shape(want), (x, y)
+        assert _bits(np.ravel(got)) == _bits(np.ravel(want)), (x, y)
+        # only the polynomial field's own Horner step 0 * inf may warn
+        assert not seen or (name.startswith("f2-poly") and not np.isfinite(x).all()), (x, y)
 
 
 # -- configuration ---------------------------------------------------------
