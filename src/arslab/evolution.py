@@ -83,16 +83,25 @@ def _int_power(t, eps, p, q):
     """integral of s**p * max(s, eps)**q ds on [0, t], t >= 0, p > -1.
 
     Cell mass, x-conductance and y-coupling are (p, q) = (0, -alpha),
-    (0, alpha) and (2 alpha, -alpha).
+    (0, alpha) and (2 alpha, -alpha).  Raises OverflowError, naming the
+    power, where the float eps**q or eps**(p + q + 1) overflows.
     """
     t = np.asarray(t, dtype=float)
-    inside = eps**q * np.minimum(t, eps) ** (p + 1) / (p + 1)
+    inside = _eps_power(eps, q) * np.minimum(t, eps) ** (p + 1) / (p + 1)
     e = p + q + 1
     if e == 0:
         outside = np.log(np.maximum(t, eps) / eps)
     else:
-        outside = (np.maximum(t, eps) ** e - eps**e) / e
+        outside = (np.maximum(t, eps) ** e - _eps_power(eps, e)) / e
     return inside + outside
+
+
+def _eps_power(eps, k):
+    # a float power raises OverflowError where a numpy one would give inf
+    try:
+        return eps**k
+    except OverflowError:
+        raise OverflowError(f"eps**{k:g}") from None
 
 
 def _integral(lo, hi, eps, p, q):
@@ -135,10 +144,6 @@ class Generator:
     def h_y(self):
         return self.period / self.n_y
 
-    @property
-    def n_cells(self):
-        return self.x.size * self.n_y
-
     def x_of_cells(self):
         return np.repeat(self.x, self.n_y)
 
@@ -154,7 +159,8 @@ def assemble_generator(alpha, eps, *, n_x=400, x_half=3.0, n_y=64, period=_TWO_P
 
     Raises BadGrid unless n_x >= 4 is even, n_y >= 4, 0 < eps < x_half,
     alpha and period are finite and positive, and the cell width
-    2 x_half / n_x and every weight are finite.
+    2 x_half / n_x, every weight and each power of eps that the weights'
+    antiderivatives take are finite.
     """
     if n_x < 4 or n_x % 2 != 0:
         raise BadGrid(f"need even n_x >= 4, got {n_x}")
@@ -175,10 +181,14 @@ def assemble_generator(alpha, eps, *, n_x=400, x_half=3.0, n_y=64, period=_TWO_P
     h_y = period / n_y
     cell_lo = np.maximum(x - 0.5 * h, -x_half)
     cell_hi = np.minimum(x + 0.5 * h, x_half)
-    with np.errstate(all="ignore"):  # a weight that leaves the floats is rejected below
-        m_x = _integral(cell_lo, cell_hi, eps, 0.0, -alpha) * h_y
-        x_off = (1.0 / _integral(x[:-1], x[1:], eps, 0.0, alpha)) * h_y
-        y_coef = _integral(cell_lo, cell_hi, eps, 2.0 * alpha, -alpha) / h_y
+    try:
+        with np.errstate(all="ignore"):  # a weight that leaves the floats is rejected below
+            m_x = _integral(cell_lo, cell_hi, eps, 0.0, -alpha) * h_y
+            x_off = (1.0 / _integral(x[:-1], x[1:], eps, 0.0, alpha)) * h_y
+            y_coef = _integral(cell_lo, cell_hi, eps, 2.0 * alpha, -alpha) / h_y
+    except OverflowError as exc:
+        raise BadGrid(f"assemble_generator: the power {exc} overflows the floats "
+                      f"at eps={eps}, alpha={alpha}") from None
     if not np.all(np.isfinite(np.concatenate((m_x, x_off, y_coef)))):
         raise BadGrid(f"assemble_generator: the weights on |x| <= x_half = {x_half} "
                       f"leave the floats at eps={eps}, alpha={alpha}")

@@ -16,11 +16,11 @@ s identically zero.  The three-dimensional Martinet case is not a frame
 here; arslab.martinet treats its mode decomposition directly.
 
 All pointwise quantities (frame vectors, metric, area density, Gaussian
-curvature, gradient, divergence, Laplace-Beltrami coefficients) are
-evaluated from f and its derivatives, and curve_length integrates the
-induced length of sampled paths.  Whether a path that meets the singular
-line has finite length follows from the order to which f vanishes there
-(1 for f2, alpha for alpha-grushin), not from the quadrature.
+curvature, Laplace-Beltrami coefficients) are evaluated from f and its
+derivatives, and curve_length integrates the induced length of sampled
+paths.  Whether a path that meets the singular line has finite length
+follows from the order to which f vanishes there (1 for f2, alpha for
+alpha-grushin), not from the quadrature.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numbers
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,13 +42,10 @@ __all__ = [
     "scalar_zero",
     "gaussian_bump",
     "polynomial_field",
-    "Point",
     "FrameSpec",
     "MetricData",
     "frame_vectors",
     "metric_at",
-    "gradient",
-    "divergence",
     "laplace_beltrami_coeffs",
     "curve_length",
     "frame_from_config",
@@ -95,28 +92,6 @@ class ScalarField:
 
     def __reduce_ex__(self, protocol):
         return self.key if self.key is not None else super().__reduce_ex__(protocol)
-
-    def check_derivatives(self, points):
-        """Max mismatch between analytic derivatives and central differences.
-
-        Returns the worst absolute error over the given (x, y) points; the
-        expected magnitude is O(h**2) times the local third derivative,
-        with step h = 1e-5.
-        """
-        h = 1e-5
-        worst = 0.0
-        for x, y in points:
-            s, s_x, s_y, s_xx, s_yy = self.derivs(x, y)
-            east, west, north, south = (self.derivs(u, v)[0] for u, v in
-                                        ((x + h, y), (x - h, y), (x, y + h), (x, y - h)))
-            worst = max(
-                worst,
-                abs((east - west) / (2 * h) - s_x),
-                abs((north - south) / (2 * h) - s_y),
-                abs((east - 2 * s + west) / h**2 - s_xx),
-                abs((north - 2 * s + south) / h**2 - s_yy),
-            )
-        return worst
 
 
 def _keyed(fld, make, *args):
@@ -232,11 +207,6 @@ def polynomial_field(coeffs):
                   tuple(map(tuple, c.tolist())))
 
 
-class Point(NamedTuple):
-    x: float
-    y: float
-
-
 @dataclass(frozen=True)
 class FrameSpec:
     """Everything needed to evaluate a frame and its derivatives.
@@ -341,9 +311,9 @@ class FrameSpec:
     def fsq_jet(self):
         """The plain-float evaluator (x, y) -> (f**2, f * f_x, f * f_y).
 
-        These are f**2 and the gradient of f**2 / 2, all the Hamiltonian
-        flow needs.  The evaluator is chosen once per frame by variant and
-        scale field, so a call makes no dispatch:
+        These are f**2 and the x and y derivatives of f**2 / 2, all the
+        Hamiltonian flow needs.  The evaluator is chosen once per frame by
+        variant and scale field, so a call makes no dispatch:
           - the exact Grushin plane (a zero field, a zero-amplitude bump
             included) returns (x*x, x, 0.0) without the field;
           - f1/f2 over a gaussian_bump evaluate field and frame in one call,
@@ -500,26 +470,6 @@ def metric_at(frame, p):
         f=fv,
         f_dx=fx,
     )
-
-
-def gradient(frame, p, dvalue):
-    """Metric gradient of a function with differential dvalue = (d/dx, d/dy).
-
-    Equals (d/dx, f**2 * d/dy); well defined on the singular line, where
-    it degenerates to a multiple of (1, 0).
-    """
-    fv = float(frame.f(p[0], p[1]))
-    return (float(dvalue[0]), fv * fv * float(dvalue[1]))
-
-
-def divergence(frame, p, vec, dvec):
-    """Divergence of a vector field w.r.t. the intrinsic area measure.
-
-    vec = (Y1, Y2) at p, dvec = (dY1/dx, dY2/dy).  The weight 1/|f|
-    contributes -(f_x/f) Y1 - (f_y/f) Y2; blows up on the singular line.
-    """
-    fv, fx, fy, _ = _regular_derivs(frame, p, "divergence")
-    return float(dvec[0]) + float(dvec[1]) - (fx / fv) * float(vec[0]) - (fy / fv) * float(vec[1])
 
 
 def laplace_beltrami_coeffs(frame, p):

@@ -21,13 +21,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import StepSizeTooLarge
-from .frames import _regular_derivs
+from .errors import SingularPoint, StepSizeTooLarge
+from .frames import VARIANT_ALPHA, _regular_derivs
 
 __all__ = [
     "Trajectory",
     "Front",
-    "hamiltonian",
     "geodesic_flow",
     "grushin_geodesic_origin",
     "grushin_geodesic_riemannian",
@@ -66,10 +65,20 @@ class Front:
     provenance: str         # "closed-form" or "integrated"
 
 
-def hamiltonian(frame, state):
-    x, y, px, py = state
-    fsq = frame.fsq_jet(x, y)[0]
-    return 0.5 * (px * px + fsq * py * py)
+def _check_start(frame, x, y, who):
+    """|f| at a start (x, y), or None on the singular line of a singular variant.
+
+    Raises SingularPoint at a start the flow cannot leave: off that line
+    where f or 1/f is 0 or not finite, and on it for alpha-grushin with
+    alpha < 1/2, where fsq_jet gives f * f_x = inf, the limit of
+    |x|**(2 alpha - 1), so no dt can help.
+    """
+    if not (frame.is_singular_variant and x == 0.0):
+        return abs(_regular_derivs(frame, (x, y), who)[0])
+    if frame.variant == VARIANT_ALPHA and frame.alpha < 0.5:
+        raise SingularPoint(f"{who}: f * f_x is infinite on x = 0 for alpha-grushin with "
+                            f"alpha = {frame.alpha} < 1/2, at {(x, y)}")
+    return None
 
 
 def _hermite(tau, v0, v1, d0, d1, dt):
@@ -115,7 +124,9 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
     fails), and also when a float evaluation overflows or leaves its domain.
     Raises ValueError unless dt > 0, T >= 0 and T / dt is finite;
     SingularPoint where f or 1/f is 0 or not finite at the start, unless
-    the start is on the singular line x = 0 of a singular variant.
+    the start is on the singular line x = 0 of a singular variant, and at
+    a start on that line where f * f_x is infinite (alpha-grushin with
+    alpha < 1/2).
     """
     if not dt > 0:
         raise ValueError(f"geodesic_flow: dt must be positive, got {dt}")
@@ -128,8 +139,7 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
     x, y, px, py = (float(v) for v in state0)
     if not all(map(math.isfinite, (x, y, px, py))):
         raise ValueError(f"geodesic_flow: need a finite start state, got {tuple(state0)}")
-    if not (frame.is_singular_variant and x == 0.0):
-        _regular_derivs(frame, (x, y), "geodesic_flow")
+    _check_start(frame, x, y, "geodesic_flow")
     n = max(1, int(round(T / dt)))
     dt_eff = T / n
     jet = frame.fsq_jet
@@ -253,7 +263,8 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4):
     exact Grushin plane, otherwise from RK4 integration.  Raises
     ValueError unless n >= 8, the start is finite and T and param_max
     are finite and positive; SingularPoint at a Riemannian start where f
-    or 1/f is 0 or not finite.
+    or 1/f is 0 or not finite, and at a singular start where f * f_x is
+    infinite (alpha-grushin with alpha < 1/2).
     """
     if n < 8:
         raise ValueError("front: need n >= 8 parameters")
@@ -266,13 +277,13 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4):
         raise ValueError(f"front: need a finite start, got {(x0, y0)}")
     closed = frame.is_exact_grushin
     singular = frame.is_singular_variant and x0 == 0.0
+    f0 = _check_start(frame, x0, y0, "front")
     if singular:
         params = np.tile(np.linspace(-param_max, param_max, n), 2)
         families = np.repeat([1, -1], n)
     else:
         params = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         families = np.zeros(n, dtype=int)
-        f0 = abs(_regular_derivs(frame, (x0, y0), "front")[0])
 
     endpoints = np.empty((params.size, 2))
     for row, (a, sgn) in enumerate(zip(params, families)):

@@ -4,11 +4,20 @@ Frame fields
 
     X1 = (1, 0, y**2 / 2),    X2 = (0, 1, 0)
 
-span a rank-2 distribution that loses step on the surface y = 0: one
-bracket gives (0, 0, -y), which vanishes there, and only the next
-bracket restores the full tangent space.  The intrinsic volume density
-blows up like 1/|y|, and the associated sub-Laplacian separates under
-Fourier transform in (x, z) into half-line mode operators
+span a rank-2 distribution that loses step on the surface y = 0: the
+first bracket [X1, X2] = (0, 0, -y) vanishes there, and only the second,
+[[X1, X2], X2] = (0, 0, 1), restores the full tangent space.  The
+intrinsic (Popp) volume, built from the frame and its first bracket, has
+density 1/|det(X1, X2, [X1, X2])| = 1/|y| relative to dx dy dz, which
+blows up on the surface.  The sub-Laplacian of that volume is
+X1**2 + X2**2 plus the logarithmic derivative of the density along X2,
+
+    u_xx + y**2 u_xz + (y**4 / 4) u_zz + u_yy - u_y / y,
+
+and the substitution u = sqrt|y| g, unitary from L2(dy / |y|) to L2(dy),
+turns u_yy - u_y / y into sqrt|y| (g_yy - (3/4) g / y**2): the 1/|y|
+density is where the inverse-square term comes from.  Under Fourier
+transform in (x, z) the operator separates into half-line mode operators
 
     -d2/dy2 + (k + l y**2 / 2)**2 + (3/4) / y**2,
 
@@ -23,82 +32,13 @@ closes at a logarithmic rate in eps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularPoint
 from .spectral import assemble_staggered, eigen_solve
 
-__all__ = [
-    "frame_field_1",
-    "frame_field_2",
-    "bracket_depth2",
-    "bracket_depth3",
-    "popp_density",
-    "MartinetCoeffs",
-    "martinet_laplacian_coeffs",
-    "mode_potential",
-    "MartinetModeResult",
-    "martinet_mode_solve",
-]
-
-
-def frame_field_1(p):
-    x, y, z = p
-    return (1.0, 0.0, 0.5 * y * y)
-
-
-def frame_field_2(p):
-    return (0.0, 1.0, 0.0)
-
-
-def bracket_depth2(p):
-    """[X1, X2]; vanishes exactly on the singular surface y = 0."""
-    return (0.0, 0.0, -float(p[1]))
-
-
-def bracket_depth3(p):
-    """[[X1, X2], X2]; restores the missing direction everywhere."""
-    return (0.0, 0.0, 1.0)
-
-
-def popp_density(y):
-    """Intrinsic volume density 1/|y| relative to dx dy dz."""
-    y = np.asarray(y, dtype=float)
-    if np.any(y == 0.0):
-        raise SingularPoint("popp_density: density blows up on y = 0")
-    return 1.0 / np.abs(y)
-
-
-@dataclass(frozen=True)
-class MartinetCoeffs:
-    """Coefficients of the sub-Laplacian as a differential operator.
-
-    Acting on u(x, y, z):
-
-        dxx u_xx + dxz u_xz + dzz u_zz + dyy u_yy + dy u_y
-    """
-
-    dxx: float
-    dxz: float
-    dzz: float
-    dyy: float
-    dy: float
-
-
-def martinet_laplacian_coeffs(p):
-    """Sub-Laplacian coefficients at p = (x, y, z), y != 0.
-
-    X1**2 + X2**2 plus the logarithmic derivative of the volume density
-    along the frame; only the X2 direction sees the density, giving the
-    -1/y first-order term.
-    """
-    y = float(p[1])
-    if y == 0.0:
-        raise SingularPoint("martinet_laplacian_coeffs: singular surface y = 0")
-    return MartinetCoeffs(dxx=1.0, dxz=y * y, dzz=0.25 * y**4, dyy=1.0, dy=-1.0 / y)
+__all__ = ["mode_potential", "MartinetModeResult", "martinet_mode_solve"]
 
 
 def mode_potential(k, l, y):

@@ -242,6 +242,7 @@ def test_metric_where_f_squared_leaves_the_floats_exits_3_in_process(tmp_path, c
 
 
 _ALPHA_2000 = ["--variant", "alpha-grushin", "--frame-alpha", "2000"]
+_ALPHA_03 = ["--variant", "alpha-grushin", "--frame-alpha", "0.3", "--x0", "0"]
 _BUMP_MINUS_800 = ["--variant", "f2", "--log-scale", "gaussian-bump(-800,1)", "--x0", "-0.1",
                    "--y0", "3.14159"]
 
@@ -265,9 +266,15 @@ _BUMP_MINUS_800 = ["--variant", "f2", "--log-scale", "gaussian-bump(-800,1)", "-
     (["front", "--n", "8", "--variant", "f2", "--log-scale", "gaussian-bump(0.3,0.7)",
       "--x0", "1e-320"], "front: 1/f overflows at (1e-320, 0.0)"),
     (["geodesic", "--x0", "1e-320"], "geodesic_flow: 1/f overflows at (1e-320, 0.0)"),
+    # on x = 0, f * f_x = |x|**(2 alpha - 1) is infinite for alpha < 1/2
+    (["front", "--n", "8", *_ALPHA_03, "--dt", "0.01"],
+     "front: f * f_x is infinite on x = 0 for alpha-grushin with alpha = 0.3 < 1/2"),
+    (["geodesic", *_ALPHA_03, "--dt", "0.01"],
+     "geodesic_flow: f * f_x is infinite on x = 0 for alpha-grushin with alpha = 0.3 < 1/2"),
 ], ids=["front-alpha-2000-zero", "front-f2-bump-zero", "geodesic-alpha-2000-zero",
         "geodesic-f2-bump-zero", "front-alpha-2000-inf", "geodesic-alpha-2000-inf",
-        "geodesic-alpha-3-inf", "front-f2-bump-tiny", "geodesic-grushin-tiny"])
+        "geodesic-alpha-3-inf", "front-f2-bump-tiny", "geodesic-grushin-tiny",
+        "front-alpha-0.3-on-the-line", "geodesic-alpha-0.3-on-the-line"])
 def test_a_start_where_f_is_zero_or_not_finite_exits_3(tmp_path, capsys, argv, named):
     # in this process a RuntimeWarning is an error: none may escape main
     code, err = cli([*argv, "--t-final", "0.01", "--out-dir", str(tmp_path)], capsys)
@@ -588,11 +595,20 @@ def test_mode_box_whose_stencil_is_not_finite_is_a_usage_error(tmp_path, capsys,
     assert not (tmp_path / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("x_half", ["inf", "1e300", "1.7e308"])
-def test_evolve_box_whose_weights_are_not_finite_is_a_usage_error(tmp_path, capsys, x_half):
-    code, err = cli([*_FAST_EVOLVE, "--x-half", x_half, "--out-dir", str(tmp_path)], capsys)
+@pytest.mark.parametrize("argv, named", [
+    (["--x-half", "inf"], "need a finite cell width"),
+    (["--x-half", "1e300"], "leave the floats"),
+    (["--x-half", "1.7e308"], "need a finite cell width"),
+    # the float power eps**-alpha overflows; at eps = 1e-155 the weights are finite
+    (["--alpha", "400"], "the power eps**-400 overflows the floats at eps=0.1, alpha=400.0"),
+    (["--alpha", "2", "--eps", "1e-155"],
+     "the power eps**-2 overflows the floats at eps=1e-155, alpha=2.0"),
+], ids=["inf", "1e300", "1.7e308", "alpha-400", "eps-1e-155"])
+def test_evolve_box_whose_weights_are_not_finite_is_a_usage_error(tmp_path, capsys, argv,
+                                                                  named):
+    code, err = cli([*_FAST_EVOLVE, *argv, "--out-dir", str(tmp_path)], capsys)
     assert code == 2
-    assert "arslab: assemble_generator: " in err and "bump" not in err
+    assert "arslab: assemble_generator: " in err and named in err and "bump" not in err
     assert not (tmp_path / "manifest.json").exists()
 
 
@@ -956,18 +972,28 @@ def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
 
 # every public name of `import arslab`, by the geometry layer that defines
 # it; the three layers themselves are names too.  The layers that need scipy
-# (spectral, evolution, martinet, tridiag) are submodules, imported by name.
+# are submodules, imported by name; _SCIPY_LAYERS pins their __all__.
 _PUBLIC_NAMES = {
     "errors": ["ArslabError", "BadGrid", "ConvergenceFailure", "FitIllConditioned",
                "Inconclusive", "OutOfRange", "SingularPoint", "SolverDiverged",
                "StepSizeTooLarge", "UnsupportedFrame"],
-    "frames": ["FrameSpec", "MetricData", "Point", "ScalarField", "curve_length", "divergence",
-               "frame_from_config", "frame_vectors", "gaussian_bump", "gradient",
-               "laplace_beltrami_coeffs", "metric_at", "polynomial_field", "scalar_zero"],
+    "frames": ["FrameSpec", "MetricData", "ScalarField", "curve_length", "frame_from_config",
+               "frame_vectors", "gaussian_bump", "laplace_beltrami_coeffs", "metric_at",
+               "polynomial_field", "scalar_zero"],
     "geodesics": ["Front", "Trajectory", "crossing_report", "front", "geodesic_flow",
-                  "grushin_geodesic_origin", "grushin_geodesic_riemannian", "hamiltonian"],
+                  "grushin_geodesic_origin", "grushin_geodesic_riemannian"],
 }
-_SCIPY_LAYERS = ["spectral", "evolution", "martinet", "tridiag"]
+_SCIPY_LAYERS = {
+    "spectral": ["GaugePotential", "ModeOperator", "SelfAdjointnessReport", "SpectrumLine",
+                 "assemble_mode_operator", "assemble_staggered", "classify_self_adjoint",
+                 "deficiency_index_numeric", "eigen_solve", "gauge_transform",
+                 "inverse_square_coefficient", "richardson_extrapolate", "spectrum_2d"],
+    "evolution": ["EvolutionState", "Generator", "TransmissionReport", "assemble_generator",
+                  "eps_sweep", "gaussian_bump_state", "run_heat", "run_schrodinger",
+                  "transmission_study", "transmission_verdict", "transmitted_fraction"],
+    "martinet": ["MartinetModeResult", "martinet_mode_solve", "mode_potential"],
+    "tridiag": ["EigenResult", "count_below", "lowest_eigenpairs"],
+}
 _DUNDERS = ["__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__",
             "__package__", "__path__", "__spec__", "__version__"]
 
@@ -1035,7 +1061,8 @@ def test_import_arslab_exports_the_geometry_layers_only(tmp_path):
                    if not hasattr(sys.modules["arslab." + m], n)]
         print(json.dumps({"scipy": loaded, "all": sorted(arslab.__all__), "dir": bare_dir,
                           "star": sorted(n for n in star if n != "__builtins__"),
-                          "wrong": wrong, "leaked": leaked, "missing": missing}))
+                          "wrong": wrong, "leaked": leaked, "missing": missing,
+                          "scipy_layers": {m: sorted(layer_names[m]) for m in scipy_layers}}))
     """
     got = _fresh_python(code, tmp_path, json.dumps(_PUBLIC_NAMES), *_SCIPY_LAYERS)
     public = sorted(n for mod, names in _PUBLIC_NAMES.items() for n in [mod, *names])
@@ -1044,3 +1071,4 @@ def test_import_arslab_exports_the_geometry_layers_only(tmp_path):
     assert sorted(n for n in got["dir"] if not n.startswith("_")) == public
     assert set(_DUNDERS) <= set(got["dir"])
     assert got["wrong"] == got["leaked"] == got["missing"] == []
+    assert got["scipy_layers"] == _SCIPY_LAYERS

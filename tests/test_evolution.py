@@ -91,7 +91,7 @@ def test_uniform_weight_gives_standard_laplacian():
 def test_generator_annihilates_constants():
     # a constant field is a fixed point of both flows' steps
     gen = _small_gen()
-    ones = np.ones(gen.n_cells)
+    ones = np.ones(gen.m.size)
     for run in (run_heat, run_schrodinger):
         got = run(gen, EvolutionState(u=ones, t=0.0), 0.1, 0.1)[0].u
         assert np.max(np.abs(got - 1.0)) <= 1e-10
@@ -108,12 +108,12 @@ def test_generator_symmetric_and_nonpositive_in_mass_inner_product():
         return float(np.dot(gen.m * u, _generator_product(gen, v)))
 
     for _ in range(10):
-        u = rng.standard_normal(gen.n_cells)
-        v = rng.standard_normal(gen.n_cells)
+        u = rng.standard_normal(gen.m.size)
+        v = rng.standard_normal(gen.m.size)
         assert form(u, v) == pytest.approx(
             form(v, u), abs=1e-11 * scale * gen.m_norm(u) * gen.m_norm(v))
         assert form(u, u) <= 1e-12 * scale * gen.m_norm(u) ** 2
-    ones = np.ones(gen.n_cells)
+    ones = np.ones(gen.m.size)
     assert abs(form(ones, ones)) <= 1e-12 * scale * gen.m_norm(ones) ** 2
 
 
@@ -121,7 +121,7 @@ def test_heat_conserves_mass_and_contracts():
     gen = _small_gen()
     state = gaussian_bump_state(gen, (-1.0, math.pi), 0.3)
     mass0 = gen.total_mass(state.u)
-    mean = mass0 / gen.total_mass(np.ones(gen.n_cells))
+    mean = mass0 / gen.total_mass(np.ones(gen.m.size))
     fluct_prev = gen.m_norm(state.u - mean)
     for _ in range(50):
         state = run_heat(gen, state, 1e-3, 1e-3)[0]
@@ -183,7 +183,7 @@ def test_evolution_respects_mirror_symmetry():
         return u.reshape(nx1, n_y)[::-1, :].reshape(-1)
 
     rng = np.random.default_rng(41)
-    u = rng.uniform(0.0, 1.0, gen.n_cells)
+    u = rng.uniform(0.0, 1.0, gen.m.size)
     sa = run_heat(gen, EvolutionState(u=u, t=0.0), 1e-3, 1e-3)[0].u
     sb = reflect(run_heat(gen, EvolutionState(u=reflect(u), t=0.0), 1e-3, 1e-3)[0].u)
     assert np.max(np.abs(sa - sb)) <= 1e-10
@@ -326,7 +326,7 @@ def test_kron_assembly_matches_loop_assembly():
         C, _ = _loop_assembled(gen)
         for c in (0.5, 0.5j):  # the heat and the Schrodinger system
             want = np.diag(gen.m) - c * C.toarray()
-            got = np.column_stack([_mode_product(gen, c, e) for e in np.eye(gen.n_cells)])
+            got = np.column_stack([_mode_product(gen, c, e) for e in np.eye(gen.m.size)])
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -336,7 +336,7 @@ def test_kron_assembly_matches_loop_assembly():
 def test_steps_match_sparse_direct_solve(alpha, eps, half_n_x, n_y, dt, seed):
     gen = assemble_generator(alpha, eps, n_x=2 * half_n_x, n_y=n_y)
     rng = np.random.default_rng(seed)
-    n = gen.n_cells
+    n = gen.m.size
     M = sparse.diags(gen.m)
     C, _ = _loop_assembled(gen)
     u = rng.standard_normal(n)
@@ -424,7 +424,7 @@ def test_series_rows_match_real_space_recomputation(run, density, n_y, record_ev
 @pytest.mark.parametrize("n_y", [7, 8, 9])
 def test_mode_systems_hold_n_y_blocks_and_round_trip_a_real_field(n_y):
     gen = assemble_generator(0.8, 0.05, n_x=20, n_y=n_y)
-    u = np.random.default_rng(n_y).uniform(-1.0, 1.0, gen.n_cells)
+    u = np.random.default_rng(n_y).uniform(-1.0, 1.0, gen.m.size)
     for c in (5e-4, 5e-4j):  # heat: real modes; Schrodinger: complex modes
         system = evolution._mode_system(gen, c)
         w = system.to_modes(u)

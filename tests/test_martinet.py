@@ -1,66 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from arslab import SingularPoint
-from arslab.martinet import (
-    bracket_depth2,
-    bracket_depth3,
-    frame_field_1,
-    frame_field_2,
-    martinet_laplacian_coeffs,
-    martinet_mode_solve,
-    mode_potential,
-    popp_density,
-)
-
-
-def _jacobian(field, p, h=1e-6):
-    p = np.asarray(p, dtype=float)
-    J = np.empty((3, 3))
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        J[:, j] = (np.asarray(field(p + e)) - np.asarray(field(p - e))) / (2.0 * h)
-    return J
-
-
-def _lie_bracket(F, G, p):
-    p = np.asarray(p, dtype=float)
-    return _jacobian(G, p) @ np.asarray(F(p)) - _jacobian(F, p) @ np.asarray(G(p))
-
-
-def test_brackets_match_finite_difference_oracle():
-    rng = np.random.default_rng(63)
-    for _ in range(25):
-        p = rng.uniform(-2.0, 2.0, 3)
-        got = _lie_bracket(frame_field_1, frame_field_2, p)
-        assert np.max(np.abs(got - bracket_depth2(p))) <= 1e-8
-        got = _lie_bracket(bracket_depth2, frame_field_2, p)
-        assert np.max(np.abs(got - bracket_depth3(p))) <= 1e-8
-
-
-def test_depth2_bracket_vanishes_only_on_surface():
-    assert bracket_depth2((5.0, 0.0, 1.0)) == (0.0, 0.0, 0.0)
-    assert bracket_depth2((0.0, 2.0, 0.0)) == (0.0, 0.0, -2.0)
-    assert bracket_depth3((0.0, 0.0, 0.0)) == (0.0, 0.0, 1.0)
-
-
-def test_popp_density_values():
-    assert popp_density(2.0) == 0.5
-    assert np.allclose(popp_density(np.array([1.0, -4.0])), [1.0, 0.25])
-    with pytest.raises(SingularPoint):
-        popp_density(0.0)
-
-
-def test_laplacian_coefficient_values():
-    c = martinet_laplacian_coeffs((0.0, 1.0, 0.0))
-    assert (c.dxx, c.dxz, c.dzz, c.dyy, c.dy) == (1.0, 1.0, 0.25, 1.0, -1.0)
-    c = martinet_laplacian_coeffs((3.0, 2.0, -1.0))
-    assert (c.dxx, c.dxz, c.dzz, c.dyy, c.dy) == (1.0, 4.0, 4.0, 1.0, -0.5)
-    with pytest.raises(SingularPoint):
-        martinet_laplacian_coeffs((1.0, 0.0, 1.0))
+from arslab.martinet import martinet_mode_solve, mode_potential
 
 
 def test_mode_potential_lower_bound():
