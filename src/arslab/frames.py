@@ -67,11 +67,10 @@ class ScalarField:
     pointwise loops (geodesic RK4, crossings) call it.  is_zero
     marks the identically-zero field so callers can take exact shortcuts.
 
-    key is (constructor, args) for a field made by scalar_zero,
-    gaussian_bump or polynomial_field: such fields compare, hash and
-    pickle by it, and FrameSpec.fsq_jet reads a bump's parameters from it.
-    A field built from raw callables, or copied with dataclasses.replace,
-    has key None and compares by its callables.
+    key is (constructor, args) for a field made by scalar_zero or
+    gaussian_bump, the two that FrameSpec dispatches on: f skips the zero
+    field, and fsq_jet reads a bump's parameters from it.  Any other
+    field, and a copy made with dataclasses.replace, has key None.
     """
 
     derivs: Callable
@@ -79,22 +78,9 @@ class ScalarField:
     is_zero: bool = False
     key: Optional[tuple] = field(default=None, init=False)
 
-    def _identity(self):
-        return self.key if self.key is not None else (self.derivs, self.jet, self.is_zero)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._identity() == other._identity()
-
-    def __hash__(self):
-        return hash(self._identity())
-
-    def __reduce_ex__(self, protocol):
-        return self.key if self.key is not None else super().__reduce_ex__(protocol)
-
 
 def _keyed(fld, make, *args):
+    """fld with key (make, args), for FrameSpec to dispatch on."""
     object.__setattr__(fld, "key", (make, args))
     return fld
 
@@ -203,8 +189,7 @@ def polynomial_field(coeffs):
     def jet(x, y):
         return _horner2d(c_cols, x, y), _horner2d(cx_cols, x, y), _horner2d(cy_cols, x, y)
 
-    return _keyed(ScalarField(derivs=derivs, jet=jet, is_zero=is_zero), polynomial_field,
-                  tuple(map(tuple, c.tolist())))
+    return ScalarField(derivs=derivs, jet=jet, is_zero=is_zero)
 
 
 @dataclass(frozen=True)
@@ -216,8 +201,7 @@ class FrameSpec:
     broadcasting over numpy arrays, f as derivs' first component bit for
     bit; fsq_jet(x, y) -> (f**2, f * f_x, f * f_y) takes one point in
     plain floats for the geodesic loops.
-    fsq_jet is a closure resolved once per frame instance on first use;
-    equality and hashing see only the three fields.
+    fsq_jet is a closure resolved once per frame instance on first use.
     """
 
     variant: str
@@ -302,10 +286,6 @@ class FrameSpec:
             return e, sx * e, e * sy, (sxx + sx**2) * e
         f = x * e
         return f, (1.0 + x * sx) * e, f * sy, (2.0 * sx + x * sxx + x * sx**2) * e
-
-    def __getstate__(self):
-        # the resolved fsq_jet is a local closure, which pickle cannot store
-        return {k: v for k, v in self.__dict__.items() if k != "fsq_jet"}
 
     @functools.cached_property
     def fsq_jet(self):

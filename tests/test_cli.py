@@ -271,10 +271,19 @@ _BUMP_MINUS_800 = ["--variant", "f2", "--log-scale", "gaussian-bump(-800,1)", "-
      "front: f * f_x is infinite on x = 0 for alpha-grushin with alpha = 0.3 < 1/2"),
     (["geodesic", *_ALPHA_03, "--dt", "0.01"],
      "geodesic_flow: f * f_x is infinite on x = 0 for alpha-grushin with alpha = 0.3 < 1/2"),
+    # f is finite but f**2, or the energy (px**2 + f**2 py**2) / 2, overflows
+    (["front", "--n", "8", "--x0", "1e200"], "front: f**2 overflows at (1e+200, 0.0)"),
+    (["geodesic", "--x0", "1e200"], "geodesic_flow: f**2 overflows at (1e+200, 0.0)"),
+    (["front", "--n", "8", "--variant", "f2", "--log-scale", "gaussian-bump(0.3,0.7)",
+      "--x0", "-1e200"], "front: f**2 overflows at (-1e+200, 0.0)"),
+    (["geodesic", "--py0", "1e200"],
+     "geodesic_flow: the energy (px**2 + f**2 py**2) / 2 = inf is not finite"),
 ], ids=["front-alpha-2000-zero", "front-f2-bump-zero", "geodesic-alpha-2000-zero",
         "geodesic-f2-bump-zero", "front-alpha-2000-inf", "geodesic-alpha-2000-inf",
         "geodesic-alpha-3-inf", "front-f2-bump-tiny", "geodesic-grushin-tiny",
-        "front-alpha-0.3-on-the-line", "geodesic-alpha-0.3-on-the-line"])
+        "front-alpha-0.3-on-the-line", "geodesic-alpha-0.3-on-the-line",
+        "front-grushin-square-overflows", "geodesic-grushin-square-overflows",
+        "front-f2-bump-square-overflows", "geodesic-grushin-energy-overflows"])
 def test_a_start_where_f_is_zero_or_not_finite_exits_3(tmp_path, capsys, argv, named):
     # in this process a RuntimeWarning is an error: none may escape main
     code, err = cli([*argv, "--t-final", "0.01", "--out-dir", str(tmp_path)], capsys)
@@ -534,13 +543,14 @@ def test_non_finite_exponents_and_periods_are_usage_errors(tmp_path, capsys, arg
     (["--tol-h", "nan"], 2, "finite tol_H > 0"),
     (["--tol-h", "-1"], 2, "finite tol_H > 0"),
     (["--tol-h", "inf"], 2, "finite tol_H > 0"),
-    (["--py0", "1e200"], 3, "energy drift nan"),
-    # blow-ups that overflow or leave the domain of a float jet
-    (["--variant", "alpha-grushin", "--frame-alpha", "3", "--x0", "1e60"], 3,
+    # starts with finite f**2 and energy whose trajectories blow up: overflow
+    # to inf and nan, or leave the domain of a float jet
+    (["--py0", "1e150"], 3, "energy drift nan"),
+    (["--variant", "alpha-grushin", "--frame-alpha", "3", "--x0", "1e40"], 3,
      "left the floats"),
-    (["--variant", "alpha-grushin", "--frame-alpha", "1.5", "--x0", "1e200"], 3,
+    (["--variant", "alpha-grushin", "--frame-alpha", "1.5", "--x0", "1e100"], 3,
      "energy drift nan"),
-    (["--variant", "f2", "--log-scale", "gaussian-bump(0.3,0.7)", "--py0", "1e200"], 3,
+    (["--variant", "f2", "--log-scale", "gaussian-bump(0.3,0.7)", "--py0", "1e150"], 3,
      "left the floats"),
 ])
 def test_geodesic_energy_gate_has_no_nan_hole(tmp_path, capsys, argv, code, named):
@@ -630,13 +640,22 @@ def test_metric_at_a_point_that_is_not_finite_is_a_usage_error(tmp_path, capsys,
     assert not (tmp_path / "metric.csv").exists()
 
 
-@pytest.mark.parametrize("param_max", ["nan", "inf", "0", "-1"])
+_PARAM_MAX_NOT_POSITIVE = "front: need finite param_max > 0"
+# from x = 0 the Grushin closed form divides by 4 py**2 for py up to param_max
+_PARAM_MAX_SQUARE_OVERFLOWS = "front: the Grushin closed form needs 4 * param_max**2 finite"
+
+
+@pytest.mark.parametrize("param_max, named", [
+    ("nan", _PARAM_MAX_NOT_POSITIVE), ("inf", _PARAM_MAX_NOT_POSITIVE),
+    ("0", _PARAM_MAX_NOT_POSITIVE), ("-1", _PARAM_MAX_NOT_POSITIVE),
+    ("1e308", _PARAM_MAX_SQUARE_OVERFLOWS), ("1e160", _PARAM_MAX_SQUARE_OVERFLOWS),
+], ids=["nan", "inf", "0", "-1", "1e308", "1e160"])
 def test_front_param_max_that_is_not_finite_and_positive_is_a_usage_error(tmp_path, capsys,
-                                                                         param_max):
+                                                                         param_max, named):
     code, err = cli(["front", "--x0", "0", "--n", "8", "--param-max", param_max,
                      "--out-dir", str(tmp_path)], capsys)
     assert code == 2
-    assert "arslab: front: need finite param_max > 0" in err
+    assert f"arslab: {named}" in err
     assert not (tmp_path / "front.csv").exists()
 
 

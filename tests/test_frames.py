@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import pickle
 import warnings
 from typing import NamedTuple
 
@@ -359,55 +358,16 @@ def test_equal_frames_compare_and_hash_equal_once_resolved():
     assert FrameSpec.alpha_grushin(1.5) != FrameSpec.alpha_grushin(0.4)
 
 
-def test_resolved_frame_pickles_and_resolves_again():
-    frame = FrameSpec.alpha_grushin(0.4)
-    want = frame.fsq_jet(0.3, 0.2)
-    copy = pickle.loads(pickle.dumps(frame))
-    assert copy == frame and copy.fsq_jet(0.3, 0.2) == want
-
-
-@pytest.mark.parametrize("cfg", [
-    {"variant": "grushin"},
-    {"variant": "f2", "log_scale": "zero"},
-    {"variant": "f1", "log_scale": "gaussian-bump(0.3,0.7)"},
-    {"variant": "f2", "log_scale": "gaussian-bump(0.3,0.7)"},
-    {"variant": "f2", "log_scale": [[0.1, -0.3], [0.2, 0.05]]},
-    {"variant": "alpha-grushin", "alpha": 1.5},
-], ids=["grushin", "f2-zero", "f1-bump", "f2-bump", "f2-polynomial", "alpha"])
-def test_frames_from_equal_configs_compare_and_hash_equal(cfg):
-    a, b = frame_from_config(cfg), frame_from_config(dict(cfg))
-    a.fsq_jet(0.3, 0.2)
-    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-
-
-def test_fields_compare_by_what_built_them():
-    assert gaussian_bump(0.3, 1) == gaussian_bump(0.3, 1.0)
-    assert gaussian_bump(0.3, 0.7) != gaussian_bump(0.3, 0.8)
-    assert scalar_zero() == scalar_zero()
-    assert gaussian_bump(0.0, 0.7) != scalar_zero()
-    assert polynomial_field([[1.0, 2.0]]) == polynomial_field([[1, 2]])
-    assert polynomial_field([[1.0, 2.0]]) != polynomial_field([[1.0, 3.0]])
-    # raw callables compare by identity, and a copied field forgets its key
+def test_built_fields_keep_their_dispatch_key_and_copies_do_not():
+    assert scalar_zero().key == (scalar_zero, ())
+    assert gaussian_bump(0.3, 1).key == (gaussian_bump, (0.3, 1.0))
+    assert polynomial_field([[1.0, 2.0]]).key is None
+    # a copied field forgets its key and takes the generic chain
     bump = gaussian_bump(0.3, 0.7)
-    raw = ScalarField(derivs=bump.derivs, jet=bump.jet)
-    assert raw == ScalarField(derivs=bump.derivs, jet=bump.jet) and raw != bump
-    assert raw != ScalarField(derivs=bump.derivs, jet=lambda x, y: bump.jet(x, y))
     copied = dataclasses.replace(bump, jet=lambda x, y: (0.0, 0.0, 0.0))
-    assert copied.key is None and copied != bump
+    assert copied.key is None
+    assert FrameSpec.f2(copied).fsq_jet.__name__ == "f2_jet"
     assert FrameSpec.f2(copied).fsq_jet(0.5, 0.2) == (0.25, 0.5, 0.0)
-
-
-@pytest.mark.parametrize("make", [FrameSpec.grushin, lambda: _bump_frame("f1"),
-                                  lambda: _bump_frame("f2"),
-                                  lambda: FrameSpec.f1(polynomial_field([[0.1, -0.3], [0.2, 0.05]]))],
-                         ids=["grushin", "f1-bump", "f2-bump", "f1-polynomial"])
-def test_used_frame_with_a_field_pickles(make):
-    frame = make()
-    want = frame.fsq_jet(0.3, 0.2)
-    copy = pickle.loads(pickle.dumps(frame))
-    assert copy == frame and hash(copy) == hash(frame)
-    assert copy.fsq_jet(0.3, 0.2) == want
-    assert np.array_equal(copy.derivs(0.3, 0.2), frame.derivs(0.3, 0.2))
 
 
 def _chain_frame(variant, field):
@@ -846,10 +806,12 @@ def test_frame_from_config_variants():
 
     fr = frame_from_config({"variant": "f2", "log_scale": "gaussian-bump(0.3,0.7)"})
     assert not fr.is_exact_grushin
-    assert fr.log_scale == gaussian_bump(0.3, 0.7)
+    assert fr.log_scale.key == gaussian_bump(0.3, 0.7).key
 
     fr = frame_from_config({"variant": "f1", "log_scale": [[0.1], [0.2]]})
-    assert fr.log_scale == polynomial_field([[0.1], [0.2]])
+    x, y = np.array([0.0, 0.4, -1.5]), np.array([0.3, -2.0, 1.0])
+    for got, want in zip(fr.log_scale.derivs(x, y), polynomial_field([[0.1], [0.2]]).derivs(x, y)):
+        assert np.array_equal(got, want)
 
 
 def test_frame_from_config_rejects_bad_input():

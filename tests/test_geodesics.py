@@ -1,11 +1,14 @@
 import math
 import re
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from arslab import (
     FrameSpec,
+    SingularPoint,
     StepSizeTooLarge,
     crossing_report,
     front,
@@ -149,9 +152,10 @@ def test_flow_rejects_a_step_count_that_is_not_finite(T, dt, named):
 
 @pytest.mark.parametrize("frame", [GRUSHIN, FrameSpec.alpha_grushin(1.5)])
 def test_energy_gate_rejects_a_blown_up_trajectory(frame):
-    # the trajectory overflows to inf and nan; a nan drift must not pass
+    # the start's energy is finite, but the trajectory overflows to inf and
+    # nan; a nan drift must not pass
     with pytest.raises(StepSizeTooLarge, match="energy drift nan"):
-        geodesic_flow(frame, (-1.0, 0.0, 0.5, 1e200), 0.01)
+        geodesic_flow(frame, (-1.0, 0.0, 0.5, 1e100), 0.01)
 
 
 # -- fronts ---------------------------------------------------------------
@@ -194,6 +198,22 @@ def test_alpha_front_is_integrated_but_matches_grushin_at_one():
         xc, yc = grushin_geodesic_origin(float(a), int(sgn), 0.5)
         assert abs(endpoint[0] - float(xc)) <= 1e-6
         assert abs(endpoint[1] - float(yc)) <= 1e-6
+
+
+_magnitude = st.floats(1e-300, 1e300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x0=st.one_of(st.just(0.0), _magnitude, _magnitude.map(lambda v: -v)),
+       y0=st.one_of(st.floats(-10.0, 10.0), _magnitude),
+       T=st.floats(1e-6, 10.0), param_max=st.floats(1e-6, 1e300), n=st.integers(8, 19))
+def test_closed_form_grushin_front_refuses_or_returns_finite_endpoints(x0, y0, T, param_max, n):
+    try:
+        fan = front(GRUSHIN, (x0, y0), T, n, param_max=param_max)
+    except (ValueError, SingularPoint):
+        return
+    assert fan.provenance == "closed-form"
+    assert np.all(np.isfinite(fan.endpoints))
 
 
 def test_front_validation():
