@@ -264,13 +264,13 @@ def _cmd_evolve(cfg, out_dir):
         outputs[name] = _write_csv(out_dir / name,
                                    ["t", "mass_left", "mass_right", "norm"], rows)
     summary = {"equation": equation, "eps_list": eps_list}
-    if report is not None and len(eps_list) >= 2:
+    if report is not None:
         payload = dataclasses.asdict(report)
         outputs["transmission.json"] = _write_json(out_dir / "transmission.json", payload)
         summary.update(payload)
         if report.verdict == "inconclusive":
             raise Inconclusive(
-                f"evolve: fractions {report.fractions} match no verdict", payload)
+                f"evolve: fractions {report.fractions} match no verdict", report)
     return outputs, summary
 
 

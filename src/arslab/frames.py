@@ -404,7 +404,7 @@ def frame_vectors(frame, p):
 
 
 def _regular_derivs(frame, p, who):
-    """frame.derivs at p as floats; SingularPoint where f or 1/f is 0 or not finite.
+    """frame.derivs at p as floats; SingularPoint where f is 0 or f, 1/f or f**2 not finite.
 
     Raises ValueError, naming who, unless p is finite.
     """
@@ -419,6 +419,8 @@ def _regular_derivs(frame, p, who):
         raise SingularPoint(f"{who}: f = {fv} is not finite at {tuple(p)}")
     if math.isinf(1.0 / fv):
         raise SingularPoint(f"{who}: 1/f overflows at {tuple(p)}")
+    if math.isinf(fv * fv):
+        raise SingularPoint(f"{who}: f**2 overflows at {tuple(p)}")
     return fv, fx, fy, fxx
 
 
@@ -430,15 +432,12 @@ def metric_at(frame, p):
 
         K = (f * f_xx - 2 * f_x**2) / f**2.
 
-    SingularPoint where f vanishes or is not finite, where f**2
-    overflows the floats, or where it underflows: to 0, or to a
-    subnormal float whose reciprocal 1/f**2 overflows.
+    SingularPoint where _regular_derivs refuses p, and where f**2
+    underflows, to 0 or to a subnormal float whose reciprocal 1/f**2
+    overflows, so that g22 would not be finite.
     """
     fv, fx, _, fxx = _regular_derivs(frame, p, "metric_at")
-    try:
-        fsq = fv**2
-    except OverflowError:
-        raise SingularPoint(f"metric_at: f**2 overflows at {tuple(p)}") from None
+    fsq = fv**2
     if fsq == 0.0 or 1.0 / fsq == math.inf:
         raise SingularPoint(f"metric_at: f**2 underflows to 0 at {tuple(p)}")
     curv = (fv * fxx - 2.0 * fx * fx) / fsq
@@ -457,7 +456,8 @@ def laplace_beltrami_coeffs(frame, p):
 
     The operator acts as a_xx d2/dx2 + a_yy d2/dy2 + b_x d/dx + b_y d/dy
     with a_xx = 1, a_yy = f**2, b_x = -f_x/f, b_y = f*f_y.  The first
-    order x coefficient blows up on the singular line.
+    order x coefficient blows up on the singular line.  SingularPoint
+    wherever _regular_derivs refuses p, as in metric_at.
     """
     fv, fx, fy, _ = _regular_derivs(frame, p, "laplace_beltrami_coeffs")
     return (1.0, fv * fv, -fx / fv, fv * fy)

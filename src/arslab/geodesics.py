@@ -69,15 +69,12 @@ def _check_start(frame, x, y, who):
     """|f| at a start (x, y), or None on the singular line of a singular variant.
 
     Raises SingularPoint at a start the flow cannot leave: off that line
-    where f or 1/f is 0 or not finite or f**2 overflows, as metric_at
-    does, and on it for alpha-grushin with alpha < 1/2, where fsq_jet
-    gives f * f_x = inf, the limit of |x|**(2 alpha - 1), so no dt can help.
+    where _regular_derivs refuses it, and on it for alpha-grushin with
+    alpha < 1/2, where fsq_jet gives f * f_x = inf, the limit of
+    |x|**(2 alpha - 1), so no dt can help.
     """
     if not (frame.is_singular_variant and x == 0.0):
-        f = abs(_regular_derivs(frame, (x, y), who)[0])
-        if f * f == math.inf:
-            raise SingularPoint(f"{who}: f**2 overflows at {(x, y)}")
-        return f
+        return abs(_regular_derivs(frame, (x, y), who)[0])
     if frame.variant == VARIANT_ALPHA and frame.alpha < 0.5:
         raise SingularPoint(f"{who}: f * f_x is infinite on x = 0 for alpha-grushin with "
                             f"alpha = {frame.alpha} < 1/2, at {(x, y)}")
@@ -130,7 +127,7 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
     at the start, unless the start is on the singular line x = 0 of a
     singular variant, at a start on that line where f * f_x is infinite
     (alpha-grushin with alpha < 1/2), and at a start whose energy
-    (px**2 + f**2 py**2) / 2 is not finite.
+    (px**2 + (f py)**2) / 2, px**2 / 2 on the line, is not finite.
     """
     if not dt > 0:
         raise ValueError(f"geodesic_flow: dt must be positive, got {dt}")
@@ -145,7 +142,7 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
         raise ValueError(f"geodesic_flow: need a finite start state, got {tuple(state0)}")
     # f = 0 on the singular line, where _check_start gives None
     f = _check_start(frame, x, y, "geodesic_flow") or 0.0
-    energy = 0.5 * (px * px + f * f * (py * py))
+    energy = 0.5 * (px * px + (f * py) * (f * py))
     if not math.isfinite(energy):
         raise SingularPoint(f"geodesic_flow: the energy (px**2 + f**2 py**2) / 2 = {energy} "
                             f"is not finite at the start {(x, y, px, py)}")
@@ -271,8 +268,8 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4):
     Endpoints come from the closed forms exactly when the frame is the
     exact Grushin plane, otherwise from RK4 integration.  Raises
     ValueError unless n >= 8, the start is finite and T and param_max
-    are finite and positive, and, for the closed form from a singular
-    start, unless its divisor 4 * param_max**2 is finite; SingularPoint
+    are finite and positive and, from a singular start, 2 * param_max
+    and, for the closed form, its divisor 4 * param_max**2 are finite; SingularPoint
     at a Riemannian start where f or 1/f is 0 or not finite or f**2
     overflows, and at a singular start where f * f_x is infinite
     (alpha-grushin with alpha < 1/2).
@@ -291,6 +288,9 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4):
     if closed and singular and not 4.0 * param_max * param_max < math.inf:
         raise ValueError(f"front: the Grushin closed form needs 4 * param_max**2 finite, "
                          f"got param_max = {param_max}")
+    if singular and not 2.0 * param_max < math.inf:
+        raise ValueError(f"front: the grid on [-param_max, param_max] needs 2 * param_max "
+                         f"finite, got param_max = {param_max}")
     f0 = _check_start(frame, x0, y0, "front")
     if singular:
         params = np.tile(np.linspace(-param_max, param_max, n), 2)

@@ -157,24 +157,21 @@ def assemble_staggered(potential, n, x_max):
     return ModeOperator(x_max=float(x_max), h=h, x=x, diag=diag, off=np.full(n - 1, stencil[1]))
 
 
-def assemble_mode_operator(k, alpha, n, x_max=None):
+def assemble_mode_operator(k, alpha, n, x_max=12.0):
     """Radial-mode operator -d2/dx2 + k**2 x**(2 alpha) + c/x**2.
 
-    The default box size shrinks like |k|**(-1/2) so the confining well
-    is resolved equally well for every mode.
+    Mode k's box is x_max / sqrt(max(|k|, 1)): it shrinks like |k|**(-1/2)
+    so the confining well is resolved equally well for every mode.  Raises
+    OutOfRange unless alpha is finite and positive (inverse_square_coefficient).
     """
-    k = int(k)
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise BadGrid("assemble_mode_operator: need alpha > 0")
-    if x_max is None:
-        x_max = 12.0 / math.sqrt(max(abs(k), 1))
+    k, alpha = int(k), float(alpha)
     c = inverse_square_coefficient(alpha)
+    box = x_max / math.sqrt(max(abs(k), 1))
 
     def potential(x):
         return (k * k) * x ** (2.0 * alpha) + c / x**2
 
-    return assemble_staggered(potential, n, x_max)
+    return assemble_staggered(potential, n, box)
 
 
 def eigen_solve(op, m):
@@ -330,8 +327,7 @@ def spectrum_2d(alpha, k_max, m_per_mode, *, n=2000, x_max=12.0):
         raise ValueError("spectrum_2d: need k_max >= 1")
     lines = []
     for k in range(0, k_max + 1):
-        box = x_max if k == 0 else x_max / math.sqrt(k)
-        op = assemble_mode_operator(k, alpha, n, box)
+        op = assemble_mode_operator(k, alpha, n, x_max)
         res = eigen_solve(op, m_per_mode)
         for idx in range(m_per_mode):
             lines.append(SpectrumLine(float(res.values[idx]), k, idx,

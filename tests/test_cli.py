@@ -1,14 +1,18 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from arslab.cli import _CSV_CHUNK, _HANDLERS, DEFAULTS, _build_parser, _write_csv, main
+from arslab import Inconclusive
+from arslab.cli import _CSV_CHUNK, _HANDLERS, DEFAULTS, _build_parser, _write_csv, main, run
 
 BASE = [sys.executable, "-m", "arslab.cli"]
 
@@ -659,6 +663,36 @@ def test_front_param_max_that_is_not_finite_and_positive_is_a_usage_error(tmp_pa
     assert not (tmp_path / "front.csv").exists()
 
 
+def test_singular_front_on_an_integrated_frame_names_param_max_or_the_drift(tmp_path, capsys):
+    # the grid's span 2 * param_max overflows: a usage error naming param_max,
+    # raised before np.linspace can warn
+    argv = ["front", "--variant", "alpha-grushin", "--frame-alpha", "1", "--x0", "0", "--n", "8",
+            "--t-final", "0.01", "--out-dir", str(tmp_path)]
+    code, err = cli([*argv, "--param-max", "1e308"], capsys)
+    assert code == 2, err
+    assert ("arslab: front: the grid on [-param_max, param_max] needs 2 * param_max finite, "
+            "got param_max = 1e+308") in err
+    # the start energy on x = 0 is px**2 / 2; py = 1e160 then blows the flow up
+    code, err = cli([*argv, "--param-max", "1e160"], capsys)
+    assert code == 3, err
+    assert "arslab: geodesic_flow: energy drift nan exceeds" in err
+    assert not (tmp_path / "front.csv").exists()
+
+
+def test_readme_names_every_flag_in_its_subcommand_bullet():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("### Subcommands and their artifacts", 1)[1].split("\n#", 1)[0]
+    bullets = {}
+    for bullet in section.split("\n- `")[1:]:
+        name, _, rest = bullet.partition(" ")
+        bullets[name] = rest
+    for sub, defaults in DEFAULTS.items():
+        flags = ["--" + key.replace("_", "-") for key in defaults if key != "frame"]
+        missing = [flag for flag in flags
+                   if not re.search(re.escape(flag) + r"(?![\w-])", bullets[sub])]
+        assert not missing, f"README bullet of {sub} lacks {missing}"
+
+
 def test_evolve_schrodinger_norm_column_is_constant(tmp_path, capsys):
     code, err = cli(["evolve", "--equation", "schrodinger", "--eps", "0.1",
                      "--t-final", "0.02", "--dt", "1e-3", "--n-x", "60",
@@ -688,6 +722,19 @@ def test_inconclusive_evolve_names_evolve(tmp_path, capsys):
     assert "evolve" in err and "transmission_study" not in err
     payload = json.loads((tmp_path / "transmission.json").read_text())
     assert payload["verdict"] == "inconclusive"
+
+
+def test_inconclusive_evolve_carries_the_transmission_report(tmp_path):
+    # the same report transmission_study attaches, not a dict of it
+    from arslab.evolution import TransmissionReport
+
+    with pytest.raises(Inconclusive) as info:
+        run(["evolve", "--alpha", "1.5", "--eps", "0.1,0.025", "--t-final", "0.25",
+             "--n-x", "100", "--n-y", "4", "--out-dir", str(tmp_path)])
+    report = info.value.report
+    assert isinstance(report, TransmissionReport)
+    assert dataclasses.asdict(report) == json.loads(
+        (tmp_path / "transmission.json").read_text())
 
 
 def test_martinet_subcommand(tmp_path, capsys):

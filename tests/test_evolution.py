@@ -446,3 +446,11 @@ def test_eps_sweep_report_matches_transmission_study():
     assert [len(rows) for rows in series] == [11, 11]
     series, report = eps_sweep(0.5, [0.1], 0.1, equation="schrodinger", **kwargs)
     assert report is None and series == [[]]
+
+
+def test_eps_sweep_gives_no_verdict_for_one_eps_value():
+    # one fraction is no sweep: no verdict, not a "crossing-consistent" one
+    series, report = eps_sweep(0.5, [0.1], 0.05, n_x=40, n_y=4)
+    assert report is None and series == [[]]
+    with pytest.raises(ValueError, match="transmission_study: need at least two eps values"):
+        transmission_study(0.5, [0.1], 0.05, n_x=40, n_y=4)

@@ -117,6 +117,44 @@ def test_point_where_f_is_not_finite_is_singular():
             call()
 
 
+def test_laplace_coeffs_refuse_where_f_squared_overflows_as_metric_at_does():
+    # a_yy = f**2 would be inf; the two evaluators share _regular_derivs' rule
+    for who, call in (("metric_at", metric_at), ("laplace_beltrami_coeffs",
+                                                 laplace_beltrami_coeffs)):
+        with pytest.raises(SingularPoint) as info:
+            call(GRUSHIN, (1e200, 0.0))
+        assert str(info.value) == f"{who}: f**2 overflows at (1e+200, 0.0)"
+
+
+def _refusal(call):
+    """(type, message after the function name) of what call raises, or None."""
+    try:
+        call()
+    except Exception as exc:  # any refusal: its type and text are compared
+        return type(exc), str(exc).partition(": ")[2]
+    return None
+
+
+_BUMP_04 = gaussian_bump(0.4, 0.6)
+_huge_or_tiny = st.floats(1e-320, 1e300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frame=st.one_of(st.sampled_from([GRUSHIN, FrameSpec.f1(_BUMP_04), FrameSpec.f2(_BUMP_04)]),
+                       st.floats(0.0, 3.0, exclude_min=True).map(FrameSpec.alpha_grushin)),
+       x=st.one_of(st.just(0.0), _huge_or_tiny, _huge_or_tiny.map(lambda v: -v)),
+       y=st.floats(-10.0, 10.0))
+@example(frame=FrameSpec.alpha_grushin(3.0), x=1e60, y=0.0)
+@example(frame=GRUSHIN, x=-1e-320, y=1.0)
+def test_point_evaluators_refuse_the_same_points(frame, x, y):
+    # metric_at alone refuses where f**2 underflows, since g22 = 1/f**2
+    p = (x, y)
+    want = _refusal(lambda: metric_at(frame, p))
+    if want is not None and want[1].startswith("f**2 underflows to 0"):
+        want = None
+    assert _refusal(lambda: laplace_beltrami_coeffs(frame, p)) == want
+
+
 @pytest.mark.parametrize("p", [_Point(math.nan, 1.0), _Point(math.inf, 1.0),
                                _Point(1.0, -math.inf)])
 def test_point_that_is_not_finite_rejected(p):

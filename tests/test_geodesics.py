@@ -4,7 +4,7 @@ import re
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from arslab import (
     FrameSpec,
@@ -213,6 +213,33 @@ def test_closed_form_grushin_front_refuses_or_returns_finite_endpoints(x0, y0, T
     except (ValueError, SingularPoint):
         return
     assert fan.provenance == "closed-form"
+    assert np.all(np.isfinite(fan.endpoints))
+
+
+def test_a_start_on_the_line_has_energy_px_squared_over_2():
+    # f = 0 there, so f**2 py**2 is 0 even where py**2 overflows: the huge py
+    # blows the flow up, and the drift gate, not the start check, refuses it
+    for py in (1e10, 1e160):
+        with pytest.raises(StepSizeTooLarge, match="energy drift nan exceeds"):
+            geodesic_flow(FrameSpec.alpha_grushin(1.0), (0.0, 0.0, 1.0, py), 0.01)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(0.5, 3.0), y0=st.floats(-10.0, 10.0), T=st.floats(1e-3, 0.02),
+       n=st.integers(8, 11), param_max=st.floats(1e-3, 1e308))
+@example(alpha=1.0, y0=0.0, T=0.01, n=8, param_max=1e308)
+@example(alpha=1.0, y0=0.0, T=0.01, n=8, param_max=1e160)
+def test_singular_front_on_an_integrated_frame_refuses_or_returns_finite_endpoints(
+        alpha, y0, T, n, param_max):
+    try:
+        fan = front(FrameSpec.alpha_grushin(alpha), (0.0, y0), T, n, param_max=param_max,
+                    dt=1e-3)
+    except StepSizeTooLarge:
+        return
+    except ValueError as exc:
+        assert str(exc).startswith("front: ") and "param_max" in str(exc)
+        return
+    assert fan.provenance == "integrated"
     assert np.all(np.isfinite(fan.endpoints))
 
 

@@ -148,8 +148,25 @@ def test_mode_operator_default_box():
     assert op.x_max == pytest.approx(6.0, rel=1e-15)
     op = assemble_mode_operator(0, 1.0, 64)
     assert op.x_max == pytest.approx(12.0, rel=1e-15)
-    with pytest.raises(BadGrid):
+    with pytest.raises(OutOfRange):
         assemble_mode_operator(1, -1.0, 64)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, math.inf, math.nan])
+def test_mode_operator_refuses_every_alpha_outside_the_range_alike(alpha):
+    # one owner, inverse_square_coefficient, for alpha <= 0 as for inf and nan
+    with pytest.raises(OutOfRange, match="inverse_square_coefficient: need finite alpha > 0"):
+        assemble_mode_operator(1, alpha, 64)
+
+
+def test_mode_box_is_x_max_over_root_k_and_spectrum_2d_takes_it():
+    assert assemble_mode_operator(4, 1.0, 64, 3.0).x_max == 1.5
+    assert assemble_mode_operator(-4, 1.0, 64, 3.0).x_max == 1.5
+    assert assemble_mode_operator(0, 1.0, 64, 3.0).x_max == 3.0
+    lines = spectrum_2d(1.0, 2, 1, n=200, x_max=6.0)
+    for k in (0, 1, 2):
+        value = eigen_solve(assemble_mode_operator(k, 1.0, 200, 6.0), 1).values[0]
+        assert [rec.value for rec in lines if rec.k == k] == [value]
 
 
 def test_alpha_one_spectrum_is_linear_in_level():
