@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .errors import ArslabError, BadGrid, Inconclusive, OutOfRange
 from .frames import frame_from_config, frame_vectors, laplace_beltrami_coeffs, metric_at
-from .geodesics import crossing_report, front, geodesic_flow
+from .geodesics import _step_grid, front, geodesic_flow
 
 _TWO_PI = 2.0 * math.pi
 
@@ -191,7 +191,7 @@ def _cmd_geodesic(cfg, out_dir):
                          tol_H=float(cfg["tol_h"]))
     outputs = {"geodesic.csv": _write_csv(out_dir / "geodesic.csv", ["t", "x", "y", "px", "py"],
                                           np.column_stack((traj.t, traj.states)))}
-    crossings = [{"t": t, "xdot": xd, "ydot": yd} for t, xd, yd in crossing_report(traj, fr)]
+    crossings = [{"t": ev.t, "xdot": ev.px, "ydot": ev.ydot} for ev in traj.crossings]
     summary = {"energy_drift": traj.energy_drift, "crossings": crossings,
                "n_steps": traj.t.size - 1}
     return outputs, summary
@@ -416,15 +416,6 @@ def _apply_file_config(sub, cfg, overrides):
             raise ConfigError(f"{sub}: unknown config key {key!r}")
 
 
-def _step_count(cfg):
-    """max(1, round(t_final / dt)) as geodesic_flow and the evolution runs take
-    it, or None for a step count they refuse themselves."""
-    t_final, dt = float(cfg["t_final"]), float(cfg["dt"])
-    if not (dt > 0 and t_final >= 0 and t_final / dt < math.inf):
-        return None
-    return max(1, round(t_final / dt))
-
-
 def _array_sizes(sub, cfg):
     """The keys sizing each large array of a run -> a lower bound on its float64 entries."""
     def count(key):
@@ -435,8 +426,11 @@ def _array_sizes(sub, cfg):
         sizes[("k_max", "m_per_mode")] = 4 * (2 * count("k_max") + 1) * count("m_per_mode")
     if sub == "evolve":
         sizes[("n_x", "n_y")] = count("n_x") * count("n_y")
-    steps = _step_count(cfg) if sub in ("geodesic", "front", "evolve") else None
-    if steps is None:
+    if sub not in ("geodesic", "front", "evolve"):
+        return sizes
+    try:
+        steps = _step_grid(float(cfg["t_final"]), float(cfg["dt"]), sub)[0]
+    except ValueError:  # a step grid the run refuses itself
         return sizes
     if sub == "geodesic":  # the table t, x, y, px, py of every step
         sizes[("t_final", "dt")] = 5 * (steps + 1)

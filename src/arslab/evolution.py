@@ -59,6 +59,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import BadGrid, Inconclusive, SolverDiverged
+from .geodesics import _step_grid
 
 __all__ = [
     "Generator",
@@ -207,12 +208,13 @@ def gaussian_bump_state(gen, center, sigma):
     """Gaussian bump on the cylinder, truncated below 1e-12.
 
     The profile is zeroed at all nodes with x >= -h, keeping its support
-    strictly left of the singular line.  Raises ValueError for a center
-    with x >= 0, for sigma outside (0, inf) or so small or large that
-    2 sigma**2 under- or overflows, and when no mass of the profile is
-    left on the grid.
+    strictly left of the singular line.  The center's y is taken modulo
+    the period, so centers a period apart give the same field.  Raises
+    ValueError for a center with x >= 0, for sigma outside (0, inf) or so
+    small or large that 2 sigma**2 under- or overflows, and when no mass
+    of the profile is left on the grid.
     """
-    xc, yc = float(center[0]), float(center[1])
+    xc, yc = float(center[0]), float(center[1]) % gen.period
     if xc >= 0:
         raise ValueError("gaussian_bump_state: need center x < 0")
     if not (sigma > 0.0 and sigma * sigma > 0.0 and 2.0 * sigma * sigma < math.inf):
@@ -335,7 +337,8 @@ def _mode_system(gen, c):
 def _evolve(gen, state, T, dt, half, who, record_every=0):
     """Steps (M - c C) u+ = (M + c C) u to time T, in mode space throughout.
 
-    The n = round(T / dt) steps (at least one) have c = half * T / n, with
+    The n steps of T / n that geodesics._step_grid takes, n the nearest
+    whole number to T / dt and at least one, have c = half * T / n, with
     half = 1/2 for the heat flow and i/2 for the Schrodinger flow.
     The field is transformed into mode coefficients once and back once.
     Each step makes one banded product L w with L = M - c C: the residual
@@ -346,12 +349,7 @@ def _evolve(gen, state, T, dt, half, who, record_every=0):
     of every record_every-th step and of the last step are returned too.
     Raises ValueError, naming who, unless dt > 0, T >= 0 and T / dt is finite.
     """
-    if not (dt > 0 and T >= 0):
-        raise ValueError(f"{who}: need dt > 0 and T >= 0, got dt={dt}, T={T}")
-    if not T / dt < math.inf:
-        raise ValueError(f"{who}: T / dt = {T} / {dt} is not a finite step count")
-    n = max(1, int(round(T / dt)))
-    dt = T / n
+    n, dt = _step_grid(T, dt, who)
     system = _mode_system(gen, half * dt)
     w = system.to_modes(state.u)
     lw = system.apply(w)
@@ -376,7 +374,7 @@ def _evolve(gen, state, T, dt, half, who, record_every=0):
 def run_heat(gen, state, T, dt, *, record_every=0):
     """Evolve the heat flow to time T; optionally record a time series.
 
-    Takes round(T / dt) Crank-Nicolson steps of du/dt = A u, at least one,
+    Takes T / dt Crank-Nicolson steps of du/dt = A u (rounded, at least one)
     with one factorization, so one step is run_heat(gen, state, dt, dt)[0].
     The series rows are (t, mass_left, mass_right, norm) with mass_left
     and mass_right the weighted content strictly left/right of the

@@ -216,6 +216,9 @@ class FrameSpec:
         if self.variant == VARIANT_ALPHA:
             if self.alpha is None or not 0.0 < self.alpha < math.inf:
                 raise ValueError(f"alpha-grushin needs finite alpha > 0, got {self.alpha}")
+            # f = |x|**alpha has no scale field; gauge_transform reads one as f2's
+            if self.log_scale is not None:
+                raise ValueError("alpha-grushin takes no log_scale field")
 
     # -- constructors ---------------------------------------------------
 
@@ -243,9 +246,17 @@ class FrameSpec:
         return self.variant == VARIANT_F2 and self.log_scale.is_zero
 
     @property
+    def vanishing_order(self):
+        """The order to which f vanishes on x = 0: 1.0 for f2, alpha for
+        alpha-grushin, None for f1, which never vanishes."""
+        if self.variant == VARIANT_ALPHA:
+            return self.alpha
+        return 1.0 if self.variant == VARIANT_F2 else None
+
+    @property
     def is_singular_variant(self):
         """True when the frame degenerates on the line x = 0."""
-        return self.variant in (VARIANT_F2, VARIANT_ALPHA)
+        return self.vanishing_order is not None
 
     def f(self, x, y):
         """f at float or array points: derivs(x, y)[0]'s floats, broadcast alike.
@@ -296,10 +307,11 @@ class FrameSpec:
         variant and scale field, so a call makes no dispatch:
           - the exact Grushin plane (a zero field, a zero-amplitude bump
             included) returns (x*x, x, 0.0) without the field;
-          - f1/f2 over a gaussian_bump evaluate field and frame in one call,
-            with the floats, and the OverflowError or ValueError of a
-            blown-up state, of the two-call chain below;
-          - f1/f2 over any other field call its jet, then the chain;
+          - f2 over a gaussian_bump evaluates field and frame in one call,
+            _f2_bump_jet, with the floats, and the OverflowError or
+            ValueError of a blown-up state, of the two-call chain below;
+          - f1 over any field, and f2 over any other field, call the
+            field's jet, then the chain;
           - alpha-grushin has its constants bound.
         For alpha-grushin at x = 0, f * f_x is 0 when alpha >= 1/2 and inf
         below, the limit of |x|**(2 alpha - 1); elsewhere f * f_x is formed
@@ -327,8 +339,8 @@ class FrameSpec:
 
             return grushin_jet
         key = self.log_scale.key
-        if key is not None and key[0] is gaussian_bump:
-            return _bump_fsq_jet(self.variant, *key[1])
+        if self.variant == VARIANT_F2 and key is not None and key[0] is gaussian_bump:
+            return _f2_bump_jet(*key[1])
         scale_jet, exp = self.log_scale.jet, math.exp
         if self.variant == VARIANT_F1:
             def f1_jet(x, y):
@@ -349,28 +361,18 @@ class FrameSpec:
         return f2_jet
 
 
-def _bump_fsq_jet(variant, a, sg):
-    """fsq_jet of an f1 or f2 frame over gaussian_bump(a, sg), one call per point.
+def _f2_bump_jet(a, sg):
+    """fsq_jet of an f2 frame over gaussian_bump(a, sg), one call per point.
 
-    The bump's jet inlined into the frame's chain with y - pi formed once;
+    The bump's jet inlined into f2_jet's chain with y - pi formed once;
     every other float operation, and each math call that can raise, is
-    the chain's in the chain's order.
+    the chain's in the chain's order.  Only f2 has a fused form, as f2 over
+    a bump is what perfbench's fan workload integrates; f1 over a bump
+    takes the field's jet, then f1_jet.
     """
     s2 = sg ** 2
     two_s2 = 2 * s2
     exp, cos, sin, pi = math.exp, math.cos, math.sin, math.pi
-
-    if variant == VARIANT_F1:
-        def f1_bump_jet(x, y):
-            u = y - pi
-            s = a * exp(-(x * x) / two_s2) * exp((cos(u) - 1.0) / s2)
-            s_x = -(x / s2) * s
-            s_y = -(sin(u) / s2) * s
-            f = exp(s)
-            fsq = f * f
-            return fsq, f * (s_x * f), fsq * s_y
-
-        return f1_bump_jet
 
     def f2_bump_jet(x, y):
         u = y - pi
@@ -515,12 +517,12 @@ def curve_length(frame, t, x, y):
     The path is the piecewise-linear interpolant of the samples
     (t[i], x[i], y[i]); between samples the velocity is the finite
     difference of consecutive samples.  On the singular variants f
-    vanishes on x = 0 like |x|**order, with order 1 for f2 and alpha for
-    alpha-grushin, so a segment with vy != 0 that meets the line has
-    finite length exactly when order < 1.  Such a segment is integrated
-    on each side of its crossing time tau0 after the substitution
-    |tau - tau0| = u**p, p = 1 / (1 - order), which leaves a bounded
-    integrand.  A segment that meets the line when order >= 1, or runs
+    vanishes on x = 0 like |x|**order, order = frame.vanishing_order (1
+    for f2, alpha for alpha-grushin), so a segment with vy != 0 that meets
+    the line has finite length exactly when order < 1.  Such a segment is
+    integrated on each side of its crossing time tau0 after the
+    substitution |tau - tau0| = u**p, p = 1 / (1 - order), which leaves a
+    bounded integrand.  A segment that meets the line when order >= 1, or runs
     along it, has infinite length: math.inf is returned.
 
     All segments are integrated together by one adaptive Simpson rule on
@@ -549,9 +551,9 @@ def curve_length(frame, t, x, y):
 
         curved = ~level
         crossing = np.zeros_like(curved)
-        if frame.is_singular_variant:
+        order = frame.vanishing_order
+        if order is not None:
             # f vanishes exactly where x(tau) = 0
-            order = frame.alpha if frame.variant == VARIANT_ALPHA else 1.0
             along = curved & (x0 == 0.0) & (vx == 0.0)
             tau_zero = -x0 / vx
             crossing = curved & (vx != 0.0) & (0.0 <= tau_zero) & (tau_zero <= dt)

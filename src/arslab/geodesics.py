@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularPoint, StepSizeTooLarge
-from .frames import VARIANT_ALPHA, _regular_derivs
+from .frames import _regular_derivs
 
 __all__ = [
     "Trajectory",
@@ -31,19 +31,19 @@ __all__ = [
     "grushin_geodesic_origin",
     "grushin_geodesic_riemannian",
     "front",
-    "crossing_report",
 ]
 
 
 class CrossingEvent(NamedTuple):
-    """An interpolated state where a trajectory meets x = 0."""
+    """An interpolated state where a trajectory meets x = 0, and its velocity
+    (px, ydot): ydot = f**2 py vanishes there, so crossings are perpendicular."""
 
     t: float
     x: float
     y: float
     px: float
     py: float
-    direction: int
+    ydot: float
 
 
 @dataclass
@@ -69,16 +69,32 @@ def _check_start(frame, x, y, who):
     """|f| at a start (x, y), or None on the singular line of a singular variant.
 
     Raises SingularPoint at a start the flow cannot leave: off that line
-    where _regular_derivs refuses it, and on it for alpha-grushin with
-    alpha < 1/2, where fsq_jet gives f * f_x = inf, the limit of
-    |x|**(2 alpha - 1), so no dt can help.
+    where _regular_derivs refuses it, and on it where f vanishes to an
+    order below 1/2 (alpha-grushin with alpha < 1/2), where fsq_jet gives
+    f * f_x = inf, the limit of |x|**(2 order - 1), so no dt can help.
     """
-    if not (frame.is_singular_variant and x == 0.0):
+    order = frame.vanishing_order
+    if order is None or x != 0.0:
         return abs(_regular_derivs(frame, (x, y), who)[0])
-    if frame.variant == VARIANT_ALPHA and frame.alpha < 0.5:
+    if order < 0.5:
         raise SingularPoint(f"{who}: f * f_x is infinite on x = 0 for alpha-grushin with "
-                            f"alpha = {frame.alpha} < 1/2, at {(x, y)}")
+                            f"alpha = {order} < 1/2, at {(x, y)}")
     return None
+
+
+def _step_grid(T, dt, who):
+    """(n, T / n): the n = max(1, round(T / dt)) equal steps of a fixed-step run to time T.
+
+    Raises ValueError, naming who, unless dt > 0, T >= 0 and T / dt is finite.
+    """
+    if not dt > 0:
+        raise ValueError(f"{who}: dt must be positive, got {dt}")
+    if not T >= 0:
+        raise ValueError(f"{who}: T must be non-negative, got {T}")
+    if not T / dt < math.inf:
+        raise ValueError(f"{who}: T / dt = {T} / {dt} is not a finite step count")
+    n = max(1, int(round(T / dt)))
+    return n, T / n
 
 
 def _hermite(tau, v0, v1, d0, d1, dt):
@@ -90,7 +106,7 @@ def _hermite(tau, v0, v1, d0, d1, dt):
 
 
 def _locate_crossing(frame, t0, dt, s_prev, s_new):
-    """Interpolated crossing state inside one step.
+    """Interpolated crossing state inside one step, with its velocity.
 
     Linear estimate from the x values, then one Newton correction on the
     cubic Hermite interpolant of x using dx/dt = px.
@@ -109,14 +125,15 @@ def _locate_crossing(frame, t0, dt, s_prev, s_new):
     ps = px0 + tau * (px1 - px0)
     qs = py0 + tau * (py1 - py0)
     return CrossingEvent(t=t0 + tau * dt, x=xs, y=ys, px=ps, py=qs,
-                         direction=1 if ps > 0 else -1)
+                         ydot=frame.fsq_jet(xs, ys)[0] * qs)
 
 
 def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
     """Integrate the Hamiltonian flow for time T with fixed-step RK4.
 
-    Records the full trajectory on the uniform grid T/n with
-    n = round(T/dt), plus interpolated crossing events of x = 0.  The
+    Records the full trajectory on the uniform grid of _step_grid, T/dt
+    steps rounded (at least one), plus interpolated crossing events of
+    x = 0, each with its velocity (px, ydot).  The
     four stages of a step run inline on plain floats, one call of the
     frame's fsq_jet each, and the states collect in a flat float buffer.
     Raises StepSizeTooLarge unless the energy drift, recomputed from the
@@ -129,12 +146,7 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
     (alpha-grushin with alpha < 1/2), and at a start whose energy
     (px**2 + (f py)**2) / 2, px**2 / 2 on the line, is not finite.
     """
-    if not dt > 0:
-        raise ValueError(f"geodesic_flow: dt must be positive, got {dt}")
-    if not T >= 0:
-        raise ValueError(f"geodesic_flow: T must be non-negative, got {T}")
-    if not T / dt < math.inf:
-        raise ValueError(f"geodesic_flow: T / dt = {T} / {dt} is not a finite step count")
+    n, dt_eff = _step_grid(T, dt, "geodesic_flow")
     if not 0.0 < tol_H < math.inf:
         raise ValueError(f"geodesic_flow: need finite tol_H > 0, got {tol_H}")
     x, y, px, py = (float(v) for v in state0)
@@ -146,8 +158,6 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
     if not math.isfinite(energy):
         raise SingularPoint(f"geodesic_flow: the energy (px**2 + f**2 py**2) / 2 = {energy} "
                             f"is not finite at the start {(x, y, px, py)}")
-    n = max(1, int(round(T / dt)))
-    dt_eff = T / n
     jet = frame.fsq_jet
 
     # x, y, px, py of every step, viewed as an (n+1, 4) array at the end
@@ -313,16 +323,3 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4):
     return Front(kind="singular" if singular else "riemannian", params=params,
                  families=families, endpoints=endpoints,
                  provenance="closed-form" if closed else "integrated")
-
-
-def crossing_report(traj, frame):
-    """Crossing times with the velocity (dx/dt, dy/dt) at each crossing.
-
-    dx/dt = px and dy/dt = f**2 py, so on the singular line dy/dt
-    vanishes: crossings are perpendicular to x = 0.
-    """
-    out = []
-    for ev in traj.crossings:
-        ydot = frame.fsq_jet(ev.x, ev.y)[0] * ev.py
-        out.append((ev.t, ev.px, ydot))
-    return out

@@ -30,7 +30,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BadGrid, FitIllConditioned, OutOfRange, UnsupportedFrame
-from .frames import VARIANT_ALPHA, VARIANT_F2
 from .tridiag import lowest_eigenpairs
 
 __all__ = [
@@ -93,29 +92,30 @@ def inverse_square_coefficient(alpha):
 def gauge_transform(frame):
     """Potential produced by the unitary area-density gauge.
 
-    Supported for the singular variants only; the remainder collects the
-    scale-field terms:
+    Supported for the singular variants only (UnsupportedFrame otherwise).
+    The coefficient is inverse_square_coefficient(frame.vanishing_order),
+    3/4 for f2; the remainder is zero without a scale field or over a zero
+    one, and otherwise (f2) collects the scale-field terms:
 
         s_x/(2x) + s_x**2/4 - s_xx/2 - x**2 e**(2s) (s_yy/2 + 3 s_y**2 / 4).
     """
-    if frame.variant == VARIANT_F2:
-        s = frame.log_scale
-        if s.is_zero:
-            return GaugePotential(0.75, _zero_remainder, remainder_is_zero=True)
+    order = frame.vanishing_order
+    if order is None:
+        raise UnsupportedFrame(
+            f"gauge_transform: no inverse-square normal form for variant {frame.variant!r}")
+    c = inverse_square_coefficient(order)
+    s = frame.log_scale
+    if s is None or s.is_zero:
+        return GaugePotential(c, _zero_remainder, remainder_is_zero=True)
 
-        def remainder(x, y):
-            x = np.asarray(x, dtype=float)
-            v, sx, sy, sxx, syy = (np.asarray(d, dtype=float) for d in s.derivs(x, y))
-            e2 = np.exp(2.0 * v)
-            return (sx / (2.0 * x) + 0.25 * sx**2 - 0.5 * sxx
-                    - x**2 * e2 * (0.5 * syy + 0.75 * sy**2))
+    def remainder(x, y):
+        x = np.asarray(x, dtype=float)
+        v, sx, sy, sxx, syy = (np.asarray(d, dtype=float) for d in s.derivs(x, y))
+        e2 = np.exp(2.0 * v)
+        return (sx / (2.0 * x) + 0.25 * sx**2 - 0.5 * sxx
+                - x**2 * e2 * (0.5 * syy + 0.75 * sy**2))
 
-        return GaugePotential(0.75, remainder, remainder_is_zero=False)
-    if frame.variant == VARIANT_ALPHA:
-        return GaugePotential(inverse_square_coefficient(frame.alpha), _zero_remainder,
-                              remainder_is_zero=True)
-    raise UnsupportedFrame(
-        f"gauge_transform: no inverse-square normal form for variant {frame.variant!r}")
+    return GaugePotential(c, remainder, remainder_is_zero=False)
 
 
 @dataclass(frozen=True)

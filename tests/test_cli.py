@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -11,8 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arslab import Inconclusive
-from arslab.cli import _CSV_CHUNK, _HANDLERS, DEFAULTS, _build_parser, _write_csv, main, run
+from arslab import FrameSpec, Inconclusive, front, geodesic_flow
+from arslab.cli import (_CSV_CHUNK, _HANDLERS, DEFAULTS, _array_sizes, _build_parser, _write_csv,
+                        main, run)
+from arslab.evolution import (assemble_generator, eps_sweep, gaussian_bump_state, run_heat,
+                              run_schrodinger, transmission_study)
+from arslab.martinet import martinet_mode_solve
+from arslab.spectral import assemble_mode_operator, deficiency_index_numeric, spectrum_2d
 
 BASE = [sys.executable, "-m", "arslab.cli"]
 
@@ -472,10 +478,19 @@ def test_evolve_rejects_bad_time_steps(tmp_path, capsys, argv):
     code, err = cli(["evolve", *argv, "--eps", "0.1", "--n-x", "20", "--n-y", "4",
                      "--out-dir", str(tmp_path)], capsys)
     assert code == 2
-    assert "need dt > 0 and T >= 0" in err
+    flag, value = argv
+    named = "dt must be positive" if flag == "--dt" else "T must be non-negative"
+    assert f"run_heat: {named}, got {float(value)}" in err
 
 
 _FAST_EVOLVE = ["evolve", "--eps", "0.1", "--n-x", "20", "--n-y", "4"]
+
+
+def test_evolve_takes_the_bump_y_modulo_the_period(tmp_path, capsys):
+    # 3 + 4 pi: the bump at y = 3, two periods up
+    code, err = cli(["evolve", "--bump-y", "15.566370614359172", "--eps", "0.1", "--n-x", "40",
+                     "--n-y", "16", "--t-final", "0.01", "--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("argv, key, value", [
@@ -515,6 +530,82 @@ def test_step_count_that_is_not_finite_is_a_usage_error(tmp_path, capsys, argv, 
     assert code == 2
     assert named in err
     assert not (tmp_path / "manifest.json").exists()
+
+
+def _step_counts():
+    """who -> (T, dt) -> the steps that geodesic_flow, run_heat or run_schrodinger takes."""
+    gen = assemble_generator(1.0, 0.1, n_x=20, n_y=4)
+    state = gaussian_bump_state(gen, (-1.0, math.pi), 0.3)
+    return {
+        "geodesic_flow": lambda T, dt: geodesic_flow(
+            FrameSpec.grushin(), (-1.0, 0.0, 0.6, 0.8), T, dt=dt).t.size - 1,
+        "run_heat": lambda T, dt: len(run_heat(gen, state, T, dt, record_every=1)[1]) - 1,
+        "run_schrodinger": lambda T, dt: len(
+            run_schrodinger(gen, state, T, dt, record_every=1)[1]) - 1,
+    }
+
+
+@pytest.mark.parametrize("T, dt", [
+    (0.01, 0.0), (0.01, -1e-3), (-0.01, 1e-3), (0.01, math.nan), (math.nan, 1e-3),
+    (math.inf, 1e-4), (0.01, 1e-320), (1e300, 1e-300)])
+def test_every_fixed_step_run_refuses_a_step_grid_alike(T, dt):
+    texts = set()
+    for who, steps in _step_counts().items():
+        with pytest.raises(ValueError) as refused:
+            steps(T, dt)
+        assert str(refused.value).startswith(f"{who}: ")
+        texts.add(str(refused.value)[len(who) + 2:])
+    assert len(texts) == 1, texts
+    # the CLI size guard leaves such a grid to the run
+    cfg = dict(DEFAULTS["geodesic"], t_final=T, dt=dt)
+    assert ("t_final", "dt") not in _array_sizes("geodesic", cfg)
+
+
+@pytest.mark.parametrize("T, dt", [(2.5e-4, 1e-4), (0.0, 1e-3)])
+def test_every_fixed_step_run_takes_the_same_step_count(T, dt):
+    counts = {who: steps(T, dt) for who, steps in _step_counts().items()}
+    # the CLI size guard counts the t, x, y, px, py table of n + 1 states
+    cfg = dict(DEFAULTS["geodesic"], t_final=T, dt=dt)
+    counts["cli"] = _array_sizes("geodesic", cfg)[("t_final", "dt")] // 5 - 1
+    assert len(set(counts.values())) == 1, counts
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+# each CLI default that restates a library default; evolve record_every differs
+# on purpose: the CLI writes a series by default, the library's 0 means "no series"
+@pytest.mark.parametrize("sub, key, library", [
+    ("geodesic", "dt", [(geodesic_flow, "dt")]),
+    ("geodesic", "tol_h", [(geodesic_flow, "tol_H")]),
+    ("front", "param_max", [(front, "param_max")]),
+    ("front", "dt", [(front, "dt")]),
+    ("spectrum", "n", [(spectrum_2d, "n")]),
+    ("spectrum", "x_max", [(spectrum_2d, "x_max"), (assemble_mode_operator, "x_max")]),
+    ("classify", "eps", [(deficiency_index_numeric, "eps")]),
+    ("classify", "x_far", [(deficiency_index_numeric, "x_far")]),
+    ("evolve", "t_final", [(transmission_study, "T")]),
+    ("evolve", "dt", [(eps_sweep, "dt"), (transmission_study, "dt")]),
+    ("evolve", "n_x", [(eps_sweep, "n_x"), (transmission_study, "n_x"),
+                       (assemble_generator, "n_x")]),
+    ("evolve", "x_half", [(eps_sweep, "x_half"), (assemble_generator, "x_half")]),
+    ("evolve", "n_y", [(eps_sweep, "n_y"), (transmission_study, "n_y"),
+                       (assemble_generator, "n_y")]),
+    ("evolve", "period", [(eps_sweep, "period"), (assemble_generator, "period")]),
+    ("evolve", "equation", [(eps_sweep, "equation")]),
+    ("evolve", "bump_sigma", [(eps_sweep, "bump_sigma")]),
+    ("martinet", "y_max", [(martinet_mode_solve, "y_max")]),
+    ("martinet", "m", [(martinet_mode_solve, "m")]),
+])
+def test_cli_defaults_are_the_library_defaults(sub, key, library):
+    for fn, name in library:
+        assert DEFAULTS[sub][key] == _default(fn, name), (fn.__name__, name)
+
+
+def test_cli_bump_center_is_the_library_default():
+    evolve = DEFAULTS["evolve"]
+    assert (evolve["bump_x"], evolve["bump_y"]) == _default(eps_sweep, "bump_center")
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -1046,7 +1137,7 @@ _PUBLIC_NAMES = {
     "frames": ["FrameSpec", "MetricData", "ScalarField", "curve_length", "frame_from_config",
                "frame_vectors", "gaussian_bump", "laplace_beltrami_coeffs", "metric_at",
                "polynomial_field", "scalar_zero"],
-    "geodesics": ["Front", "Trajectory", "crossing_report", "front", "geodesic_flow",
+    "geodesics": ["Front", "Trajectory", "front", "geodesic_flow",
                   "grushin_geodesic_origin", "grushin_geodesic_riemannian"],
 }
 _SCIPY_LAYERS = {

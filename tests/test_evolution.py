@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import hypothesis.strategies as st
 import numpy as np
@@ -20,6 +21,7 @@ from arslab.evolution import (
     run_heat,
     run_schrodinger,
     transmission_study,
+    transmission_verdict,
 )
 
 
@@ -270,7 +272,9 @@ def test_validation_errors():
 def test_run_heat_rejects_bad_time_steps(T, dt):
     gen = _small_gen()
     state = gaussian_bump_state(gen, (-1.0, math.pi), 0.3)
-    with pytest.raises(ValueError, match="run_heat: need dt > 0 and T >= 0"):
+    # dt is checked first
+    named = f"dt must be positive, got {dt}" if not dt > 0 else f"T must be non-negative, got {T}"
+    with pytest.raises(ValueError, match=f"run_heat: {re.escape(named)}"):
         run_heat(gen, state, T, dt)
 
 
@@ -373,6 +377,46 @@ def test_corrupted_factor_raises(monkeypatch, run, factor, index, T, fail):
     monkeypatch.setattr(evolution.lapack, factor, _corrupt_factor(factor, index, fail))
     with pytest.raises(SolverDiverged, match="info=1" if fail else "relative residual"):
         run(gen, state, T, 1e-3)
+
+
+def _failing_solve(name):
+    solve = getattr(evolution.lapack, name)
+
+    def failed(*args):
+        x, _ = solve(*args)
+        return x, -1
+
+    return failed
+
+
+@pytest.mark.parametrize("run, solve", [(run_heat, "dpttrs"), (run_schrodinger, "zgttrs")])
+def test_failed_solve_raises(monkeypatch, run, solve):
+    gen = _small_gen()
+    state = gaussian_bump_state(gen, (-1.0, math.pi), 0.3)
+    monkeypatch.setattr(evolution.lapack, solve, _failing_solve(solve))
+    with pytest.raises(SolverDiverged, match=r"LAPACK \?trs failed with info=-1"):
+        run(gen, state, 5e-3, 1e-3)
+
+
+@pytest.mark.parametrize("fractions, verdict", [
+    ([0.2, 0.02, 5e-4], "barrier-consistent"),
+    ([0.2, 0.02, 1e-3], "inconclusive"),  # decreasing, but not below 1e-3
+    ([0.3, 0.31, 0.3], "crossing-consistent"),
+    ([0.3, 0.3, 0.009], "inconclusive"),  # not decreasing, and 0.3 -> 0.009 not within 10%
+    ([0.0, 0.0], "inconclusive"),
+])
+def test_transmission_verdict_table(fractions, verdict):
+    assert transmission_verdict(fractions) == verdict
+
+
+@pytest.mark.parametrize("sigma", [0.3, 2.0])
+@pytest.mark.parametrize("yc", [0.2, 3.0, 6.0])
+def test_start_bump_is_periodic_in_its_center(sigma, yc):
+    gen = assemble_generator(1.0, 0.1, n_x=40, n_y=16)
+    want = gaussian_bump_state(gen, (-1.0, yc), sigma).u
+    for k in (-2, -1, 1, 2):
+        got = gaussian_bump_state(gen, (-1.0, yc + k * gen.period), sigma).u
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=f"k = {k}")
 
 
 _FLOWS = pytest.mark.parametrize("run, density", [

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from scipy.integrate import quad
 
-from arslab.frames import _bump_fsq_jet, _polyder2d
+from arslab.frames import _f2_bump_jet, _polyder2d
 
 from arslab import (
     FrameSpec,
@@ -421,11 +421,23 @@ def _outcome(jet, x, y):
 
 
 def test_bump_frames_resolve_one_fused_jet():
+    # only f2 has a fused bump jet; f1 over a bump takes the field's jet, then f1_jet
+    assert _bump_frame("f2").fsq_jet.__name__ == "f2_bump_jet"
+    assert _bump_frame("f1").fsq_jet.__name__ == "f1_jet"
     for variant in ("f1", "f2"):
-        assert _bump_frame(variant).fsq_jet.__name__ == f"{variant}_bump_jet"
         assert _chain_frame(variant, gaussian_bump(0.3, 0.9)).fsq_jet.__name__ == f"{variant}_jet"
     # a zero-amplitude bump is the Grushin plane under f2
     assert FrameSpec.f2(gaussian_bump(-0.0, 0.9)).fsq_jet.__name__ == "grushin_jet"
+
+
+def test_vanishing_order_of_each_variant():
+    # the order to which f vanishes on x = 0; f1 never vanishes
+    assert GRUSHIN.vanishing_order == 1.0
+    assert _bump_frame("f2").vanishing_order == 1.0
+    assert _bump_frame("f1").vanishing_order is None
+    for alpha in (0.3, 1.0, 2.5):
+        assert FrameSpec.alpha_grushin(alpha).vanishing_order == alpha
+    assert [fr.is_singular_variant for fr in (GRUSHIN, _bump_frame("f1"))] == [True, False]
 
 
 _near_pi = st.floats(math.pi - 1e-6, math.pi + 1e-6)
@@ -433,22 +445,21 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=400, deadline=None)
-@given(variant=st.sampled_from(["f1", "f2"]),
-       x=st.one_of(st.floats(-1e154, 1e154), st.floats(-1e-300, 1e-300)),
+@given(x=st.one_of(st.floats(-1e154, 1e154), st.floats(-1e-300, 1e-300)),
        y=st.one_of(_near_pi, st.floats(-10.0, 10.0), _finite),
        amplitude=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0),
                            st.floats(-1e3, 1e3)),
        sigma=st.one_of(st.floats(0.05, 5.0), st.floats(1e-76, 1e76)))
-@example(variant="f2", x=-0.0, y=math.pi, amplitude=0.4, sigma=0.6)
-@example(variant="f1", x=0.0, y=-0.0, amplitude=-0.4, sigma=0.6)
-@example(variant="f2", x=5e-324, y=math.pi, amplitude=-0.0, sigma=1e-76)
-@example(variant="f1", x=-5e-324, y=3.0, amplitude=0.3, sigma=1e76)
-@example(variant="f2", x=1e154, y=1e300, amplitude=0.3, sigma=0.7)
-@example(variant="f2", x=0.1, y=math.pi, amplitude=800.0, sigma=0.7)
-def test_fused_bump_jet_is_the_chain_bit_for_bit(variant, x, y, amplitude, sigma):
+@example(x=-0.0, y=math.pi, amplitude=0.4, sigma=0.6)
+@example(x=0.0, y=-0.0, amplitude=-0.4, sigma=0.6)
+@example(x=5e-324, y=math.pi, amplitude=-0.0, sigma=1e-76)
+@example(x=-5e-324, y=3.0, amplitude=0.3, sigma=1e76)
+@example(x=1e154, y=1e300, amplitude=0.3, sigma=0.7)
+@example(x=0.1, y=math.pi, amplitude=800.0, sigma=0.7)
+def test_fused_bump_jet_is_the_chain_bit_for_bit(x, y, amplitude, sigma):
     # the fused closure itself: an f2 frame over a zero bump takes the Grushin one
-    fused = _bump_fsq_jet(variant, amplitude, sigma)
-    chain = _chain_frame(variant, gaussian_bump(amplitude, sigma)).fsq_jet
+    fused = _f2_bump_jet(amplitude, sigma)
+    chain = _chain_frame("f2", gaussian_bump(amplitude, sigma)).fsq_jet
     assert _outcome(fused, x, y) == _outcome(chain, x, y)
 
 
@@ -899,6 +910,8 @@ def test_gaussian_bump_needs_positive_sigma(sigma):
     ("grushin", {}, "unknown frame variant 'grushin'"),
     ("f1", {}, "variant 'f1' needs a log_scale field"),
     ("f2", {"alpha": 1.0}, "variant 'f2' needs a log_scale field"),
+    ("alpha-grushin", {"alpha": 1.0, "log_scale": scalar_zero()},
+     "alpha-grushin takes no log_scale field"),
 ])
 def test_frame_spec_rejects_bad_variants(variant, kwargs, named):
     with pytest.raises(ValueError, match=named):

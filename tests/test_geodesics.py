@@ -10,7 +10,6 @@ from arslab import (
     FrameSpec,
     SingularPoint,
     StepSizeTooLarge,
-    crossing_report,
     front,
     gaussian_bump,
     geodesic_flow,
@@ -102,15 +101,22 @@ def test_crossings_are_perpendicular():
     theta = math.pi / 4.0
     b = math.sin(theta)
     traj = geodesic_flow(GRUSHIN, (-1.0, 0.0, math.cos(theta), b), 6.0)
-    report = crossing_report(traj, GRUSHIN)
-    assert len(report) == 2
+    assert len(traj.crossings) == 2
     expected_times = (theta / b, (theta + math.pi) / b)
-    for (t, xdot, ydot), t_exact in zip(report, expected_times):
-        assert t == pytest.approx(t_exact, abs=1e-6)
-        assert abs(ydot) <= 1e-4
-        assert abs(abs(xdot) - 1.0) <= 1e-4
-    directions = [ev.direction for ev in traj.crossings]
-    assert directions == [1, -1]
+    for ev, t_exact in zip(traj.crossings, expected_times):
+        assert ev.t == pytest.approx(t_exact, abs=1e-6)
+        assert abs(ev.ydot) <= 1e-4
+        assert abs(abs(ev.px) - 1.0) <= 1e-4
+    # left to right, then back
+    assert [math.copysign(1, ev.px) for ev in traj.crossings] == [1, -1]
+
+
+def test_crossing_velocity_is_the_jet_at_the_crossing():
+    frame = FrameSpec.f2(gaussian_bump(0.35, 0.7))
+    traj = geodesic_flow(frame, (-1.0, 0.0, math.cos(math.pi / 4), math.sin(math.pi / 4)), 6.0)
+    assert len(traj.crossings) == 2
+    for ev in traj.crossings:
+        assert ev.ydot == frame.fsq_jet(ev.x, ev.y)[0] * ev.py
 
 
 def test_step_size_guard():

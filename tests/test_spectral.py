@@ -53,6 +53,15 @@ def test_alpha_gauge_coefficient():
     assert inverse_square_coefficient(1.0) == 0.75
 
 
+@pytest.mark.parametrize("frame", [
+    GRUSHIN, FrameSpec.f2(gaussian_bump(0.3, 0.7)), FrameSpec.alpha_grushin(0.3),
+    FrameSpec.alpha_grushin(1.0), FrameSpec.alpha_grushin(2.5),
+], ids=["grushin", "f2-bump", "alpha-0.3", "alpha-1", "alpha-2.5"])
+def test_gauge_coefficient_follows_the_vanishing_order(frame):
+    pot = gauge_transform(frame)
+    assert pot.inverse_square_coeff == inverse_square_coefficient(frame.vanishing_order)
+
+
 def test_gauge_rejects_unsupported_variants():
     with pytest.raises(UnsupportedFrame):
         gauge_transform(FrameSpec.f1(scalar_zero()))
@@ -191,6 +200,16 @@ def test_richardson_extrapolation():
     extr, order = richardson_extrapolate(values)
     assert abs(extr - 4.0) <= 1e-4
     assert 1.7 <= order <= 2.1
+
+
+@pytest.mark.parametrize("values, want", [
+    ([1.0, 1.0, 1.0], 1.0),  # no change from grid to grid
+    ([1.0, 2.0, 1.5], 1.5),  # the differences change sign
+])
+def test_richardson_without_an_order_returns_the_finest_value(values, want):
+    extr, order = richardson_extrapolate(values)
+    assert extr == want
+    assert math.isnan(order)
 
 
 def test_ground_state_has_single_sign():

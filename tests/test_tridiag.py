@@ -185,6 +185,15 @@ def test_perturbed_vector_fails_the_residual_check(monkeypatch):
         lowest_eigenpairs(*_ladder(), 4)
 
 
+def test_lapack_failure_is_a_convergence_failure(monkeypatch):
+    def fail(diag, off, select, select_range):
+        raise np.linalg.LinAlgError("eigenvectors failed to converge")
+
+    monkeypatch.setattr(tridiag, "eigh_tridiagonal", fail)
+    with pytest.raises(ConvergenceFailure, match="LAPACK failed: eigenvectors failed"):
+        lowest_eigenpairs(*_ladder(), 4)
+
+
 @pytest.mark.parametrize("diag, off, m, named", [
     ([1.0, 2.0, 3.0], [0.5, 0.5], 0, "need 1 <= m <= n"),
     ([1.0, 2.0, 3.0], [0.5, 0.5], 4, "need 1 <= m <= n"),
