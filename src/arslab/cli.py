@@ -8,7 +8,8 @@ Every subcommand resolves one fully-defaulted configuration, runs one
 deterministic computation, writes CSV/JSON artifacts into --out-dir and
 a manifest.json recording the resolved configuration, so any output
 file can be regenerated from the manifest alone.  A JSON --config file
-overrides command line flags; unknown keys are rejected.
+overrides command line flags; unknown keys are rejected, and each value
+is taken in the type of its default.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 failure (the message names the failing operation).
@@ -21,7 +22,6 @@ import contextlib
 import copy
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -33,14 +33,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ArslabError, BadGrid, Inconclusive, OutOfRange
+from .errors import ArslabError, Inconclusive
 from .frames import frame_from_config, frame_vectors, laplace_beltrami_coeffs, metric_at
 from .geodesics import _step_grid, front, geodesic_flow
 
 _TWO_PI = 2.0 * math.pi
 
-# exit 2; ConfigError is a ValueError, and OSError covers an unreadable --config
-_VALIDATION_ERRORS = (ValueError, OSError, BadGrid, OutOfRange)
+# exit 2: ConfigError, BadGrid and OutOfRange are ValueErrors, and OSError
+# covers an unreadable --config
+_VALIDATION_ERRORS = (ValueError, OSError)
 
 
 class ConfigError(ValueError):
@@ -111,17 +112,6 @@ DEFAULTS = {
 }
 
 
-def _cell_format(types):
-    """%-format of a CSV column whose cells have these types."""
-    if any(issubclass(t, (bool, np.bool_)) for t in types):
-        raise TypeError("no boolean CSV cells")
-    if all(issubclass(t, (int, np.integer)) for t in types):
-        return "%d"
-    # "%.17g" % v is format(float(v), ".17g"), nan, inf and -0.0 included;
-    # an int in a mixed column prints as str(int) does while |int| < 2**53
-    return "%.17g"
-
-
 # rows per "%" in _write_csv: one format call per chunk keeps memory bounded
 _CSV_CHUNK = 2048
 
@@ -129,27 +119,19 @@ _CSV_CHUNK = 2048
 def _write_csv(path, columns, rows):
     """Write a header line and the rows; returns the file's manifest entry.
 
-    rows is a sequence of row tuples or a 2-D ndarray.  A column is written
-    with %d when all its cells are ints and with %.17g otherwise (for an
-    ndarray its dtype decides, with no scan of the cells); boolean cells
-    raise TypeError.  Rows are formatted _CSV_CHUNK at a time, one % each.
+    rows is a sequence of row tuples or a 2-D array; it is made one float64
+    table and every cell is written %.17g, which is format(v, ".17g"), nan,
+    inf and -0.0 included.  An int cell prints as str(int) does while
+    |int| < 2**53.  Rows are formatted _CSV_CHUNK at a time, one % each.
     """
-    n = len(rows)
+    table = np.asarray(rows, dtype=float).reshape(len(rows), len(columns))
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        if n:
-            table = isinstance(rows, np.ndarray)
-            if table:
-                formats = [_cell_format({rows.dtype.type})] * rows.shape[1]
-            else:
-                formats = [_cell_format({type(row[j]) for row in rows})
-                           for j in range(len(rows[0]))]
-            line = ",".join(formats) + "\n"
-            for start in range(0, n, _CSV_CHUNK):
-                chunk = rows[start:start + _CSV_CHUNK]
-                cells = chunk.ravel().tolist() if table else itertools.chain.from_iterable(chunk)
-                fh.write(line * len(chunk) % tuple(cells))
-    return {"columns": list(columns), "rows": n}
+        for start in range(0, len(table), _CSV_CHUNK):
+            chunk = table[start:start + _CSV_CHUNK]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+    return {"columns": list(columns), "rows": len(table)}
 
 
 def _write_json(path, payload):
@@ -169,7 +151,7 @@ def _write_json(path, payload):
 def _cmd_metric(cfg, out_dir):
     """pointwise metric data"""
     fr = frame_from_config(cfg["frame"])
-    p = (float(cfg["x"]), float(cfg["y"]))
+    p = (cfg["x"], cfg["y"])
     md = metric_at(fr, p)
     vecs = frame_vectors(fr, p)
     coeffs = laplace_beltrami_coeffs(fr, p)
@@ -186,9 +168,8 @@ def _cmd_metric(cfg, out_dir):
 def _cmd_geodesic(cfg, out_dir):
     """integrate one geodesic"""
     fr = frame_from_config(cfg["frame"])
-    state0 = (float(cfg["x0"]), float(cfg["y0"]), float(cfg["px0"]), float(cfg["py0"]))
-    traj = geodesic_flow(fr, state0, float(cfg["t_final"]), dt=float(cfg["dt"]),
-                         tol_H=float(cfg["tol_h"]))
+    state0 = (cfg["x0"], cfg["y0"], cfg["px0"], cfg["py0"])
+    traj = geodesic_flow(fr, state0, cfg["t_final"], dt=cfg["dt"], tol_H=cfg["tol_h"])
     outputs = {"geodesic.csv": _write_csv(out_dir / "geodesic.csv", ["t", "x", "y", "px", "py"],
                                           np.column_stack((traj.t, traj.states)))}
     crossings = [{"t": ev.t, "xdot": ev.px, "ydot": ev.ydot} for ev in traj.crossings]
@@ -200,9 +181,9 @@ def _cmd_geodesic(cfg, out_dir):
 def _cmd_front(cfg, out_dir):
     """geodesic front endpoints"""
     fr = frame_from_config(cfg["frame"])
-    ft = front(fr, (float(cfg["x0"]), float(cfg["y0"])), float(cfg["t_final"]),
-               int(cfg["n"]), param_max=float(cfg["param_max"]), dt=float(cfg["dt"]))
-    rows = list(zip(ft.families.tolist(), ft.params.tolist(), *ft.endpoints.T.tolist()))
+    ft = front(fr, (cfg["x0"], cfg["y0"]), cfg["t_final"], cfg["n"],
+               param_max=cfg["param_max"], dt=cfg["dt"])
+    rows = np.column_stack((ft.families, ft.params, ft.endpoints))
     outputs = {"front.csv": _write_csv(out_dir / "front.csv",
                                        ["family", "param", "x", "y"], rows)}
     summary = {"kind": ft.kind, "provenance": ft.provenance, "n_points": ft.params.size}
@@ -213,8 +194,8 @@ def _cmd_spectrum(cfg, out_dir):
     """mode spectrum of the flattened operator"""
     from .spectral import spectrum_2d
 
-    lines = spectrum_2d(float(cfg["alpha"]), int(cfg["k_max"]), int(cfg["m_per_mode"]),
-                        n=int(cfg["n"]), x_max=float(cfg["x_max"]))
+    lines = spectrum_2d(cfg["alpha"], cfg["k_max"], cfg["m_per_mode"], n=cfg["n"],
+                        x_max=cfg["x_max"])
     rows = [(rec.k, rec.index, rec.value, rec.residual) for rec in lines]
     outputs = {"spectrum.csv": _write_csv(out_dir / "spectrum.csv",
                                           ["k", "n", "lambda", "residual"], rows)}
@@ -230,16 +211,16 @@ def _cmd_classify(cfg, out_dir):
     if cfg["alpha"] is not None and cfg["c"] is not None:
         raise ConfigError("classify: give either alpha or c, not both")
     if cfg["c"] is not None:
-        c = float(cfg["c"])
+        c = cfg["c"]
         alpha = None
     else:
-        alpha = 1.0 if cfg["alpha"] is None else float(cfg["alpha"])
+        alpha = 1.0 if cfg["alpha"] is None else cfg["alpha"]
         c = inverse_square_coefficient(alpha)
     report = classify_self_adjoint(c)
     payload = {"alpha": alpha, **dataclasses.asdict(report), "verdict": report.verdict}
     if cfg["numeric_check"]:
         payload["numeric_deficiency_count"] = deficiency_index_numeric(
-            c, eps=float(cfg["eps"]), x_far=float(cfg["x_far"]))
+            c, eps=cfg["eps"], x_far=cfg["x_far"])
     outputs = {"classify.json": _write_json(out_dir / "classify.json", payload)}
     return outputs, payload
 
@@ -251,13 +232,12 @@ def _cmd_evolve(cfg, out_dir):
     if cfg["record_every"] < 1:
         raise ConfigError(f"evolve: record_every must be at least 1, got {cfg['record_every']}")
     equation = cfg["equation"]
-    eps_list = [float(e) for e in cfg["eps"]]
+    eps_list = cfg["eps"]
     series, report = eps_sweep(
-        float(cfg["alpha"]), eps_list, float(cfg["t_final"]), equation=equation,
-        dt=float(cfg["dt"]), n_x=int(cfg["n_x"]), x_half=float(cfg["x_half"]),
-        n_y=int(cfg["n_y"]), period=float(cfg["period"]),
-        bump_center=(float(cfg["bump_x"]), float(cfg["bump_y"])),
-        bump_sigma=float(cfg["bump_sigma"]), record_every=int(cfg["record_every"]))
+        cfg["alpha"], eps_list, cfg["t_final"], equation=equation, dt=cfg["dt"],
+        n_x=cfg["n_x"], x_half=cfg["x_half"], n_y=cfg["n_y"], period=cfg["period"],
+        bump_center=(cfg["bump_x"], cfg["bump_y"]), bump_sigma=cfg["bump_sigma"],
+        record_every=cfg["record_every"])
     outputs = {}
     for eps, rows in zip(eps_list, series):
         name = f"evolve_eps_{eps!r}.csv"
@@ -281,11 +261,9 @@ def _cmd_martinet(cfg, out_dir):
     rows = []
     for k in cfg["k"]:
         for l in cfg["l"]:
-            res = martinet_mode_solve(int(k), int(l), int(cfg["n"]),
-                                      cfg["y_max"] and float(cfg["y_max"]),
-                                      int(cfg["m"]))
+            res = martinet_mode_solve(k, l, cfg["n"], cfg["y_max"], cfg["m"])
             for idx, (lam, r) in enumerate(zip(res.values, res.residuals)):
-                rows.append((int(k), int(l), idx, float(lam), float(r), res.multiplicity))
+                rows.append((k, l, idx, lam, r, res.multiplicity))
     outputs = {"martinet.csv": _write_csv(
         out_dir / "martinet.csv",
         ["k", "l", "n", "lambda", "residual", "multiplicity"], rows)}
@@ -388,6 +366,16 @@ def _fits(val, default):
             and (not isinstance(default, int) or isinstance(val, int) or val.is_integer()))
 
 
+def _typed(val, default):
+    """A value that _fits accepts, in the type of its DEFAULTS entry: an int
+    for an int, a float for a float or None, and each entry of a list alike."""
+    if isinstance(default, list):
+        return [_typed(v, default[0]) for v in val]
+    if isinstance(default, (bool, str)) or val is None:
+        return val
+    return int(val) if isinstance(default, int) else float(val)
+
+
 def _kind(default):
     """The values _fits accepts for this default, in words."""
     if isinstance(default, list):
@@ -411,7 +399,7 @@ def _apply_file_config(sub, cfg, overrides):
             if not _fits(val, default):
                 raise ConfigError(f"{sub}: config key {key!r} takes {_kind(default)}, "
                                   f"got {json.dumps(val)}")
-            cfg[key] = val
+            cfg[key] = _typed(val, default)
         else:
             raise ConfigError(f"{sub}: unknown config key {key!r}")
 
@@ -419,7 +407,7 @@ def _apply_file_config(sub, cfg, overrides):
 def _array_sizes(sub, cfg):
     """The keys sizing each large array of a run -> a lower bound on its float64 entries."""
     def count(key):
-        return max(int(cfg[key]), 0)
+        return max(cfg[key], 0)
 
     sizes = {("n",): count("n")} if sub in ("front", "spectrum", "martinet") else {}
     if sub == "spectrum":  # a row (k, n, lambda, residual) per line
@@ -429,7 +417,7 @@ def _array_sizes(sub, cfg):
     if sub not in ("geodesic", "front", "evolve"):
         return sizes
     try:
-        steps = _step_grid(float(cfg["t_final"]), float(cfg["dt"]), sub)[0]
+        steps = _step_grid(cfg["t_final"], cfg["dt"], sub)[0]
     except ValueError:  # a step grid the run refuses itself
         return sizes
     if sub == "geodesic":  # the table t, x, y, px, py of every step
@@ -503,9 +491,7 @@ def run(argv=None):
         "summary": summary,
         "wall_time_s": time.perf_counter() - started,
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
     return 0
 
 

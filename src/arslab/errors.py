@@ -2,7 +2,8 @@
 
 Every numerical routine raises a subclass of ArslabError so callers (and
 the command line driver) can tell validation problems from numerical
-failures without parsing messages.
+failures without parsing messages.  The usage errors BadGrid and
+OutOfRange are also ValueErrors, as every other bad-input refusal is.
 """
 
 
@@ -23,16 +24,18 @@ class UnsupportedFrame(ArslabError):
     """The operation is not defined for this frame variant."""
 
 
-class BadGrid(ArslabError):
-    """Grid parameters fail a precondition."""
+class BadGrid(ArslabError, ValueError):
+    """Grid parameters fail a precondition; a usage error, so a ValueError."""
 
 
 class ConvergenceFailure(ArslabError):
-    """An iterative solver did not reach its certified tolerance."""
+    """A LAPACK eigensolve failed, or its eigenpairs failed their residual
+    or Sturm-count certificate."""
 
 
-class OutOfRange(ArslabError):
-    """A parameter lies outside the admissible range."""
+class OutOfRange(ArslabError, ValueError):
+    """A parameter lies outside the admissible range; a usage error, so a
+    ValueError."""
 
 
 class FitIllConditioned(ArslabError):
@@ -40,7 +43,8 @@ class FitIllConditioned(ArslabError):
 
 
 class SolverDiverged(ArslabError):
-    """A linear solve failed to converge."""
+    """A Crank-Nicolson factorization or step failed, or its solution
+    failed its residual check."""
 
 
 class Inconclusive(ArslabError):

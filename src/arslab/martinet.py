@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OutOfRange
 from .spectral import assemble_staggered, eigen_solve
 
 __all__ = ["mode_potential", "MartinetModeResult", "martinet_mode_solve"]
@@ -66,10 +67,14 @@ def martinet_mode_solve(k, l, n, y_max=None, m=4):
     at y_max is part of the reported model.  The result's multiplicity
     is the default 2 (two sides of y = 0), not a computed count: the two
     sides decouple only in the eps -> 0 limit of a regularized two-sided
-    operator, where the pairs close at a logarithmic rate.
+    operator, where the pairs close at a logarithmic rate.  Raises
+    OutOfRange unless |k| and |l| are below 2**53, where the potential,
+    computed in floats, still tells each integer apart.
     """
     k = int(k)
     l = int(l)
+    if max(abs(k), abs(l)) >= 2**53:
+        raise OutOfRange(f"martinet_mode_solve: need |k|, |l| < 2**53, got k = {k}, l = {l}")
     if y_max is None:
         y_max = 10.0 / max(abs(l), 1) ** 0.25
     op = assemble_staggered(lambda t: mode_potential(k, l, t), n, y_max)

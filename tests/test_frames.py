@@ -853,6 +853,13 @@ def test_frame_from_config_variants():
     fr = frame_from_config({"variant": "alpha-grushin", "alpha": 1.5})
     assert fr.alpha == 1.5
 
+    # f2 without a scale field is the exact Grushin plane; "zero" names that field
+    fr = frame_from_config({"variant": "f2"})
+    assert fr.is_exact_grushin
+
+    fr = frame_from_config({"variant": "f1", "log_scale": "zero"})
+    assert fr.variant == "f1" and fr.log_scale.is_zero
+
     fr = frame_from_config({"variant": "f2", "log_scale": "gaussian-bump(0.3,0.7)"})
     assert not fr.is_exact_grushin
     assert fr.log_scale.key == gaussian_bump(0.3, 0.7).key

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from arslab.errors import OutOfRange
 from arslab.martinet import martinet_mode_solve, mode_potential
 
 
@@ -59,3 +60,14 @@ def test_result_metadata():
     assert (res.k, res.l, res.n) == (0, 16, 256)
     assert np.all(np.diff(res.values) > 0.0)
     assert res.values.shape == res.residuals.shape == (2,)
+
+
+@pytest.mark.parametrize("k, l", [(2**53, 1), (-2**53, 1), (0, 2**53), (1, -2**53 - 1)])
+def test_mode_solve_refuses_indices_the_floats_cannot_tell_apart(k, l):
+    with pytest.raises(OutOfRange, match=f"martinet_mode_solve: need .* got k = {k}, l = {l}"):
+        martinet_mode_solve(k, l, 400, m=1)
+
+
+def test_mode_solve_takes_the_largest_exact_index():
+    res = martinet_mode_solve(2**53 - 1, 1, 400, m=1)
+    assert res.k == 2**53 - 1 and np.all(np.isfinite(res.values))
