@@ -39,7 +39,7 @@ class OutOfRange(ArslabError, ValueError):
 
 
 class FitIllConditioned(ArslabError):
-    """The two fitting exponents are too close to separate."""
+    """The deficiency probe's exponent gap is below 1e-3, or its integration fails or overflows."""
 
 
 class SolverDiverged(ArslabError):

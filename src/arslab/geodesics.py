@@ -2,7 +2,7 @@
 
 The flow is Hamiltonian on the cotangent bundle with
 
-    H(x, y, px, py) = (px**2 + f(x, y)**2 * py**2) / 2,
+    H(x, y, px, py) = (px**2 + (f(x, y) py)**2) / 2,
 
 integrated with fixed-step RK4.  Unit-speed geodesics live on H = 1/2.
 For the exact Grushin plane (f = x) the two classical families through a
@@ -97,6 +97,11 @@ def _step_grid(T, dt, who):
     return n, T / n
 
 
+def _energy(px, fpy):
+    """H = (px**2 + (f py)**2) / 2 from px and f py, on floats and on arrays."""
+    return 0.5 * (px * px + fpy * fpy)
+
+
 def _hermite(tau, v0, v1, d0, d1, dt):
     h00 = (1.0 + 2.0 * tau) * (1.0 - tau) ** 2
     h10 = tau * (1.0 - tau) ** 2
@@ -138,7 +143,8 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
     frame's fsq_jet each, and the states collect in a flat float buffer.
     Raises StepSizeTooLarge unless the energy drift, recomputed from the
     array evaluator frame.f, is at most 100 * tol_H (a non-finite drift
-    fails), and also when a float evaluation overflows or leaves its domain.
+    fails, naming the first t whose energy is not finite), and also when a
+    float evaluation overflows or leaves its domain.
     Raises ValueError unless dt > 0, T >= 0 and T / dt is finite;
     SingularPoint where f or 1/f is 0 or not finite, or f**2 overflows,
     at the start, unless the start is on the singular line x = 0 of a
@@ -154,7 +160,7 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
         raise ValueError(f"geodesic_flow: need a finite start state, got {tuple(state0)}")
     # f = 0 on the singular line, where _check_start gives None
     f = _check_start(frame, x, y, "geodesic_flow") or 0.0
-    energy = 0.5 * (px * px + (f * py) * (f * py))
+    energy = _energy(px, f * py)
     if not math.isfinite(energy):
         raise SingularPoint(f"geodesic_flow: the energy (px**2 + f**2 py**2) / 2 = {energy} "
                             f"is not finite at the start {(x, y, px, py)}")
@@ -201,12 +207,13 @@ def geodesic_flow(frame, state0, T, dt=1e-4, tol_H=1e-8):
     t_grid = np.linspace(0.0, T, n + 1)
     # a blown-up trajectory makes the drift inf or nan, which the gate rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        fsq = frame.f(states[:, 0], states[:, 1]) ** 2
-        energies = 0.5 * (states[:, 2] ** 2 + fsq * states[:, 3] ** 2)
+        energies = _energy(states[:, 2], frame.f(states[:, 0], states[:, 1]) * states[:, 3])
         drift = float(np.max(np.abs(energies - energies[0])))
     if not drift <= 100.0 * tol_H:
+        bad = np.flatnonzero(~np.isfinite(energies))
+        where = f"; the energy is not finite from t = {t_grid[bad[0]]:.3e}" if bad.size else ""
         raise StepSizeTooLarge(
-            f"geodesic_flow: energy drift {drift:.3e} exceeds {100.0 * tol_H:.3e}; "
+            f"geodesic_flow: energy drift {drift:.3e} exceeds {100.0 * tol_H:.3e}{where}; "
             f"reduce dt below {dt_eff:.3e}")
     return Trajectory(t=t_grid, states=states, crossings=crossings, energy_drift=drift)
 

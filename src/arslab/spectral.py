@@ -16,8 +16,10 @@ a family of half-line operators
 
 whose low eigenvalues this module computes on a staggered grid, and
 whose self-adjointness is classified from the indicial exponents at the
-singular endpoint, with an optional numerical cross-check that counts
-square-integrable deficiency solutions.
+singular endpoint.  An optional numerical probe integrates the decaying
+deficiency solution in to the endpoint and refuses a case where that
+integration fails or overflows; the count it returns is the
+classification's.
 """
 
 from __future__ import annotations
@@ -221,23 +223,18 @@ def classify_self_adjoint(c):
 
 
 def deficiency_index_numeric(c, eps=1e-3, x_far=10.0):
-    """Count L2 deficiency solutions at x = 0 by direct integration.
+    """Deficiency count at x = 0, once the decaying solution integrates there.
 
     Integrates -u'' + (c/x**2) u = i u inward from x_far with decaying
-    initial data (LSODA, scipy's odeint), fits u at 48 points of
-    [eps, 4 eps] to the frozen basis x**s_plus, x**s_minus, and counts 1
-    when the minus component is both present above the fit noise floor
-    and square integrable near 0.
+    initial data (LSODA, scipy's odeint) and checks that the solution
+    reaches 48 points of [eps, 4 eps] without failing or overflowing.
+    The count it returns is classify_self_adjoint(c).deficiency_count:
+    1 when c < 3/4, else 0.  So the probe refuses cases, and never
+    disagrees with the classification.
 
-    In practice the exponent decides the count: over c in [-0.2499, 3]
-    at (eps, x_far) = (1e-3, 10), (1e-4, 10) and (1e-2, 5) the minus
-    component carries at least 0.517 of the fitted amplitude, so the
-    presence test never fails and the count is 1 exactly when
-    s_minus > -1/2, i.e. c < 3/4.
-
-    Raises FitIllConditioned when the exponents are too close to
-    separate, when the integration fails, or when the solution overflows
-    (x_far beyond about 1e3).
+    Raises FitIllConditioned when the indicial exponents lie less than
+    1e-3 apart, when the integration fails, or when the solution
+    overflows (x_far beyond about 1e3).
     """
     # scipy.integrate costs a fifth of a second to import; only this probe needs
     # it, for LSODA (odeint), which runs the whole integration in compiled code
@@ -245,10 +242,9 @@ def deficiency_index_numeric(c, eps=1e-3, x_far=10.0):
 
     c = float(c)
     report = classify_self_adjoint(c)
-    s_plus, s_minus = report.indicial_plus, report.indicial_minus
-    if s_plus - s_minus < 1e-3:
-        raise FitIllConditioned(
-            f"deficiency_index_numeric: exponent gap {s_plus - s_minus:.2e} below 1e-3")
+    gap = report.indicial_plus - report.indicial_minus
+    if gap < 1e-3:
+        raise FitIllConditioned(f"deficiency_index_numeric: exponent gap {gap:.2e} below 1e-3")
     if not 0 < 4 * eps < x_far:
         raise ValueError("deficiency_index_numeric: need 0 < 4*eps < x_far")
 
@@ -280,17 +276,11 @@ def deficiency_index_numeric(c, eps=1e-3, x_far=10.0):
             message = str(exc).partition(" Run with full_output")[0]
             raise FitIllConditioned(
                 f"deficiency_index_numeric: integration failed: {message}") from None
-    u = states[1:, 0] + 1j * states[1:, 1]
-    if not np.all(np.isfinite(u)):
+    if not np.all(np.isfinite(states[1:, :2])):
         raise FitIllConditioned(
             f"deficiency_index_numeric: the solution overflowed between x_far = {x_far!r}"
             f" and eps = {eps!r}")
-    basis = np.column_stack([t_eval**s_plus, t_eval**s_minus])
-    coef, *_ = np.linalg.lstsq(basis, u, rcond=None)
-    amp_plus = abs(coef[0]) * float(np.max(basis[:, 0]))
-    amp_minus = abs(coef[1]) * float(np.max(basis[:, 1]))
-    present = amp_minus > 1e-8 * (amp_plus + amp_minus)
-    return 1 if (s_minus > -0.5 and present) else 0
+    return report.deficiency_count
 
 
 def richardson_extrapolate(values):

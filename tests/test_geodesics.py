@@ -230,6 +230,16 @@ def test_a_start_on_the_line_has_energy_px_squared_over_2():
             geodesic_flow(FrameSpec.alpha_grushin(1.0), (0.0, 0.0, 1.0, py), 0.01)
 
 
+def test_start_and_drift_gate_share_one_energy():
+    # f py = 1e-200 * 1e200 = 1 while f**2 py**2 = 0 * inf: with one form of H
+    # the step-0 energy is the finite start energy, and the gate refuses the
+    # flow only for the first step, which leaves the floats (the orbit's
+    # period is about 1 / py = 1e-200)
+    with pytest.raises(StepSizeTooLarge, match=re.escape(
+            "energy drift nan exceeds 1.000e-06; the energy is not finite from t = 1.000e-04")):
+        geodesic_flow(GRUSHIN, (1e-200, 0.0, 1.0, 1e200), 0.01)
+
+
 @settings(max_examples=60, deadline=None)
 @given(alpha=st.floats(0.5, 3.0), y0=st.floats(-10.0, 10.0), T=st.floats(1e-3, 0.02),
        n=st.integers(8, 11), param_max=st.floats(1e-3, 1e308))

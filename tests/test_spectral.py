@@ -274,7 +274,11 @@ def test_numeric_deficiency_validation():
         deficiency_index_numeric(0.5, eps=3.0, x_far=10.0)
 
 
-_SWEEP_C = [*np.linspace(-0.2499, 3.0, 40).tolist(), 0.7499999, 0.75, 0.7500001]
+# the last entries are the three float neighbours of 3/4 on each side (one
+# spacing apart on both, as 3/4 is no power of 2): the only place where the
+# rule c >= 3/4 and its exponent form s_minus > -1/2 could part in floats
+_SWEEP_C = [*np.linspace(-0.2499, 3.0, 40).tolist(), 0.7499999, 0.75, 0.7500001,
+            *(0.75 + k * float(np.spacing(0.75)) for k in (-3, -2, -1, 1, 2, 3))]
 
 
 @pytest.mark.parametrize("eps, x_far", [(1e-3, 10.0), (1e-4, 10.0), (1e-2, 5.0)])
