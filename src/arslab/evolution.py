@@ -21,7 +21,8 @@ tensor form
     C = kron(C_x, I) + kron(diag(y_coef), R),   M = kron(diag(m_x), I),
 
 with C_x the tridiagonal x-graph Laplacian and R the periodic second
-difference in y.  Only these 1-D pieces are stored; C is never
+difference in y.  Only these 1-D pieces are stored, with the per-cell
+mass Generator.m that the cell-space masses and norms read; C is never
 assembled.  A DFT in y diagonalizes R, with eigenvalues
 mu_q = 2 cos(2 pi q / n_y) - 2, so one Crank-Nicolson step
 
@@ -37,12 +38,13 @@ Because the modes never couple, run_heat and run_schrodinger evolve in
 mode space from start to end: one FFT in y takes the field in, one takes
 it out.  A step is one LAPACK dpttrs / zgttrs call and one banded
 product L w with L = M - c C, which certifies the step (the residual
-L w+ - rhs, in the mass norm) and gives the next right-hand side
-2 M w - L w.  A step whose relative residual or factorization fails
-raises SolverDiverged.  Recorded series rows are read off the mode
-coefficients by Parseval.  The Schrodinger (Cayley) step is unitary in
-the mass inner product, and the heat step conserves mass, both to
-roundoff.  One step is the run to T = dt.
+L w+ - rhs, in the M^{-1} mass norm of the Parseval mode coefficients,
+taken without overflow) and gives the next right-hand side 2 M w - L w.
+A step whose relative residual or factorization fails raises
+SolverDiverged.  Recorded series rows are read off the mode coefficients
+by Parseval.  The Schrodinger (Cayley) step is unitary in the mass inner
+product, and the heat step conserves mass, both to roundoff.  One step
+is the run to T = dt.
 
 eps_sweep runs the same experiment over a shrinking eps sweep for the
 CLI and transmission_study, and transmission_verdict says whether the
@@ -78,6 +80,27 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 # relative mass-norm residual every Crank-Nicolson solve must meet
 _SOLVE_TOL = 1e-10
+
+
+@np.errstate(over="ignore")  # as a decorator it costs half of a with-block per call
+def _weighted_norm(v, weights, squares=None):
+    """sqrt(sum(weights * v**2)) for a float vector v and one weight > 0 per float.
+
+    v is the float view of a real or complex vector, a complex one's real
+    and imaginary parts interleaved; squares, when given, is v * v.  Where
+    that sum leaves the floats, the same sum is taken on v scaled by its
+    largest weighted entry sqrt(weight) |v|, so the norm is inf only where
+    it is beyond the floats itself.  Raises no RuntimeWarning.
+    """
+    total = weights @ (v * v if squares is None else squares)
+    if math.isfinite(total):
+        return math.sqrt(total)
+    scaled = np.sqrt(weights) * np.abs(v)
+    scale = float(scaled.max())
+    if not scale < math.inf:  # a nan or inf in v, or a norm beyond the floats
+        return scale
+    scaled /= scale
+    return math.sqrt(scaled @ scaled) * scale
 
 
 def _int_power(t, eps, p, q):
@@ -149,7 +172,11 @@ class Generator:
         return np.repeat(self.x, self.n_y)
 
     def m_norm(self, u):
-        return math.sqrt(float(np.dot(self.m, np.abs(u) ** 2)))
+        """sqrt(sum m |u|**2) of a real or complex field u, without overflow."""
+        if np.iscomplexobj(u):
+            v = np.ascontiguousarray(u, dtype=complex).view(float)
+            return _weighted_norm(v, np.repeat(self.m, 2))
+        return _weighted_norm(np.asarray(u, dtype=float), self.m)
 
     def total_mass(self, u):
         return complex(np.dot(self.m, u)) if np.iscomplexobj(u) else float(np.dot(self.m, u))
@@ -253,7 +280,7 @@ class _ModeSystem:
     diag: np.ndarray      # (rows,), of L
     coupling: np.ndarray  # (rows - 1,), of L, zero between mode blocks
     two_m: np.ndarray     # (rows,): 2 M_x, so M_x + c K_q = 2 M_x - L
-    weight: np.ndarray    # (rows,): Parseval weight / m_x, the M^{-1} norm
+    weight: np.ndarray    # per float of w: Parseval weight / m_x, the M^{-1} norm
     energy: np.ndarray    # per float of w: Parseval weight * m_x / n_y, the M norm
     sides: np.ndarray     # weights of mass_left, mass_right: (2, n_x + 1) or (2, floats of w)
     lu: tuple             # factorization, as ?trs takes it
@@ -288,15 +315,16 @@ class _ModeSystem:
             raise SolverDiverged(f"LAPACK ?trs failed with info={info}")
         return x
 
-    def norm(self, v):
-        return math.sqrt(np.vdot(v, self.weight * v).real)
+    def norm(self, w):
+        """The certificate's M^{-1} mass norm of mode coefficients w."""
+        return _weighted_norm(w.view(float), self.weight)
 
     def record(self, t, w):
         """(t, mass_left, mass_right, norm) of the field, by Parseval."""
         v = w.view(float)  # complex: real and imaginary parts interleaved
-        sq = v * v
+        sq = None if self.real else v * v
         left, right = self.sides @ (v[:self.sides.shape[1]] if self.real else sq)
-        return (t, float(left), float(right), math.sqrt(self.energy @ sq))
+        return (t, float(left), float(right), _weighted_norm(v, self.energy, sq))
 
 
 def _mode_system(gen, c):
@@ -317,6 +345,7 @@ def _mode_system(gen, c):
     # a real mode 0 < q < n_y / 2 stands for q and n_y - q
     parseval = np.where(real & (q > 0) & (2 * q < n_y), 2.0, 1.0)
     energy = (parseval[:, None] / n_y * gen.m_x).reshape(-1)
+    weight = (parseval[:, None] / gen.m_x).reshape(-1)
     x = gen.x
     if real:
         # heat masses are linear in u: m_x times the q = 0 cosine coefficient,
@@ -326,10 +355,9 @@ def _mode_system(gen, c):
         # Schrodinger masses weigh |u|**2 like the norm, by side
         x = np.tile(x, n_y)
         sides = np.repeat(np.where([x < 0.0, x > 0.0], energy, 0.0), 2, axis=1)
-        energy = np.repeat(energy, 2)
+        energy, weight = np.repeat(energy, 2), np.repeat(weight, 2)
     return _ModeSystem(real=real, n_y=n_y, diag=diag, coupling=coupling,
-                       two_m=np.tile(2.0 * gen.m_x, n_y),
-                       weight=(parseval[:, None] / gen.m_x).reshape(-1),
+                       two_m=np.tile(2.0 * gen.m_x, n_y), weight=weight,
                        energy=energy, sides=sides, lu=tuple(lu),
                        trs=lapack.dpttrs if real else lapack.zgttrs)
 
@@ -344,7 +372,8 @@ def _evolve(gen, state, T, dt, half, who, record_every=0):
     Each step makes one banded product L w with L = M - c C: the residual
     check r = L w+ - rhs uses it, and the next right-hand side
     rhs = 2 M w - L w reuses it.  Raises SolverDiverged unless every
-    step's relative residual in the mass norm is at most _SOLVE_TOL.  With
+    step's relative residual is at most _SOLVE_TOL in the M^{-1} mass norm
+    of the Parseval mode coefficients, taken without overflow.  With
     record_every, the (t, mass_left, mass_right, norm) rows of the start,
     of every record_every-th step and of the last step are returned too.
     Raises ValueError, naming who, unless dt > 0, T >= 0 and T / dt is finite.
@@ -395,7 +424,7 @@ def run_schrodinger(gen, state, T, dt, *, record_every=0):
 def transmitted_fraction(gen, u):
     """sum_{x > 0} m u  /  sum m u."""
     right = gen.x_of_cells() > 0.0
-    return float(np.dot(gen.m[right], u[right])) / float(np.dot(gen.m, u))
+    return float(np.dot(gen.m[right], u[right])) / gen.total_mass(u)
 
 
 def transmission_verdict(fractions):

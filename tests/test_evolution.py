@@ -1,6 +1,8 @@
 import dataclasses
+import decimal
 import math
 import re
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -396,6 +398,69 @@ def test_failed_solve_raises(monkeypatch, run, solve):
     monkeypatch.setattr(evolution.lapack, solve, _failing_solve(solve))
     with pytest.raises(SolverDiverged, match=r"LAPACK \?trs failed with info=-1"):
         run(gen, state, 5e-3, 1e-3)
+
+
+# at alpha = 300 the cell masses near x = 0 reach about 1e300, so a squared
+# right-hand side leaves the floats and the step gate must not read an inf norm
+@pytest.mark.parametrize("run", [run_heat, run_schrodinger])
+@pytest.mark.parametrize("alpha", [300.0, 1.0])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_a_perturbed_solve_fails_the_step_gate(monkeypatch, run, alpha, perturbed):
+    gen = assemble_generator(alpha, 0.1, n_x=20, n_y=4)
+    state = gaussian_bump_state(gen, (-1.0, math.pi), 0.3)
+    if not perturbed:
+        got, _ = run(gen, state, 0.5, 1e-3)
+        assert np.all(np.isfinite(got.u))
+        return
+    solve = evolution._ModeSystem.solve
+    monkeypatch.setattr(evolution._ModeSystem, "solve",
+                        lambda self, rhs: solve(self, rhs) * (1.0 + 1e-6))
+    with pytest.raises(SolverDiverged, match="relative residual"):
+        run(gen, state, 0.5, 1e-3)
+
+
+def _exact_norm(v, w):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return sum((decimal.Decimal(float(a)) * decimal.Decimal(float(b)) ** 2
+                    for a, b in zip(w, v)), decimal.Decimal(0)).sqrt()
+
+
+def _float_view(parts, complex_):
+    """A float vector from parts, as is, or as the float view of a complex one."""
+    v = np.array(parts, dtype=float)
+    return (v[:v.size // 2 * 2].view(complex) if complex_ else v).view(float)
+
+
+# no part below 1e-100 in size but 0, so no weighted square is subnormal
+_FLOAT_PARTS = st.lists(st.just(0.0) | st.floats(1e-100, 1e100) | st.floats(-1e100, -1e-100),
+                        min_size=2, max_size=30)
+_WEIGHTS = st.lists(st.floats(1e-30, 1e30), min_size=30, max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=_FLOAT_PARTS, weights=_WEIGHTS, complex_=st.booleans())
+def test_weighted_norm_matches_its_sum_where_finite(parts, weights, complex_):
+    v = _float_view(parts, complex_)
+    w = np.array(weights[:v.size])
+    assert evolution._weighted_norm(v, w) == pytest.approx(
+        math.sqrt(np.sum(w * v * v)), rel=1e-15, abs=0.0)
+    assert evolution._weighted_norm(np.zeros_like(v), w) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.floats(0.5, 2.0) | st.floats(-2.0, -0.5), min_size=2, max_size=30),
+       complex_=st.booleans())
+def test_weighted_norm_beyond_the_floats_of_its_sum(parts, complex_):
+    v = _float_view(parts, complex_) * 1e200
+    w = np.ones(v.size)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.sum(w * v * v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evolution._weighted_norm(v, w)
+    assert math.isfinite(got)
+    assert abs(decimal.Decimal(got) / _exact_norm(v, w) - 1) <= decimal.Decimal("1e-15")
 
 
 @pytest.mark.parametrize("fractions, verdict", [
