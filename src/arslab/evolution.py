@@ -82,7 +82,6 @@ _TWO_PI = 2.0 * math.pi
 _SOLVE_TOL = 1e-10
 
 
-@np.errstate(over="ignore")  # as a decorator it costs half of a with-block per call
 def _weighted_norm(v, weights, squares=None):
     """sqrt(sum(weights * v**2)) for a float vector v and one weight > 0 per float.
 
@@ -90,7 +89,9 @@ def _weighted_norm(v, weights, squares=None):
     and imaginary parts interleaved; squares, when given, is v * v.  Where
     that sum leaves the floats, the same sum is taken on v scaled by its
     largest weighted entry sqrt(weight) |v|, so the norm is inf only where
-    it is beyond the floats itself.  Raises no RuntimeWarning.
+    it is beyond the floats itself.  Its callers hold
+    np.errstate(over="ignore"), _evolve once per run, so that a sum that
+    overflows raises no RuntimeWarning.
     """
     total = weights @ (v * v if squares is None else squares)
     if math.isfinite(total):
@@ -173,10 +174,11 @@ class Generator:
 
     def m_norm(self, u):
         """sqrt(sum m |u|**2) of a real or complex field u, without overflow."""
-        if np.iscomplexobj(u):
-            v = np.ascontiguousarray(u, dtype=complex).view(float)
-            return _weighted_norm(v, np.repeat(self.m, 2))
-        return _weighted_norm(np.asarray(u, dtype=float), self.m)
+        with np.errstate(over="ignore"):
+            if np.iscomplexobj(u):
+                v = np.ascontiguousarray(u, dtype=complex).view(float)
+                return _weighted_norm(v, np.repeat(self.m, 2))
+            return _weighted_norm(np.asarray(u, dtype=float), self.m)
 
     def total_mass(self, u):
         return complex(np.dot(self.m, u)) if np.iscomplexobj(u) else float(np.dot(self.m, u))
@@ -380,23 +382,26 @@ def _evolve(gen, state, T, dt, half, who, record_every=0):
     """
     n, dt = _step_grid(T, dt, who)
     system = _mode_system(gen, half * dt)
-    w = system.to_modes(state.u)
-    lw = system.apply(w)
-    t = state.t
-    series = [system.record(t, w)] if record_every else []
-    for k in range(n):
-        rhs = system.two_m * w
-        rhs -= lw
-        w = system.solve(rhs)
+    # one errstate for every _weighted_norm of the run
+    with np.errstate(over="ignore"):
+        w = system.to_modes(state.u)
         lw = system.apply(w)
-        residual = system.norm(lw - rhs)
-        b_norm = system.norm(rhs)
-        if not residual <= _SOLVE_TOL * b_norm:
-            raise SolverDiverged(f"{who}: relative residual {residual / max(b_norm, 1e-300):.3g} "
-                                 f"exceeds tol={_SOLVE_TOL}")
-        t = t + dt
-        if record_every and ((k + 1) % record_every == 0 or k == n - 1):
-            series.append(system.record(t, w))
+        t = state.t
+        series = [system.record(t, w)] if record_every else []
+        for k in range(n):
+            rhs = system.two_m * w
+            rhs -= lw
+            w = system.solve(rhs)
+            lw = system.apply(w)
+            residual = system.norm(lw - rhs)
+            b_norm = system.norm(rhs)
+            if not residual <= _SOLVE_TOL * b_norm:
+                raise SolverDiverged(f"{who}: relative residual "
+                                     f"{residual / max(b_norm, 1e-300):.3g} "
+                                     f"exceeds tol={_SOLVE_TOL}")
+            t = t + dt
+            if record_every and ((k + 1) % record_every == 0 or k == n - 1):
+                series.append(system.record(t, w))
     return EvolutionState(u=system.from_modes(w), t=t), series
 
 

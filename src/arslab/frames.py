@@ -30,7 +30,7 @@ import math
 import numbers
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,32 +67,26 @@ class ScalarField:
     pointwise loops (geodesic RK4, crossings) call it.  is_zero
     marks the identically-zero field so callers can take exact shortcuts.
 
-    key is (constructor, args) for a field made by scalar_zero or
-    gaussian_bump, the two that FrameSpec dispatches on: f skips the zero
-    field, and fsq_jet reads a bump's parameters from it.  Any other
-    field, and a copy made with dataclasses.replace, has key None.
+    FrameSpec picks its fast paths by the evaluator each one replaces:
+    f skips scalar_zero's derivs, and fsq_jet takes the fused f2 closure
+    that gaussian_bump attaches to its jet as jet.f2_fsq_jet.  A copy made
+    with dataclasses.replace keeps a fast path exactly while it keeps
+    that evaluator.
     """
 
     derivs: Callable
     jet: Callable
     is_zero: bool = False
-    key: Optional[tuple] = field(default=None, init=False)
 
 
-def _keyed(fld, make, *args):
-    """fld with key (make, args), for FrameSpec to dispatch on."""
-    object.__setattr__(fld, "key", (make, args))
-    return fld
+def _zero_derivs(x, y):
+    z = np.zeros_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
+    return z, z, z, z, z
 
 
 def scalar_zero():
     """The identically-zero scalar field."""
-    def derivs(x, y):
-        z = np.zeros_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
-        return z, z, z, z, z
-
-    return _keyed(ScalarField(derivs=derivs, jet=lambda x, y: (0.0, 0.0, 0.0), is_zero=True),
-                  scalar_zero)
+    return ScalarField(derivs=_zero_derivs, jet=lambda x, y: (0.0, 0.0, 0.0), is_zero=True)
 
 
 def gaussian_bump(amplitude, sigma):
@@ -140,7 +134,23 @@ def gaussian_bump(amplitude, sigma):
         v = a * exp(-(x * x) / two_s2) * exp((cos(u) - 1.0) / s2)
         return v, -(x / s2) * v, -(sin(u) / s2) * v
 
-    return _keyed(ScalarField(derivs=derivs, jet=jet, is_zero=(a == 0.0)), gaussian_bump, a, sg)
+    # FrameSpec.f2(this field).fsq_jet in one call: jet inlined into f2_jet's
+    # chain with y - pi formed once; every other float operation, and each
+    # math call that can raise, is the chain's in the chain's order.  Only f2
+    # has a fused form: perfbench's fan workload integrates f2 over a bump;
+    # f1 over a bump takes jet, then f1_jet.
+    def f2_bump_jet(x, y):
+        u = y - pi
+        s = a * exp(-(x * x) / two_s2) * exp((cos(u) - 1.0) / s2)
+        s_x = -(x / s2) * s
+        s_y = -(sin(u) / s2) * s
+        e = exp(s)
+        f = x * e
+        fsq = f * f
+        return fsq, f * ((1.0 + x * s_x) * e), fsq * s_y
+
+    jet.f2_fsq_jet = f2_bump_jet
+    return ScalarField(derivs=derivs, jet=jet, is_zero=(a == 0.0))
 
 
 def _polyder2d(c, axis):
@@ -261,15 +271,16 @@ class FrameSpec:
     def f(self, x, y):
         """f at float or array points: derivs(x, y)[0]'s floats, broadcast alike.
 
-        Over scalar_zero, f = x * exp(0) (f2) or exp(0) (f1), and
-        exp(0) = 1 exactly, so the field is not evaluated.
+        Over scalar_zero's derivs, f = x * exp(0) (f2) or exp(0) (f1), and
+        exp(0) = 1 exactly, so the field is not evaluated.  is_zero does not
+        pick this shortcut: a zero polynomial_field gives nan at x = +-inf.
         """
         if self.variant == VARIANT_ALPHA:
             x = np.broadcast_arrays(np.asarray(x, dtype=float), y)[0]
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 return np.abs(x) ** self.alpha
         x = np.asarray(x, dtype=float)
-        if self.log_scale.key == (scalar_zero, ()):
+        if self.log_scale.derivs is _zero_derivs:
             x = np.broadcast_arrays(x, y)[0]
             # x * 1.0 is x, in a fresh array as derivs returns
             return x * 1.0 if self.variant == VARIANT_F2 else np.ones_like(x)
@@ -307,9 +318,10 @@ class FrameSpec:
         variant and scale field, so a call makes no dispatch:
           - the exact Grushin plane (a zero field, a zero-amplitude bump
             included) returns (x*x, x, 0.0) without the field;
-          - f2 over a gaussian_bump evaluates field and frame in one call,
-            _f2_bump_jet, with the floats, and the OverflowError or
-            ValueError of a blown-up state, of the two-call chain below;
+          - f2 over a field whose jet carries a fused closure, jet.f2_fsq_jet
+            (gaussian_bump's), returns it: field and frame in one call, with
+            the floats, and the OverflowError or ValueError of a blown-up
+            state, of the two-call chain below;
           - f1 over any field, and f2 over any other field, call the
             field's jet, then the chain;
           - alpha-grushin has its constants bound.
@@ -338,10 +350,9 @@ class FrameSpec:
                 return x * x, x, 0.0
 
             return grushin_jet
-        key = self.log_scale.key
-        if self.variant == VARIANT_F2 and key is not None and key[0] is gaussian_bump:
-            return _f2_bump_jet(*key[1])
         scale_jet, exp = self.log_scale.jet, math.exp
+        if self.variant == VARIANT_F2 and hasattr(scale_jet, "f2_fsq_jet"):
+            return scale_jet.f2_fsq_jet
         if self.variant == VARIANT_F1:
             def f1_jet(x, y):
                 s, s_x, s_y = scale_jet(x, y)
@@ -359,32 +370,6 @@ class FrameSpec:
             return fsq, f * ((1.0 + x * s_x) * e), fsq * s_y
 
         return f2_jet
-
-
-def _f2_bump_jet(a, sg):
-    """fsq_jet of an f2 frame over gaussian_bump(a, sg), one call per point.
-
-    The bump's jet inlined into f2_jet's chain with y - pi formed once;
-    every other float operation, and each math call that can raise, is
-    the chain's in the chain's order.  Only f2 has a fused form, as f2 over
-    a bump is what perfbench's fan workload integrates; f1 over a bump
-    takes the field's jet, then f1_jet.
-    """
-    s2 = sg ** 2
-    two_s2 = 2 * s2
-    exp, cos, sin, pi = math.exp, math.cos, math.sin, math.pi
-
-    def f2_bump_jet(x, y):
-        u = y - pi
-        s = a * exp(-(x * x) / two_s2) * exp((cos(u) - 1.0) / s2)
-        s_x = -(x / s2) * s
-        s_y = -(sin(u) / s2) * s
-        e = exp(s)
-        f = x * e
-        fsq = f * f
-        return fsq, f * ((1.0 + x * s_x) * e), fsq * s_y
-
-    return f2_bump_jet
 
 
 @dataclass(frozen=True)

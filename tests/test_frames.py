@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from scipy.integrate import quad
 
-from arslab.frames import _f2_bump_jet, _polyder2d
+from arslab.frames import _polyder2d
 
 from arslab import (
     FrameSpec,
@@ -320,7 +320,7 @@ def test_jet_matches_array_evaluators(x, y, amplitude, sigma, coeffs):
         jet = field.jet(x, y)
         assert all(type(v) is float for v in jet)
         want = tuple(float(d) for d in field.derivs(x, y)[:3])
-        assert all(_close(g, w) for g, w in zip(jet, want)), (field.key, jet, want)
+        assert all(_close(g, w) for g, w in zip(jet, want)), (field, jet, want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -396,21 +396,31 @@ def test_equal_frames_compare_and_hash_equal_once_resolved():
     assert FrameSpec.alpha_grushin(1.5) != FrameSpec.alpha_grushin(0.4)
 
 
-def test_built_fields_keep_their_dispatch_key_and_copies_do_not():
-    assert scalar_zero().key == (scalar_zero, ())
-    assert gaussian_bump(0.3, 1).key == (gaussian_bump, (0.3, 1.0))
-    assert polynomial_field([[1.0, 2.0]]).key is None
-    # a copied field forgets its key and takes the generic chain
+def test_fast_paths_follow_the_evaluator_they_replace():
     bump = gaussian_bump(0.3, 0.7)
+    assert FrameSpec.f2(bump).fsq_jet is bump.jet.f2_fsq_jet
+    assert FrameSpec.f1(bump).fsq_jet.__name__ == "f1_jet"
+    assert FrameSpec.f2(polynomial_field([[1.0, 2.0]])).fsq_jet.__name__ == "f2_jet"
+    # a copy with another jet drops the fused closure and takes the generic chain
     copied = dataclasses.replace(bump, jet=lambda x, y: (0.0, 0.0, 0.0))
-    assert copied.key is None
     assert FrameSpec.f2(copied).fsq_jet.__name__ == "f2_jet"
     assert FrameSpec.f2(copied).fsq_jet(0.5, 0.2) == (0.25, 0.5, 0.0)
+    # a copy with other derivs keeps it: the closure stands in for the jet alone
+    copied = dataclasses.replace(bump, derivs=scalar_zero().derivs)
+    assert FrameSpec.f2(copied).fsq_jet is bump.jet.f2_fsq_jet
+    # a zero field with other derivs loses f's shortcut and evaluates them
+    other = dataclasses.replace(scalar_zero(), derivs=polynomial_field([[0.5]]).derivs)
+    for variant, shortcut in (("f1", 1.0), ("f2", 2.0)):
+        frame = FrameSpec(variant, log_scale=other)
+        assert frame.f(2.0, 0.0) == frame.derivs(2.0, 0.0)[0] != shortcut
 
 
 def _chain_frame(variant, field):
-    """The same field without its key: fsq_jet calls field.jet, then the frame's chain."""
-    return FrameSpec(variant, log_scale=ScalarField(derivs=field.derivs, jet=field.jet))
+    """The same field behind a wrapped jet: fsq_jet calls it, then the frame's chain."""
+    frame = FrameSpec(variant, log_scale=ScalarField(derivs=field.derivs,
+                                                     jet=lambda x, y: field.jet(x, y)))
+    assert frame.fsq_jet.__name__ == f"{variant}_jet"
+    return frame
 
 
 def _outcome(jet, x, y):
@@ -458,8 +468,9 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 @example(x=0.1, y=math.pi, amplitude=800.0, sigma=0.7)
 def test_fused_bump_jet_is_the_chain_bit_for_bit(x, y, amplitude, sigma):
     # the fused closure itself: an f2 frame over a zero bump takes the Grushin one
-    fused = _f2_bump_jet(amplitude, sigma)
-    chain = _chain_frame("f2", gaussian_bump(amplitude, sigma)).fsq_jet
+    field = gaussian_bump(amplitude, sigma)
+    fused = field.jet.f2_fsq_jet
+    chain = _chain_frame("f2", field).fsq_jet
     assert _outcome(fused, x, y) == _outcome(chain, x, y)
 
 
@@ -862,7 +873,9 @@ def test_frame_from_config_variants():
 
     fr = frame_from_config({"variant": "f2", "log_scale": "gaussian-bump(0.3,0.7)"})
     assert not fr.is_exact_grushin
-    assert fr.log_scale.key == gaussian_bump(0.3, 0.7).key
+    assert fr.fsq_jet is fr.log_scale.jet.f2_fsq_jet
+    for x, y in ((0.4, 3.0), (-1.2, 0.5)):  # the parsed bump's floats
+        assert _bits(fr.fsq_jet(x, y)) == _bits(gaussian_bump(0.3, 0.7).jet.f2_fsq_jet(x, y))
 
     fr = frame_from_config({"variant": "f1", "log_scale": [[0.1], [0.2]]})
     x, y = np.array([0.0, 0.4, -1.5]), np.array([0.3, -2.0, 1.0])
