@@ -150,7 +150,7 @@ class Generator:
     """A = M^{-1} C, symmetric in the mass inner product, A 1 = 0.
 
     C = kron(C_x, I) + kron(diag(y_coef), R) and M = kron(diag(m_x), I),
-    where C_x is tridiagonal with diagonal x_diag and off-diagonal x_off
+    where C_x is tridiagonal with off-diagonal x_off and zero row sums
     and R is the periodic second difference in y.  Cells, the nodes x times
     n_y periodic y-nodes, are ordered x-major: a field reshapes to (x.size, n_y).
     """
@@ -161,7 +161,6 @@ class Generator:
     period: float
     m: np.ndarray       # per cell: m_x repeated over y
     m_x: np.ndarray     # per x-node: cell integral of w_eps, times h_y
-    x_diag: np.ndarray  # -(x-edge conductances at each node)
     x_off: np.ndarray   # per x-edge: 1 / integral of 1/w_eps, times h_y
     y_coef: np.ndarray  # per x-node: cell integral of f**2 w_eps, over h_y
 
@@ -222,9 +221,8 @@ def assemble_generator(alpha, eps, *, n_x=400, x_half=3.0, n_y=64, period=_TWO_P
     if not np.all(np.isfinite(np.concatenate((m_x, x_off, y_coef)))):
         raise BadGrid(f"assemble_generator: the weights on |x| <= x_half = {x_half} "
                       f"leave the floats at eps={eps}, alpha={alpha}")
-    x_diag = -np.append(x_off, 0.0) - np.append(0.0, x_off)
     return Generator(x=x, h=h, n_y=int(n_y), period=float(period), m=np.repeat(m_x, n_y),
-                     m_x=m_x, x_diag=x_diag, x_off=x_off, y_coef=y_coef)
+                     m_x=m_x, x_off=x_off, y_coef=y_coef)
 
 
 @dataclass
@@ -335,7 +333,8 @@ def _mode_system(gen, c):
     real = isinstance(c, float)
     q = np.r_[:n_y // 2 + 1, 1:(n_y + 1) // 2] if real else np.arange(n_y)  # cosines, then sines
     mu = 2.0 * np.cos(_TWO_PI * q / n_y) - 2.0
-    diag = (gen.m_x - c * (gen.x_diag + mu[:, None] * gen.y_coef)).reshape(-1)
+    x_diag = -np.append(gen.x_off, 0.0) - np.append(0.0, gen.x_off)
+    diag = (gen.m_x - c * (x_diag + mu[:, None] * gen.y_coef)).reshape(-1)
     coupling = np.tile(np.append(-c * gen.x_off, 0.0), n_y)[:-1]
     kind = "dpt" if real else "zgt"
     if real:

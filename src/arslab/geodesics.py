@@ -283,9 +283,10 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4):
     momentum px = +-1.
 
     Endpoints come from the closed forms exactly when the frame is the
-    exact Grushin plane, otherwise from RK4 integration.  Raises
-    ValueError unless n >= 8, the start is finite and T and param_max
-    are finite and positive and, from a singular start, 2 * param_max
+    exact Grushin plane, otherwise from RK4 integration; at T = 0 they
+    are the start.  Raises ValueError unless n >= 8, dt > 0, T >= 0 and
+    T / dt is finite (closed form or not), the start is finite, param_max
+    is finite and positive and, from a singular start, 2 * param_max
     and, for the closed form, its divisor 4 * param_max**2 are finite; SingularPoint
     at a Riemannian start where f or 1/f is 0 or not finite or f**2
     overflows, and at a singular start where f * f_x is infinite
@@ -293,8 +294,7 @@ def front(frame, start, T, n, *, param_max=15.0, dt=1e-4):
     """
     if n < 8:
         raise ValueError("front: need n >= 8 parameters")
-    if not 0 < T < math.inf:
-        raise ValueError(f"front: need finite T > 0, got {T}")
+    _step_grid(T, dt, "front")
     if not 0 < param_max < math.inf:
         raise ValueError(f"front: need finite param_max > 0, got {param_max}")
     x0, y0 = float(start[0]), float(start[1])

@@ -577,18 +577,25 @@ _BUMP_FRONT = ["front", "--variant", "f2", "--log-scale", "gaussian-bump(0.3,0.7
     (["geodesic", "--dt", "1e-320", "--t-final", "0.01"], "geodesic_flow: T / dt = 0.01 / 1e-320"),
     (["geodesic", "--dt", "nan"], "geodesic_flow: dt must be positive, got nan"),
     (["geodesic", "--t-final", "nan"], "geodesic_flow: T must be non-negative, got nan"),
-    ([*_BUMP_FRONT, "--t-final", "inf"], "front: need finite T > 0, got inf"),
-    ([*_BUMP_FRONT, "--t-final", "0.01", "--dt", "nan"], "geodesic_flow: dt must be positive"),
-    (["front", "--t-final", "nan"], "front: need finite T > 0, got nan"),
+    ([*_BUMP_FRONT, "--t-final", "inf"], "front: T / dt = inf / 0.0001 is not a finite"),
+    ([*_BUMP_FRONT, "--t-final", "0.01", "--dt", "nan"], "front: dt must be positive"),
+    (["front", "--t-final", "nan"], "front: T must be non-negative, got nan"),
     ([*_FAST_EVOLVE, "--t-final", "inf"], "run_heat: T / dt = inf / 0.001 is not a finite"),
     ([*_FAST_EVOLVE, "--t-final", "1e300", "--dt", "1e-300"], "run_heat: T / dt"),
     ([*_FAST_EVOLVE, "--equation", "schrodinger", "--t-final", "inf"], "run_schrodinger: T / dt"),
+    # the closed-form Grushin fan takes no steps, but its dt is checked as for any fan
+    (["front", "--n", "8", "--dt", "0"], "front: dt must be positive"),
+    (["front", "--n", "8", "--dt", "-1"], "front: dt must be positive"),
+    (["front", "--n", "8", "--dt", "nan"], "front: dt must be positive"),
+    (["front", "--n", "8", "--t-final", "1e305"],
+     "front: T / dt = 1e+305 / 0.0001 is not a finite step count"),
 ])
 def test_step_count_that_is_not_finite_is_a_usage_error(tmp_path, capsys, argv, named):
     code, err = cli([*argv, "--out-dir", str(tmp_path)], capsys)
     assert code == 2
     assert named in err
     assert not (tmp_path / "manifest.json").exists()
+    assert not (tmp_path / "front.csv").exists()
 
 
 def _step_counts():

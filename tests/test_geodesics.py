@@ -262,9 +262,21 @@ def test_singular_front_on_an_integrated_frame_refuses_or_returns_finite_endpoin
 def test_front_validation():
     with pytest.raises(ValueError):
         front(GRUSHIN, (-1.0, 0.0), 1.0, 7)
-    with pytest.raises(ValueError):
-        front(GRUSHIN, (-1.0, 0.0), 0.0, 8)
     # the closed forms too, which would give nan endpoints
-    for T in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="front: need finite T > 0"):
+    for T, words in ((math.inf, "T / dt = inf / 0.0001 is not a finite step count"),
+                     (math.nan, "T must be non-negative, got nan")):
+        with pytest.raises(ValueError, match=re.escape(f"front: {words}")):
             front(GRUSHIN, (-1.0, 0.0), T, 8)
+
+
+@pytest.mark.parametrize("frame, start", [
+    (GRUSHIN, (-1.0, 0.0)),
+    (GRUSHIN, (0.0, 1.0)),
+    (FrameSpec.f2(gaussian_bump(0.3, 0.7)), (-1.0, 0.5)),
+], ids=["closed-form-riemannian", "closed-form-singular", "integrated-f2-bump"])
+def test_front_at_time_zero_is_its_start(frame, start):
+    # as geodesic_flow at T = 0 returns its start state; == because the -1
+    # family of the singular fan ends at x = -0.0
+    fan = front(frame, start, 0.0, 8)
+    assert fan.provenance == ("closed-form" if frame is GRUSHIN else "integrated")
+    assert np.all(fan.endpoints == np.array(start))
