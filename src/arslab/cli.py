@@ -136,8 +136,7 @@ def _write_csv(path, columns, rows):
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return {"columns": None, "rows": None}
 
 

@@ -29,8 +29,8 @@ class BadGrid(ArslabError, ValueError):
 
 
 class ConvergenceFailure(ArslabError):
-    """A LAPACK eigensolve failed, or its eigenpairs failed their residual
-    or Sturm-count certificate."""
+    """A LAPACK eigensolve failed, or its eigenpairs failed their residual,
+    orthogonality or Sturm-count certificate."""
 
 
 class OutOfRange(ArslabError, ValueError):

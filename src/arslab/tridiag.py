@@ -6,14 +6,18 @@ certified before it is returned:
 
 - each eigenvalue is the Rayleigh quotient of its unit eigenvector;
 - each residual ||A v - lambda v||_2 is at most 1e-8 * ||A||_inf;
-- one Sturm-sequence sweep (count_below), independent of LAPACK, finds no
-  eigenvalue below the first returned value and at least m up to the
-  last, so none below lambda_m was skipped.
+- the vectors are orthonormal to delta = ||V^T V - I||_F <= 1e-8, so
+  Kahan's residual theorem puts m eigenvalues near the m values;
+- the Sturm count below the first value, widened by a slack, is 0: the
+  pivots of LAPACK's LDL^T factorization (pttrf) of A - shift I are the
+  Sturm sequence, and all are positive, so no eigenvalue was skipped.
 
 A failed check raises ConvergenceFailure.  LAPACK's bisection and inverse
-iteration are deterministic, so reruns give identical bits.
+iteration are deterministic, so reruns give identical bits.  count_below,
+a Python Sturm sweep at any shifts, is the independent reference for the
+pivot test.
 
-LAPACK and the Sturm sweep both see A / ||A||_inf: they square the
+LAPACK and the Sturm sweeps see A / ||A||_inf: they square the
 off-diagonals, which on a matrix of tiny norm would underflow and
 decouple rows that are not decoupled.
 """
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf
 
 from .errors import ConvergenceFailure
 
@@ -32,6 +37,8 @@ __all__ = ["EigenResult", "count_below", "lowest_eigenpairs"]
 _TINY = 1e-300
 # certified residual bound, relative to ||A||_inf
 _RESIDUAL_TOL = 1e-8
+# certified bound on ||V^T V - I||_F
+_ORTHO_TOL = 1e-8
 
 
 @dataclass
@@ -91,16 +98,40 @@ def _matvec(diag, off, v):
     return out
 
 
+def _nonpositive_pivot(diag, off, shift, norm):
+    """1 + the index of the first pivot of (A - shift I) / norm that is
+    not positive, or 0 when all are, which means no eigenvalue below shift.
+
+    The LDL^T pivots are the Sturm sequence, so 0 agrees with
+    count_below(diag, off, shift) == 0 up to the one-ulp ambiguity at an
+    eigenvalue.  scipy's dpttrf refuses n = 1; its one pivot is read here.
+    """
+    d = diag / norm - shift / norm
+    if d.size == 1:
+        return 0 if d[0] > 0.0 else 1
+    return dpttrf(d, off / norm, overwrite_d=True, overwrite_e=True)[2]
+
+
 def lowest_eigenpairs(diag, off, m):
     """The m smallest eigenpairs with certified residuals.
 
     The vectors come from LAPACK; each reported eigenvalue is the Rayleigh
-    quotient of its normalized vector.  ConvergenceFailure is raised when
-    a residual exceeds 1e-8 * ||A||_inf, or when the Sturm count
-    shows an eigenvalue below the first value or fewer than m up to the
-    last one.  The count is taken at the values widened by the summed
-    residuals (which bound how far the Ritz values of orthonormal vectors
-    can sit from the spectrum) plus a rounding allowance.
+    quotient of its normalized vector.  With slack the summed residuals
+    plus a rounding allowance n * eps * ||A||_inf, and delta =
+    ||V^T V - I||_F, the solve certifies:
+
+    - below: no eigenvalue lies below values[0] - slack;
+    - above: at least m eigenvalues lie at or below values[-1] +
+      (1 + 2 delta) (sum of residuals + delta ||A||_inf), to first order
+      values[-1] + slack + delta ||A||_inf.  By Kahan's theorem (Parlett,
+      The Symmetric Eigenvalue Problem, ch. 11) m orthonormal vectors Q
+      put m eigenvalues within ||A Q - Q diag(values)||_2 of the values;
+      for Q = V (V^T V)^(-1/2) and delta <= 1e-2 that norm is at most
+      the widening above.
+
+    ConvergenceFailure is raised when a residual exceeds
+    1e-8 * ||A||_inf, when delta exceeds 1e-8, or when the Sturm count
+    below values[0] - slack is not 0.
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
@@ -126,11 +157,20 @@ def lowest_eigenpairs(diag, off, m):
             f"lowest_eigenpairs: pair {worst} residual {residuals[worst]:.3e} above "
             f"{_RESIDUAL_TOL:.1e} * ||A|| = {_RESIDUAL_TOL * norm_bound:.3e}")
 
-    slack = float(np.sum(residuals)) + diag.size * np.finfo(float).eps * norm_bound
-    below, up_to = count_below(diag, off, [values[0] - slack, values[-1] + slack])
-    if below != 0 or up_to < m:
+    gram = vectors.T @ vectors
+    gram[np.diag_indices(m)] -= 1.0
+    delta = float(np.linalg.norm(gram))
+    if not delta <= _ORTHO_TOL:
         raise ConvergenceFailure(
-            f"lowest_eigenpairs: Sturm count {below} below {values[0]:.12g} and "
-            f"{up_to} up to {values[-1]:.12g} (slack {slack:.1e}); expected 0 and >= {m}")
+            f"lowest_eigenpairs: vectors orthonormal only to delta = {delta:.1e}, "
+            f"above {_ORTHO_TOL:.1e}")
+    slack = float(np.sum(residuals)) + diag.size * np.finfo(float).eps * norm_bound
+    shift = values[0] - slack
+    pivot = _nonpositive_pivot(diag, off, shift, norm_bound)
+    if pivot:
+        raise ConvergenceFailure(
+            f"lowest_eigenpairs: Sturm count above 0 below {values[0]:.12g}: pivot "
+            f"{pivot - 1} of A - {shift:.12g} I is not positive (slack {slack:.1e}, "
+            f"delta {delta:.1e})")
     return EigenResult(values=values, vectors=vectors, residuals=residuals,
                        operator_norm=norm_bound)

@@ -138,6 +138,11 @@ def test_lowest_pairs_match_dense_oracle(case):
     gaps = np.flatnonzero(np.diff(oracle) > 1e-6 * norm)
     mids = 0.5 * (oracle[gaps] + oracle[gaps + 1])
     assert count_below(diag, off, mids).tolist() == (gaps + 1).tolist()
+    # and the certificate's pivot test agrees with them on "none below"
+    shifts = np.concatenate([[oracle[0] - 1e-6 * max(norm, 1e-300)], mids])
+    positive = [tridiag._nonpositive_pivot(diag, off, s, res.operator_norm) == 0
+                for s in shifts]
+    assert positive == (count_below(diag, off, shifts) == 0).tolist()
 
 
 def test_entries_near_underflow():
@@ -170,6 +175,32 @@ def test_skipped_lowest_pair_fails_the_sturm_count(monkeypatch):
     monkeypatch.setattr(tridiag, "eigh_tridiagonal", skip_lowest)
     with pytest.raises(ConvergenceFailure, match="Sturm count"):
         lowest_eigenpairs(*_ladder(), 4)
+
+
+def test_duplicated_vector_fails_the_orthogonality_check(monkeypatch):
+    lapack = tridiag.eigh_tridiagonal
+
+    def duplicate_one(diag, off, select, select_range):
+        values, vectors = lapack(diag, off, select=select, select_range=select_range)
+        vectors[:, -1] = vectors[:, -2]
+        return values, vectors
+
+    monkeypatch.setattr(tridiag, "eigh_tridiagonal", duplicate_one)
+    with pytest.raises(ConvergenceFailure):
+        lowest_eigenpairs(*_ladder(), 4)
+
+
+def test_one_by_one_matrix():
+    assert lowest_eigenpairs([5.0], [], 1).values.tolist() == [5.0]
+    assert lowest_eigenpairs([0.0], [], 1).values.tolist() == [0.0]
+
+
+def test_one_by_one_value_above_the_diagonal_fails_the_sturm_count(monkeypatch):
+    matvec = tridiag._matvec
+    # A v + v: the Rayleigh value is 6 with zero residual, above the only eigenvalue 5
+    monkeypatch.setattr(tridiag, "_matvec", lambda diag, off, v: matvec(diag, off, v) + v)
+    with pytest.raises(ConvergenceFailure, match="Sturm count"):
+        lowest_eigenpairs([5.0], [], 1)
 
 
 def test_perturbed_vector_fails_the_residual_check(monkeypatch):
