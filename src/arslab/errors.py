@@ -30,7 +30,9 @@ class BadGrid(ArslabError, ValueError):
 
 class ConvergenceFailure(ArslabError):
     """A LAPACK eigensolve failed, or its eigenpairs failed their residual,
-    orthogonality or Sturm-count certificate."""
+    orthogonality or Sturm-count certificate: none below the first value,
+    and fewer than m below the last value less the slack, so none between
+    was skipped."""
 
 
 class OutOfRange(ArslabError, ValueError):

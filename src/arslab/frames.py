@@ -463,14 +463,16 @@ def _simpson_levels(g, b, tol):
 
     g(k, tau) evaluates integrand k[j] at tau[:, j] on arrays: k holds one
     index per interval, and tau the nodes, of shape (nodes, intervals), so
-    an integrand gathers its coefficients once per interval.  All intervals
+    an integrand gathers its coefficients once per interval.  At level 0
+    k is ..., so that the integrands read their coefficients in place;
+    from the first refinement on it is an index array.  All intervals
     refine together, level by level: level 0 evaluates the five nodes of
     every interval in one call of g, and each later level the two quarter
     points of every interval still open.  An interval stops when
     |err| <= 15 tol, when err is not finite, or at depth _LENGTH_DEPTH, and
     adds left + right + err/15; otherwise it splits, each half with tol/2.
     """
-    k = np.arange(b.size)
+    k = ...
     a = np.zeros_like(b)
     m = 0.5 * (a + b)
     lm, rm = 0.5 * (a + m), 0.5 * (m + b)
@@ -480,20 +482,27 @@ def _simpson_levels(g, b, tol):
     for depth in range(_LENGTH_DEPTH, -1, -1):
         left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
         right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
-        err = left + right - whole
-        # non-finite samples cannot refine away; stop rather than split
+        both = left + right
+        err = both - whole
+        # non-finite samples cannot refine away; stop rather than split.
+        # Depth 0 stops every interval, so the loop always returns
         done = (np.abs(err) <= 15.0 * tol) | ~np.isfinite(err) | (depth == 0)
-        total += float(np.sum((left + right + err / 15.0)[done]))
+        if done.all():
+            return total + float(np.sum(both + err / 15.0))
+        total += float(np.sum((both + err / 15.0)[done]))
         open_ = ~done
-        if not open_.any():
-            break
         # the left halves [a, m], then the right halves [m, b]
-        k, tol = np.tile(k[open_], 2), np.tile(0.5 * tol[open_], 2)
+        k = np.tile(np.flatnonzero(open_) if k is ... else k[open_], 2)
+        tol = np.tile(0.5 * tol[open_], 2)
         a, m, b, fa, fm, fb, whole = (np.concatenate((u[open_], v[open_])) for u, v in (
             (a, m), (lm, rm), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right)))
         lm, rm = 0.5 * (a + m), 0.5 * (m + b)
         flm, frm = g(k, np.stack((lm, rm)))
-    return total
+
+
+def _kept(mask, *arrays):
+    """The arrays at mask; the arrays themselves, not copies, where mask keeps all."""
+    return arrays if mask.all() else tuple(a[mask] for a in arrays)
 
 
 def curve_length(frame, t, x, y):
@@ -520,19 +529,18 @@ def curve_length(frame, t, x, y):
         raise ValueError("curve_length: need 1-d samples t, x, y of equal length >= 2")
     if not (np.isfinite(t).all() and np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("curve_length: need finite samples t, x, y")
-    if np.any(np.diff(t) < 0):
+    dt = np.diff(t)
+    if np.any(dt < 0):
         raise ValueError("curve_length: t must be non-decreasing")
 
     # a sample difference that overflows, or a segment that reaches f = 0,
     # gives an inf or nan length, not a RuntimeWarning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        dt = np.diff(t)
-        moving = dt != 0.0
-        dt, x0, y0 = dt[moving], x[:-1][moving], y[:-1][moving]
-        vx = (x[1:][moving] - x0) / dt
-        vy = (y[1:][moving] - y0) / dt
+        dt, x0, x1, y0, y1 = _kept(dt != 0.0, dt, x[:-1], x[1:], y[:-1], y[1:])
+        vx = (x1 - x0) / dt
+        vy = (y1 - y0) / dt
         level = vy == 0.0
-        total = float(np.sum(np.abs(vx[level]) * dt[level]))
+        total = float(np.sum(np.abs(vx[level]) * dt[level])) if level.any() else 0.0
 
         curved = ~level
         crossing = np.zeros_like(curved)
@@ -548,15 +556,19 @@ def curve_length(frame, t, x, y):
         tol = _LENGTH_TOL * np.maximum(1.0, dt)
         regular = curved & ~crossing
         if regular.any():
-            xr, yr, vxr, vyr = (v[regular] for v in (x0, y0, vx, vy))
+            xr, yr, vxr, vyr, dtr, tolr = _kept(regular, x0, y0, vx, vy, dt, tol)
             vx2, vy2 = vxr * vxr, vyr * vyr
 
             def speed(k, tau):
-                # tau measured from the segment's start; infinite where f vanishes
+                # tau measured from the segment's start; infinite where f vanishes.
+                # frame.f returns a fresh array: sqrt(vx2 + vy2 / f**2) is formed in it
                 f = frame.f(xr[k] + vxr[k] * tau, yr[k] + vyr[k] * tau)
-                return np.sqrt(vx2[k] + vy2[k] / (f * f))
+                f *= f
+                np.divide(vy2[k], f, out=f)
+                f += vx2[k]
+                return np.sqrt(f, out=f)
 
-            total += _simpson_levels(speed, dt[regular], tol[regular])
+            total += _simpson_levels(speed, dtr, tolr)
         if crossing.any():
             # Only alpha-grushin gets here, where f = |vx (tau - tau0)|**alpha on
             # the segment, so speed * dtau/du = p * hypot(vx u**(p - 1), vy / |vx|**alpha),

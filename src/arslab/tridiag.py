@@ -10,12 +10,15 @@ certified before it is returned:
   Kahan's residual theorem puts m eigenvalues near the m values;
 - the Sturm count below the first value, widened by a slack, is 0: the
   pivots of LAPACK's LDL^T factorization (pttrf) of A - shift I are the
-  Sturm sequence, and all are positive, so no eigenvalue was skipped.
+  Sturm sequence, and all are positive, so no eigenvalue lies below;
+- the Sturm count at the last value less the slack, read by LAPACK's
+  stebz without bisecting, is below m: fewer than m eigenvalues lie
+  there, so none between the values was skipped.
 
 A failed check raises ConvergenceFailure.  LAPACK's bisection and inverse
 iteration are deterministic, so reruns give identical bits.  count_below,
 a Python Sturm sweep at any shifts, is the independent reference for the
-pivot test.
+pivot test and the count.
 
 LAPACK and the Sturm sweeps see A / ||A||_inf: they square the
 off-diagonals, which on a matrix of tiny norm would underflow and
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg.lapack import dpttrf, dstebz
 
 from .errors import ConvergenceFailure
 
@@ -112,6 +115,20 @@ def _nonpositive_pivot(diag, off, shift, norm):
     return dpttrf(d, off / norm, overwrite_d=True, overwrite_e=True)[2]
 
 
+def _count_at_most(diag, off, shift, norm):
+    """Number of eigenvalues of A at or below shift, n >= 2.
+
+    LAPACK stebz counts the eigenvalues of A / norm in (-2, shift / norm]
+    by Sturm counts at both ends; the eigenvalues lie in [-1, 1] and the
+    absolute tolerance 4 exceeds every Gershgorin interval, so no
+    bisection runs.
+    """
+    count, _, _, _, info = dstebz(diag / norm, off / norm, 1, -2.0, shift / norm, 0, 0, 4.0, "E")
+    if info:
+        raise ConvergenceFailure(f"lowest_eigenpairs: LAPACK stebz count failed, info {info}")
+    return count
+
+
 def lowest_eigenpairs(diag, off, m):
     """The m smallest eigenpairs with certified residuals.
 
@@ -121,6 +138,9 @@ def lowest_eigenpairs(diag, off, m):
     ||V^T V - I||_F, the solve certifies:
 
     - below: no eigenvalue lies below values[0] - slack;
+    - between: fewer than m eigenvalues lie at or below values[-1] -
+      slack, so none between the values was skipped (for m = 1 the
+      below test implies it);
     - above: at least m eigenvalues lie at or below values[-1] +
       (1 + 2 delta) (sum of residuals + delta ||A||_inf), to first order
       values[-1] + slack + delta ||A||_inf.  By Kahan's theorem (Parlett,
@@ -130,8 +150,9 @@ def lowest_eigenpairs(diag, off, m):
       the widening above.
 
     ConvergenceFailure is raised when a residual exceeds
-    1e-8 * ||A||_inf, when delta exceeds 1e-8, or when the Sturm count
-    below values[0] - slack is not 0.
+    1e-8 * ||A||_inf, when delta exceeds 1e-8, when the Sturm count
+    below values[0] - slack is not 0, or when m or more eigenvalues lie at
+    or below values[-1] - slack.
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
@@ -172,5 +193,13 @@ def lowest_eigenpairs(diag, off, m):
             f"lowest_eigenpairs: Sturm count above 0 below {values[0]:.12g}: pivot "
             f"{pivot - 1} of A - {shift:.12g} I is not positive (slack {slack:.1e}, "
             f"delta {delta:.1e})")
+    if m > 1:
+        top = values[-1] - slack
+        count = _count_at_most(diag, off, top, norm_bound)
+        if count > m - 1:
+            raise ConvergenceFailure(
+                f"lowest_eigenpairs: {count} eigenvalues lie at or below {top:.12g}, the "
+                f"last value less the slack {slack:.1e}, above m - 1 = {m - 1}: a value "
+                f"between was skipped")
     return EigenResult(values=values, vectors=vectors, residuals=residuals,
                        operator_norm=norm_bound)

@@ -791,6 +791,18 @@ def test_length_matches_the_scalar_reference(name, path, n):
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("path", ["arc", "crossing", "mixed"])
+@pytest.mark.parametrize("name", sorted(_LENGTH_FRAMES))
+def test_length_is_unchanged_by_a_repeated_sample(name, path):
+    # the repeated sample adds a dt = 0 segment, which is dropped: the
+    # segments that are kept give the same floats whether every segment
+    # moves and is read in place or some are gathered out
+    frame = _LENGTH_FRAMES[name]
+    t, x, y = _length_path(path, 200)
+    repeated = [np.insert(v, 57, v[57]) for v in (t, x, y)]
+    assert curve_length(frame, *repeated) == curve_length(frame, t, x, y)
+
+
 def _count_derivs(monkeypatch):
     calls = []
     f = FrameSpec.f

@@ -143,6 +143,9 @@ def test_lowest_pairs_match_dense_oracle(case):
     positive = [tridiag._nonpositive_pivot(diag, off, s, res.operator_norm) == 0
                 for s in shifts]
     assert positive == (count_below(diag, off, shifts) == 0).tolist()
+    # and so does the certificate's LAPACK count between the gaps
+    assert [tridiag._count_at_most(diag, off, s, res.operator_norm)
+            for s in mids] == count_below(diag, off, mids).tolist()
 
 
 def test_entries_near_underflow():
@@ -174,6 +177,22 @@ def test_skipped_lowest_pair_fails_the_sturm_count(monkeypatch):
 
     monkeypatch.setattr(tridiag, "eigh_tridiagonal", skip_lowest)
     with pytest.raises(ConvergenceFailure, match="Sturm count"):
+        lowest_eigenpairs(*_ladder(), 4)
+
+
+def test_skipped_middle_pair_fails_the_upper_count(monkeypatch):
+    lapack = tridiag.eigh_tridiagonal
+
+    def skip_middle(diag, off, select, select_range):
+        lo, hi = select_range
+        values, vectors = lapack(diag, off, select=select, select_range=(lo, hi + 1))
+        keep = [0, 1, 3, 4]
+        return values[keep], vectors[:, keep]
+
+    monkeypatch.setattr(tridiag, "eigh_tridiagonal", skip_middle)
+    # values 0.1537, 0.2833, 0.4820, 0.5668 pass the residual, orthogonality
+    # and lower tests; the true third eigenvalue 0.3890 lies between them
+    with pytest.raises(ConvergenceFailure, match="4 eigenvalues lie at or below 0.5668"):
         lowest_eigenpairs(*_ladder(), 4)
 
 
