@@ -21,10 +21,10 @@ tensor form
     C = kron(C_x, I) + kron(diag(y_coef), R),   M = kron(diag(m_x), I),
 
 with C_x the tridiagonal x-graph Laplacian and R the periodic second
-difference in y.  Only these 1-D pieces are stored, with the per-cell
-mass Generator.m that the cell-space masses and norms read; C is never
-assembled.  A DFT in y diagonalizes R, with eigenvalues
-mu_q = 2 cos(2 pi q / n_y) - 2, so one Crank-Nicolson step
+difference in y.  Only these 1-D pieces are stored: the per-cell mass
+Generator.m that the cell-space masses and norms read is m_x repeated
+over y, and C is never assembled.  A DFT in y diagonalizes R, with
+eigenvalues mu_q = 2 cos(2 pi q / n_y) - 2, so one Crank-Nicolson step
 
     (M - c C) u+ = (M + c C) u,   c = dt/2 (heat) or i dt/2 (Schrodinger),
 
@@ -159,7 +159,6 @@ class Generator:
     h: float
     n_y: int
     period: float
-    m: np.ndarray       # per cell: m_x repeated over y
     m_x: np.ndarray     # per x-node: cell integral of w_eps, times h_y
     x_off: np.ndarray   # per x-edge: 1 / integral of 1/w_eps, times h_y
     y_coef: np.ndarray  # per x-node: cell integral of f**2 w_eps, over h_y
@@ -167,6 +166,11 @@ class Generator:
     @property
     def h_y(self):
         return self.period / self.n_y
+
+    @property
+    def m(self):
+        """Per-cell mass: m_x repeated over the n_y y-nodes."""
+        return np.repeat(self.m_x, self.n_y)
 
     def x_of_cells(self):
         return np.repeat(self.x, self.n_y)
@@ -176,7 +180,7 @@ class Generator:
         with np.errstate(over="ignore"):
             if np.iscomplexobj(u):
                 v = np.ascontiguousarray(u, dtype=complex).view(float)
-                return _weighted_norm(v, np.repeat(self.m, 2))
+                return _weighted_norm(v, np.repeat(self.m_x, 2 * self.n_y))
             return _weighted_norm(np.asarray(u, dtype=float), self.m)
 
     def total_mass(self, u):
@@ -221,8 +225,8 @@ def assemble_generator(alpha, eps, *, n_x=400, x_half=3.0, n_y=64, period=_TWO_P
     if not np.all(np.isfinite(np.concatenate((m_x, x_off, y_coef)))):
         raise BadGrid(f"assemble_generator: the weights on |x| <= x_half = {x_half} "
                       f"leave the floats at eps={eps}, alpha={alpha}")
-    return Generator(x=x, h=h, n_y=int(n_y), period=float(period), m=np.repeat(m_x, n_y),
-                     m_x=m_x, x_off=x_off, y_coef=y_coef)
+    return Generator(x=x, h=h, n_y=int(n_y), period=float(period), m_x=m_x, x_off=x_off,
+                     y_coef=y_coef)
 
 
 @dataclass

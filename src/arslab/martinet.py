@@ -37,15 +37,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .spectral import assemble_staggered, eigen_solve
+from .spectral import assemble_staggered, eigen_solve, inverse_square_coefficient
 
 __all__ = ["mode_potential", "MartinetModeResult", "martinet_mode_solve"]
 
 
 def mode_potential(k, l, y):
-    """Half-line potential of the (k, l) Fourier mode."""
+    """Half-line potential of the (k, l) Fourier mode.
+
+    Its 3/4 is the inverse-square coefficient of the 1/|y| density
+    (alpha = 1), the threshold at which classify_self_adjoint decides.
+    """
     y = np.asarray(y, dtype=float)
-    return (k + 0.5 * l * y * y) ** 2 + 0.75 / y**2
+    return (k + 0.5 * l * y * y) ** 2 + inverse_square_coefficient(1.0) / y**2
 
 
 @dataclass

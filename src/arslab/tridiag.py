@@ -20,9 +20,10 @@ iteration are deterministic, so reruns give identical bits.  count_below,
 a Python Sturm sweep at any shifts, is the independent reference for the
 pivot test and the count.
 
-LAPACK and the Sturm sweeps see A / ||A||_inf: they square the
-off-diagonals, which on a matrix of tiny norm would underflow and
-decouple rows that are not decoupled.
+LAPACK and the Sturm sweeps see A / ||A||_inf, which lowest_eigenpairs
+forms once for all three: they square the off-diagonals, which on a
+matrix of tiny norm would underflow and decouple rows that are not
+decoupled.
 """
 
 from __future__ import annotations
@@ -101,29 +102,28 @@ def _matvec(diag, off, v):
     return out
 
 
-def _nonpositive_pivot(diag, off, shift, norm):
-    """1 + the index of the first pivot of (A - shift I) / norm that is
+def _nonpositive_pivot(d, e, shift):
+    """1 + the index of the first pivot of T - shift I, T = (d, e), that is
     not positive, or 0 when all are, which means no eigenvalue below shift.
 
     The LDL^T pivots are the Sturm sequence, so 0 agrees with
-    count_below(diag, off, shift) == 0 up to the one-ulp ambiguity at an
+    count_below(d, e, shift) == 0 up to the one-ulp ambiguity at an
     eigenvalue.  scipy's dpttrf refuses n = 1; its one pivot is read here.
     """
-    d = diag / norm - shift / norm
+    d = d - shift
     if d.size == 1:
         return 0 if d[0] > 0.0 else 1
-    return dpttrf(d, off / norm, overwrite_d=True, overwrite_e=True)[2]
+    return dpttrf(d, e, overwrite_d=True)[2]
 
 
-def _count_at_most(diag, off, shift, norm):
-    """Number of eigenvalues of A at or below shift, n >= 2.
+def _count_at_most(d, e, shift):
+    """Number of eigenvalues at or below shift of T = (d, e), n >= 2, ||T||_inf <= 1.
 
-    LAPACK stebz counts the eigenvalues of A / norm in (-2, shift / norm]
-    by Sturm counts at both ends; the eigenvalues lie in [-1, 1] and the
-    absolute tolerance 4 exceeds every Gershgorin interval, so no
-    bisection runs.
+    LAPACK stebz counts the eigenvalues in (-2, shift] by Sturm counts at
+    both ends; they lie in [-1, 1] and the absolute tolerance 4 exceeds
+    every Gershgorin interval, so no bisection runs.
     """
-    count, _, _, _, info = dstebz(diag / norm, off / norm, 1, -2.0, shift / norm, 0, 0, 4.0, "E")
+    count, _, _, _, info = dstebz(d, e, 1, -2.0, shift, 0, 0, 4.0, "E")
     if info:
         raise ConvergenceFailure(f"lowest_eigenpairs: LAPACK stebz count failed, info {info}")
     return count
@@ -161,9 +161,10 @@ def lowest_eigenpairs(diag, off, m):
     if off.size != diag.size - 1:
         raise ValueError("lowest_eigenpairs: off-diagonal must have length n-1")
     norm_bound = _inf_norm(diag, off)
+    # T = A / ||A||_inf, shared by LAPACK and both Sturm tests: none may overwrite it
+    d, e = diag / norm_bound, off / norm_bound
     try:
-        _, vectors = eigh_tridiagonal(diag / norm_bound, off / norm_bound, select="i",
-                                      select_range=(0, m - 1))
+        _, vectors = eigh_tridiagonal(d, e, select="i", select_range=(0, m - 1))
     except LinAlgError as exc:
         raise ConvergenceFailure(f"lowest_eigenpairs: LAPACK failed: {exc}") from exc
     vectors = vectors / np.linalg.norm(vectors, axis=0)
@@ -187,7 +188,7 @@ def lowest_eigenpairs(diag, off, m):
             f"above {_ORTHO_TOL:.1e}")
     slack = float(np.sum(residuals)) + diag.size * np.finfo(float).eps * norm_bound
     shift = values[0] - slack
-    pivot = _nonpositive_pivot(diag, off, shift, norm_bound)
+    pivot = _nonpositive_pivot(d, e, shift / norm_bound)
     if pivot:
         raise ConvergenceFailure(
             f"lowest_eigenpairs: Sturm count above 0 below {values[0]:.12g}: pivot "
@@ -195,7 +196,7 @@ def lowest_eigenpairs(diag, off, m):
             f"delta {delta:.1e})")
     if m > 1:
         top = values[-1] - slack
-        count = _count_at_most(diag, off, top, norm_bound)
+        count = _count_at_most(d, e, top / norm_bound)
         if count > m - 1:
             raise ConvergenceFailure(
                 f"lowest_eigenpairs: {count} eigenvalues lie at or below {top:.12g}, the "

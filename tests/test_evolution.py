@@ -419,6 +419,23 @@ def test_a_perturbed_solve_fails_the_step_gate(monkeypatch, run, alpha, perturbe
         run(gen, state, 0.5, 1e-3)
 
 
+@pytest.mark.parametrize("run", [run_heat, run_schrodinger])
+def test_a_non_finite_field_fails_the_step_gate(run):
+    gen = _small_gen()
+    state = gaussian_bump_state(gen, (-1.0, math.pi), 0.3)
+    state.u[3] = np.nan
+    with pytest.raises(SolverDiverged, match="relative residual nan"):
+        run(gen, state, 5e-3, 1e-3)
+
+
+def test_weighted_norm_of_a_non_finite_entry():
+    w = np.ones(3)
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(evolution._weighted_norm(np.array([1.0, np.nan, 2.0]), w))
+        assert evolution._weighted_norm(np.array([1.0, np.inf, 2.0]), w) == math.inf
+
+
 def _exact_norm(v, w):
     with decimal.localcontext() as ctx:
         ctx.prec = 60
@@ -458,7 +475,7 @@ def test_weighted_norm_beyond_the_floats_of_its_sum(parts, complex_):
         assert not np.isfinite(np.sum(w * v * v))
     # _weighted_norm leaves the errstate to its callers; m_norm holds its own
     u = v.view(complex) if complex_ else v
-    gen = dataclasses.replace(_small_gen(), m=np.ones(u.size))
+    gen = dataclasses.replace(_small_gen(), m_x=np.ones(u.size), n_y=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = gen.m_norm(u)

@@ -140,11 +140,12 @@ def test_lowest_pairs_match_dense_oracle(case):
     assert count_below(diag, off, mids).tolist() == (gaps + 1).tolist()
     # and the certificate's pivot test agrees with them on "none below"
     shifts = np.concatenate([[oracle[0] - 1e-6 * max(norm, 1e-300)], mids])
-    positive = [tridiag._nonpositive_pivot(diag, off, s, res.operator_norm) == 0
+    d, e = diag / res.operator_norm, off / res.operator_norm
+    positive = [tridiag._nonpositive_pivot(d, e, s / res.operator_norm) == 0
                 for s in shifts]
     assert positive == (count_below(diag, off, shifts) == 0).tolist()
     # and so does the certificate's LAPACK count between the gaps
-    assert [tridiag._count_at_most(diag, off, s, res.operator_norm)
+    assert [tridiag._count_at_most(d, e, s / res.operator_norm)
             for s in mids] == count_below(diag, off, mids).tolist()
 
 
@@ -242,6 +243,27 @@ def test_lapack_failure_is_a_convergence_failure(monkeypatch):
     monkeypatch.setattr(tridiag, "eigh_tridiagonal", fail)
     with pytest.raises(ConvergenceFailure, match="LAPACK failed: eigenvectors failed"):
         lowest_eigenpairs(*_ladder(), 4)
+
+
+def test_failed_lapack_count_is_a_convergence_failure(monkeypatch):
+    stebz = tridiag.dstebz
+
+    def fail(*args):
+        return (*stebz(*args)[:4], 1)
+
+    monkeypatch.setattr(tridiag, "dstebz", fail)
+    with pytest.raises(ConvergenceFailure, match="LAPACK stebz count failed, info 1"):
+        lowest_eigenpairs(*_ladder(), 4)
+
+
+def test_count_below_clamps_an_exactly_zero_pivot_past_the_first_row():
+    # ||A||_inf = 1, so the pivots at shift 0.25 are 0.25, then exactly
+    # 0.25 - 0.0625 / 0.25 = 0.0, which the clamp counts as negative, and
+    # the third row divides by the clamped pivot, not by zero
+    diag, off = np.full(3, 0.5), np.full(2, 0.25)
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    assert count_below(diag, off, 0.25).tolist() == [1]
+    assert int(np.sum(np.linalg.eigvalsh(dense) < 0.25)) == 1
 
 
 @pytest.mark.parametrize("diag, off, m, named", [
